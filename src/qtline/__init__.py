@@ -52,7 +52,7 @@ from .heisenberg import (
     multiplier_residual,
     multiplier_value,
 )
-from .numeric import QuadReal, Rational, Tolerance, approx_eq, default_tolerance, quad_to_float
+from .numeric import QuadReal, Tolerance, approx_eq, default_tolerance, quad_to_float
 from .picard import (
     AHData,
     Character,
@@ -104,7 +104,6 @@ __all__ = [
     "QTLineError",
     "QuadReal",
     "RangeError",
-    "Rational",
     "ThetaCandidate",
     "ThetaSolveResult",
     "Tolerance",

@@ -71,14 +71,11 @@ def chern_numeric(
     if tol is None:
         tol = default_tolerance()
     lat = a.lattice
-    w1, w2 = lat.omega1_float, lat.omega2_float
-    shift1 = l1.a * w1 + l1.b * w2
-    shift2 = l2.a * w1 + l2.b * w2
     total = (
-        a.exponent(l2, v + shift1)
+        a.exponent(l2, v + lat.float_value(l1))
         + a.exponent(l1, v)
         - a.exponent(l2, v)
-        - a.exponent(l1, v + shift2)
+        - a.exponent(l1, v + lat.float_value(l2))
     )
     if abs(total.imag) > tol.abs_eps:
         raise ConsistencyError(f"four-term sum has imaginary part {total.imag:.3g}")

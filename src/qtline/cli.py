@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, NoReturn
 
 from . import jsonio
 from .chern import chern_numeric, chern_symbolic
@@ -83,13 +83,17 @@ def _parse_complex(text: str, what: str) -> complex:
         raise FormatError(f"{what} must be re,im, got {text!r}") from exc
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"non-finite number {name}")
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, NaN/Infinity
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -118,9 +122,7 @@ def _cmd_cf(args: argparse.Namespace) -> Any:
     return out
 
 
-def _cmd_verify(args: argparse.Namespace) -> Any:
-    a = _load_cocycle(args.cocycle)
-    residuals = cocycle_identity_residuals(a, samples=args.samples, seed=args.seed)
+def _residual_report(residuals: list[float], args: argparse.Namespace) -> Any:
     result: dict[str, Any] = {
         "max_residual": max(residuals),
         "samples": args.samples,
@@ -129,6 +131,11 @@ def _cmd_verify(args: argparse.Namespace) -> Any:
     if args.emit_samples:
         result["residuals"] = residuals
     return result
+
+
+def _cmd_verify(args: argparse.Namespace) -> Any:
+    a = _load_cocycle(args.cocycle)
+    return _residual_report(cocycle_identity_residuals(a, samples=args.samples, seed=args.seed), args)
 
 
 def _cmd_chern(args: argparse.Namespace) -> Any:
@@ -197,15 +204,7 @@ def _cmd_theta_solve(args: argparse.Namespace) -> Any:
 def _cmd_theta_check(args: argparse.Namespace) -> Any:
     a = _load_cocycle(args.cocycle)
     t = jsonio.theta_from_json(_load_json(args.theta))
-    residuals = theta_residuals(a, t, samples=args.samples, seed=args.seed)
-    result: dict[str, Any] = {
-        "max_residual": max(residuals),
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    if args.emit_samples:
-        result["residuals"] = residuals
-    return result
+    return _residual_report(theta_residuals(a, t, samples=args.samples, seed=args.seed), args)
 
 
 def _build_parser() -> _Parser:

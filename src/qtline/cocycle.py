@@ -48,7 +48,40 @@ V_BOUND = 5.0
 _EXP_LIMIT = 700.0
 
 _TWO_PI_I = 2j * math.pi
-_INV_TWO_PI_I = 1.0 / _TWO_PI_I
+_INV_2PI_I = 1.0 / _TWO_PI_I
+
+
+def exp_2pi_i(exponent: complex, kind: str, v: complex, l: LatticeVector | None = None) -> complex:
+    """e^{2*pi*i*exponent}; RangeError naming the sample (l, v) when the
+    real part of the argument exceeds _EXP_LIMIT in absolute value."""
+    z = _TWO_PI_I * exponent
+    if abs(z.real) > _EXP_LIMIT:
+        at = "" if l is None else f"l=({l.a},{l.b}), "
+        raise RangeError(f"{kind} exponent {z:.6g} out of float exp range at {at}v={v:.6g}")
+    return cmath.exp(z)
+
+
+def exponent_residual(x: complex, y: complex) -> float:
+    """Relative residual |A - B| / max(1, |A|) of A = e^{2*pi*i*x}, B = e^{2*pi*i*y}, as
+    min(1, |A|) * |1 - e^{2*pi*i(y-x)}|: finite even where |A| overflows a double.
+    RangeError where e^{2*pi*i(y-x)} itself would overflow."""
+    z = _TWO_PI_I * (y - x)
+    if z.real > _EXP_LIMIT:
+        raise RangeError(f"residual exponent {z:.6g} out of float exp range")
+    scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
+    return min(1.0, scale) * abs(1.0 - cmath.exp(z))
+
+
+def draw_sample(rng: random.Random, vectors: int, coeff_bound: int = COEFF_BOUND, v_bound: float = V_BOUND) -> tuple:
+    """One seeded sample (l_1, ..., l_vectors, v): each vector's a, then b, uniform in
+    [-coeff_bound, coeff_bound], then v uniform in [-v_bound, v_bound]^2.  Reordering
+    these draws would change the samples of every seed."""
+    sample: list = []
+    for _ in range(vectors):
+        a = rng.randint(-coeff_bound, coeff_bound)
+        sample.append(LatticeVector(a, rng.randint(-coeff_bound, coeff_bound)))
+    sample.append(complex(rng.uniform(-v_bound, v_bound), rng.uniform(-v_bound, v_bound)))
+    return tuple(sample)
 
 
 @dataclass(frozen=True)
@@ -143,20 +176,18 @@ class Cocycle:
         w1, w2 = lat.omega1_float, lat.omega2_float
         total = 0j
         if self._log_c != 0:
-            total += l.b * self._log_c * _INV_TWO_PI_I
+            total += l.b * self._log_c * _INV_2PI_I
         if self.s:
             total += self.s * (l.b * l.b * w2 + 2.0 * l.b * v) / (2.0 * w1)
         if self.g:
+            # Inline rather than lat.float_value(l): this is the per-sample hot path.
             shift = l.a * w1 + l.b * w2
             total += self.g(v + shift) - self.g(v)
         return total
 
     def evaluate(self, l: LatticeVector, v: complex) -> complex:
         """Numerical value A_l(v); always nonzero."""
-        z = _TWO_PI_I * self.exponent(l, v)
-        if abs(z.real) > _EXP_LIMIT:
-            raise RangeError(f"cocycle exponent {z:.6g} out of float exp range at l=({l.a},{l.b}), v={v:.6g}")
-        return cmath.exp(z)
+        return exp_2pi_i(self.exponent(l, v), "cocycle", v, l)
 
     def tensor(self, other: Cocycle) -> Cocycle:
         """Componentwise product; realizes the tensor product of bundles."""
@@ -203,27 +234,18 @@ def cocycle_defect(a: Cocycle, l1: LatticeVector, l2: LatticeVector) -> int:
 
 def cocycle_identity_residuals(a: Cocycle, samples: int = 100, seed: int = 0) -> list[float]:
     """Per-sample relative residuals of A_{l1+l2}(v) = A_{l1}(v+l2) * A_{l2}(v)
-    at seeded samples with |coords| <= 10 and v in the square [-5, 5]^2.
-
-    Computed in exponent space:  with x, y the exponents of the two sides the
-    residual |A - B| / max(1, |A|) equals min(1, |A|) * |1 - e^{2*pi*i(y-x)}|,
-    which stays finite even where |A| itself overflows a double.
+    at seeded samples with |coords| <= 10 and v in the square [-5, 5]^2,
+    computed in exponent space by :func:`exponent_residual`.
     """
     if samples < 1:
         raise PreconditionError("need samples >= 1")
     rng = random.Random(seed)
-    lat = a.lattice
-    w1, w2 = lat.omega1_float, lat.omega2_float
     out = []
     for _ in range(samples):
-        l1 = LatticeVector(rng.randint(-COEFF_BOUND, COEFF_BOUND), rng.randint(-COEFF_BOUND, COEFF_BOUND))
-        l2 = LatticeVector(rng.randint(-COEFF_BOUND, COEFF_BOUND), rng.randint(-COEFF_BOUND, COEFF_BOUND))
-        v = complex(rng.uniform(-V_BOUND, V_BOUND), rng.uniform(-V_BOUND, V_BOUND))
+        l1, l2, v = draw_sample(rng, 2)
         x = a.exponent(l1 + l2, v)
-        y = a.exponent(l1, v + (l2.a * w1 + l2.b * w2)) + a.exponent(l2, v)
-        defect = y - x
-        scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
-        out.append(min(1.0, scale) * abs(1.0 - cmath.exp(_TWO_PI_I * defect)))
+        y = a.exponent(l1, v + a.lattice.float_value(l2)) + a.exponent(l2, v)
+        out.append(exponent_residual(x, y))
     return out
 
 

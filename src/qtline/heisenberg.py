@@ -32,18 +32,15 @@ as a v-dependence rather than a silently wrong constant.
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import chern_symbolic
-from .cocycle import Cocycle, ExponentPoly
+from .cocycle import _TWO_PI_I, Cocycle, ExponentPoly, draw_sample
 from .errors import ConsistencyError, DomainError, PreconditionError
 from .numeric import Tolerance, approx_eq, default_tolerance
-from .pseudolattice import LatticeVector, Pseudolattice
-
-_TWO_PI_I = 2j * math.pi
+from .pseudolattice import Pseudolattice
 
 # Fixed base points for the v-independence cross-check.
 _V_PROBE_1 = 0.3 + 0.2j
@@ -75,14 +72,6 @@ class LambdaPoint:
 
     def __neg__(self) -> LambdaPoint:
         return LambdaPoint(-self.alpha, -self.beta, self.s)
-
-    def reduced(self) -> LambdaPoint:
-        """Representative of the same torus point with coordinates in [0, s)."""
-        return LambdaPoint(self.alpha % self.s, self.beta % self.s, self.s)
-
-    @property
-    def is_lattice_point(self) -> bool:
-        return self.alpha % self.s == 0 and self.beta % self.s == 0
 
 
 @dataclass(frozen=True)
@@ -147,10 +136,14 @@ def _kappa(a: Cocycle, x: LambdaPoint) -> int:
     return x.beta if a.s > 0 else -x.beta
 
 
+def _phase(a: Cocycle, kappa: int, x: complex) -> complex:
+    """Unit part e^{(2*pi*i/omega1)*kappa*x} of a multiplier."""
+    return cmath.exp(_TWO_PI_I * kappa * x / a.lattice.omega1_float)
+
+
 def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex:
     """Value of the full multiplier h at v (scalar times the unit part)."""
-    kappa = _kappa(a, elem.point)
-    return elem.scalar * cmath.exp(_TWO_PI_I * kappa * v / a.lattice.omega1_float)
+    return elem.scalar * _phase(a, _kappa(a, elem.point), v)
 
 
 def membership_multiplier(a: Cocycle, x: LambdaPoint) -> HeisenbergElement:
@@ -168,15 +161,12 @@ def multiplier_residual(a: Cocycle, elem: HeisenbergElement, samples: int = 50, 
     """Max residual of A_l(v+x~)/A_l(v) = h(v+l)/h(v) over seeded samples."""
     rng = random.Random(seed)
     lat = a.lattice
-    w1, w2 = lat.omega1_float, lat.omega2_float
     xval = elem.point.real_value(lat)
     worst = 0.0
     for _ in range(samples):
-        l = LatticeVector(rng.randint(-5, 5), rng.randint(-5, 5))
-        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lval = l.a * w1 + l.b * w2
+        l, v = draw_sample(rng, 1, 5, 2.0)
         lhs = a.evaluate(l, v + xval) / a.evaluate(l, v)
-        rhs = multiplier_value(a, elem, v + lval) / multiplier_value(a, elem, v)
+        rhs = multiplier_value(a, elem, v + lat.float_value(l)) / multiplier_value(a, elem, v)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
 
@@ -189,10 +179,7 @@ def heisenberg_multiply(g1: HeisenbergElement, g2: HeisenbergElement, a: Cocycle
     point = g1.point + g2.point
     kappa2 = _kappa(a, g2.point)
     x1val = g1.point.real_value(a.lattice)
-    if kappa2 == 0:
-        carried = 1.0 + 0j
-    else:
-        carried = cmath.exp(_TWO_PI_I * kappa2 * x1val / a.lattice.omega1_float)
+    carried = 1.0 + 0j if kappa2 == 0 else _phase(a, kappa2, x1val)
     return HeisenbergElement(point=point, scalar=g1.scalar * g2.scalar * carried)
 
 
@@ -204,10 +191,8 @@ def heisenberg_inverse(g: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
     """Inverse (-x, h(v - x~)^{-1}) in the normalized representation."""
     _require_normal_form(a)
     _check_point(a, g.point)
-    kappa = _kappa(a, g.point)
     xval = g.point.real_value(a.lattice)
-    carried = cmath.exp(_TWO_PI_I * kappa * xval / a.lattice.omega1_float)
-    return HeisenbergElement(point=-g.point, scalar=carried / g.scalar)
+    return HeisenbergElement(point=-g.point, scalar=_phase(a, _kappa(a, g.point), xval) / g.scalar)
 
 
 def closed_form_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
@@ -322,9 +307,9 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0, tol: Toleranc
     worst = 0.0
     for _ in range(samples):
         den = rng.randint(1, 6)
-        p1 = LambdaPoint(rng.randint(-5, 5), rng.randint(-5, 5), den)
-        p2 = LambdaPoint(rng.randint(-5, 5), rng.randint(-5, 5), den)
-        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        l1, l2, v = draw_sample(rng, 2, 5, 2.0)
+        p1 = LambdaPoint(l1.a, l1.b, den)
+        p2 = LambdaPoint(l2.a, l2.b, den)
         value = _pairing_trivial_chern(a, p1.real_value(lat), p2.real_value(lat), v)
         worst = max(worst, abs(value - 1.0))
     return DichotomyReport(

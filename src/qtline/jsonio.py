@@ -9,11 +9,14 @@ Schemas:
     ThetaCandidate ->  {"amplitude": complex, "alpha": complex, "unit_exponent": [complex, ...]}
 
 Decoding raises FormatError on any schema violation so the CLI can map it to
-the malformed-input exit code.
+the malformed-input exit code.  JSON booleans are not numbers here, and
+complex parts must be finite doubles.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -24,14 +27,19 @@ from .pseudolattice import Pseudolattice
 from .theta import ThetaCandidate
 
 
+def _is_finite_number(x: Any) -> bool:
+    """An int or float (never a bool) that converts to a finite double."""
+    return type(x) is int and abs(x) <= sys.float_info.max or type(x) is float and math.isfinite(x)
+
+
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
 
 
 def complex_from_json(obj: Any, what: str = "complex value") -> complex:
-    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj)):
-        raise FormatError(f"{what} must be a [re, im] pair, got {obj!r}")
+    if not (isinstance(obj, list) and len(obj) == 2 and all(_is_finite_number(x) for x in obj)):
+        raise FormatError(f"{what} must be a [re, im] pair of finite numbers, got {obj!r}")
     return complex(obj[0], obj[1])
 
 
@@ -40,7 +48,7 @@ def fraction_to_json(q: Fraction) -> list[int]:
 
 
 def fraction_from_json(obj: Any, what: str = "rational") -> Fraction:
-    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, int) for x in obj)):
+    if not (isinstance(obj, list) and len(obj) == 2 and all(type(x) is int for x in obj)):
         raise FormatError(f"{what} must be a [num, den] pair of integers, got {obj!r}")
     if obj[1] <= 0:
         raise FormatError(f"{what} denominator must be positive, got {obj[1]}")
@@ -54,7 +62,7 @@ def quadreal_to_json(x: QuadReal) -> dict[str, Any]:
 def quadreal_from_json(obj: Any, what: str = "quadratic real") -> QuadReal:
     if not isinstance(obj, dict) or set(obj) != {"a", "b", "D"}:
         raise FormatError(f'{what} must be an object with keys "a", "b", "D", got {obj!r}')
-    if not isinstance(obj["D"], int):
+    if type(obj["D"]) is not int:
         raise FormatError(f"{what}: D must be an integer, got {obj['D']!r}")
     return QuadReal(
         fraction_from_json(obj["a"], f"{what}.a"),
@@ -98,7 +106,7 @@ def cocycle_to_json(a: Cocycle) -> dict[str, Any]:
 def cocycle_from_json(obj: Any) -> Cocycle:
     if not isinstance(obj, dict) or set(obj) != {"s", "c", "g", "lattice"}:
         raise FormatError(f'cocycle must be an object with keys "s", "c", "g", "lattice", got {obj!r}')
-    if not isinstance(obj["s"], int):
+    if type(obj["s"]) is not int:
         raise FormatError(f"cocycle s must be an integer, got {obj['s']!r}")
     return Cocycle(
         obj["s"],

@@ -19,14 +19,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
-
-# The coefficient ring for QuadReal; stdlib Fraction already provides the
-# normalized num/den representation.
-Rational = Fraction
-
-# Analytic values are plain double-precision complex numbers.
-ComplexApprox = complex
+from .errors import DomainError, FormatError
 
 TOLERANCE_ENV_VAR = "QTLINE_TOLERANCE"
 
@@ -42,20 +35,24 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.abs_eps > 0.0 and self.rel_eps > 0.0):
-            raise DomainError("tolerances must be strictly positive")
+        # An infinite epsilon would make every approximate comparison pass.
+        if not (0.0 < self.abs_eps < math.inf and 0.0 < self.rel_eps < math.inf):
+            raise DomainError("tolerances must be finite and strictly positive")
 
 
 def default_tolerance() -> Tolerance:
     """The library-wide default, overridable via the QTLINE_TOLERANCE env var.
 
     When set, the variable is parsed as a float and used for both the absolute
-    and the relative epsilon.
+    and the relative epsilon; it must be a finite positive number.
     """
     raw = os.environ.get(TOLERANCE_ENV_VAR)
     if raw is None:
         return Tolerance()
-    eps = float(raw)
+    try:
+        eps = float(raw)
+    except ValueError as exc:
+        raise FormatError(f"{TOLERANCE_ENV_VAR} must be a float, got {raw!r}") from exc
     return Tolerance(abs_eps=eps, rel_eps=eps)
 
 

@@ -36,16 +36,13 @@ an integral form and carry no information).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from .chern import AltForm, chern_symbolic, sigma_section
-from .cocycle import Cocycle, ExponentPoly
+from .cocycle import _TWO_PI_I, Cocycle, ExponentPoly
 from .errors import DomainError, PreconditionError
 from .numeric import Tolerance, default_tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
-
-_TWO_PI_I = 2j * math.pi
 
 DEFAULT_WITNESS_BOUND = 10_000
 

@@ -43,9 +43,6 @@ class LatticeVector:
     def __neg__(self) -> LatticeVector:
         return LatticeVector(-self.a, -self.b)
 
-    def __sub__(self, other: LatticeVector) -> LatticeVector:
-        return LatticeVector(self.a - other.a, self.b - other.b)
-
 
 @dataclass(frozen=True)
 class Convergent:
@@ -99,6 +96,10 @@ class Pseudolattice:
 
     def real_value(self, l: LatticeVector) -> QuadReal:
         return self.omega1 * l.a + self.omega2 * l.b
+
+    def float_value(self, l: LatticeVector) -> float:
+        """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""
+        return l.a * self.omega1_float + l.b * self.omega2_float
 
     def cf_terms(self, n: int) -> list[int]:
         """First n partial quotients of theta, via exact floors."""

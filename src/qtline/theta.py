@@ -28,14 +28,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cocycle import COEFF_BOUND, V_BOUND, Cocycle, ExponentPoly
-from .errors import DomainError, PreconditionError, RangeError
+from .cocycle import _EXP_LIMIT, _TWO_PI_I, Cocycle, ExponentPoly, draw_sample, exp_2pi_i, exponent_residual
+from .errors import DomainError, PreconditionError
 from .numeric import Tolerance, default_tolerance
 from .picard import TrivialityVerdict, reduce_to_constant, triviality_test
 from .pseudolattice import LatticeVector
-
-_TWO_PI_I = 2j * math.pi
-_EXP_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -55,33 +52,25 @@ class ThetaCandidate:
         return self.unit_exponent(v) + self.alpha * v + cmath.log(self.amplitude) / _TWO_PI_I
 
     def evaluate(self, v: complex) -> complex:
-        z = _TWO_PI_I * self.log_value(v)
-        if abs(z.real) > _EXP_LIMIT:
-            raise RangeError(f"theta exponent {z:.6g} out of float exp range at v={v:.6g}")
-        return cmath.exp(z)
+        return exp_2pi_i(self.log_value(v), "theta", v)
 
 
 def theta_residuals(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int = 0) -> list[float]:
     """Per-sample relative residuals of theta(v+l) = A_l(v) theta(v).
 
-    Uses the same exponent-space formulation as the cocycle verifier, so huge
-    |theta| cannot overflow: |theta(v+l) - A theta(v)| / max(1, |theta(v+l)|)
-    = min(1, |theta(v+l)|) * |1 - e^{2*pi*i*(y - x)}| for the two exponents.
+    Uses the cocycle verifier's exponent-space kernel :func:`exponent_residual`
+    on the exponents x of theta(v+l) and y of A_l(v) theta(v), so huge |theta|
+    cannot overflow.
     """
     if samples < 1:
         raise PreconditionError("need samples >= 1")
     rng = random.Random(seed)
-    lat = a.lattice
-    w1, w2 = lat.omega1_float, lat.omega2_float
     out = []
     for _ in range(samples):
-        l = LatticeVector(rng.randint(-COEFF_BOUND, COEFF_BOUND), rng.randint(-COEFF_BOUND, COEFF_BOUND))
-        v = complex(rng.uniform(-V_BOUND, V_BOUND), rng.uniform(-V_BOUND, V_BOUND))
-        lval = l.a * w1 + l.b * w2
-        x = t.log_value(v + lval)
+        l, v = draw_sample(rng, 1)
+        x = t.log_value(v + a.lattice.float_value(l))
         y = a.exponent(l, v) + t.log_value(v)
-        scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
-        out.append(min(1.0, scale) * abs(1.0 - cmath.exp(_TWO_PI_I * (y - x))))
+        out.append(exponent_residual(x, y))
     return out
 
 

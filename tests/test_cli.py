@@ -189,3 +189,37 @@ def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QTLINE_TOLERANCE", "1e-3")
     code, doc = run(capsys, "trivial", "--cocycle", path)
     assert code == 0 and doc["status"] == "trivial" and doc["witness"] == 1
+
+
+@pytest.mark.parametrize("alpha", [[0.0, -30.0], [0.0, 30.0]], ids=["alpha=-30i", "alpha=+30i"])
+def test_theta_check_out_of_range_is_exit_2(capsys, tmp_path, s1_file, alpha):
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"amplitude": [1.0, 0.0], "alpha": alpha, "unit_exponent": []}))
+    code, doc = run(capsys, "theta-check", "--cocycle", s1_file, "--theta", str(theta_path), "--samples", "50")
+    assert code == 2 and "out of float exp range" in doc["error"]
+
+
+@pytest.mark.parametrize("raw, expected_code", [("abc", 1), ("inf", 2)])
+def test_bad_tolerance_env_is_json_error(capsys, monkeypatch, witness_file, raw, expected_code):
+    monkeypatch.setenv("QTLINE_TOLERANCE", raw)
+    code, doc = run(capsys, "trivial", "--cocycle", witness_file)
+    assert code == expected_code and "tolerance" in doc["error"].lower()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"s": true, "c": [1, 0], "g": [], "lattice": LAT}',
+        '{"s": 1, "c": [true, 0], "g": [], "lattice": LAT}',
+        '{"s": 1, "c": [NaN, 0], "g": [], "lattice": LAT}',
+        '{"s": 1, "c": [1, 0], "g": [[Infinity, 0]], "lattice": LAT}',
+        '{"s": 1, "c": [1e999, 0], "g": [], "lattice": LAT}',
+    ],
+    ids=["bool-s", "bool-c", "nan-c", "infinity-g", "overflow-c"],
+)
+def test_non_numeric_json_numbers_are_exit_1(capsys, tmp_path, text):
+    lattice = json.dumps(cocycle_to_json(Cocycle(0, 1.0, ExponentPoly.zero(), L1))["lattice"])
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace("LAT", lattice))
+    code, doc = run(capsys, "verify", "--cocycle", str(path), "--samples", "10")
+    assert code == 1 and "error" in doc

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from qtline import DomainError, QuadReal, Tolerance, approx_eq, default_tolerance, quad_to_float
+from qtline import DomainError, FormatError, QuadReal, Tolerance, approx_eq, default_tolerance, quad_to_float
 from qtline.numeric import TOLERANCE_ENV_VAR
 
 mp.mp.dps = 50
@@ -133,3 +133,19 @@ class TestTolerance:
         monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-3")
         tol = default_tolerance()
         assert tol.abs_eps == 1e-3 and tol.rel_eps == 1e-3
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_rejected(self, eps):
+        with pytest.raises(DomainError):
+            Tolerance(abs_eps=eps, rel_eps=1e-9)
+        with pytest.raises(DomainError):
+            Tolerance(abs_eps=1e-9, rel_eps=eps)
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [("abc", FormatError), ("", FormatError), ("inf", DomainError), ("-1e-3", DomainError)],
+    )
+    def test_env_override_rejects_bad_values(self, monkeypatch, raw, error):
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, raw)
+        with pytest.raises(error):
+            default_tolerance()

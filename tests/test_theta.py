@@ -9,6 +9,7 @@ from qtline import (
     DomainError,
     ExponentPoly,
     PreconditionError,
+    RangeError,
     ThetaCandidate,
     coboundary,
     modulus_obstruction_demo,
@@ -44,6 +45,15 @@ class TestResidual:
         a = Cocycle(1, 1.0, ExponentPoly.zero(), l1)
         t = ThetaCandidate(amplitude=1.0, alpha=1.0, unit_exponent=ExponentPoly.zero())
         assert theta_residual(a, t, samples=300, seed=2) > 0.1
+
+    @pytest.mark.parametrize("alpha", [-30j, 30j], ids=["alpha=-30i", "alpha=+30i"])
+    def test_out_of_range_residual_raises_range_error(self, l1, alpha):
+        # |e^{2*pi*i*(y-x)}| overflows a double on some samples; that must be
+        # the library's RangeError, not a bare OverflowError from cmath.exp.
+        a = Cocycle(1, 1.0, ExponentPoly.zero(), l1)
+        t = ThetaCandidate(amplitude=1.0, alpha=alpha, unit_exponent=ExponentPoly.zero())
+        with pytest.raises(RangeError):
+            theta_residual(a, t, samples=50, seed=0)
 
     def test_amplitude_must_be_nonzero(self):
         with pytest.raises(DomainError):
