@@ -52,7 +52,7 @@ from .heisenberg import (
     multiplier_residual,
     multiplier_value,
 )
-from .numeric import QuadReal, Tolerance, approx_eq, default_tolerance, quad_to_float
+from .numeric import QuadReal, Tolerance, approx_eq, default_tolerance
 from .picard import (
     AHData,
     Character,
@@ -134,7 +134,6 @@ __all__ = [
     "multiplier_residual",
     "multiplier_value",
     "pic0_invariant",
-    "quad_to_float",
     "reduce_to_constant",
     "sigma_section",
     "solve_theta",

@@ -18,7 +18,7 @@ from typing import Any, NoReturn
 from . import jsonio
 from .chern import chern_numeric, chern_symbolic
 from .cocycle import cocycle_identity_residuals
-from .errors import FormatError, QTLineError
+from .errors import FormatError, QTLineError, RangeError
 from .heisenberg import LambdaPoint, closed_form_pairing, commutator_pairing, k_group
 from .numeric import QuadReal, approx_eq, default_tolerance
 from .picard import ah_normal_form, triviality_test
@@ -93,7 +93,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8, NaN/Infinity
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, NaN/Infinity, nesting
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -108,6 +108,8 @@ def _cmd_cf(args: argparse.Namespace) -> Any:
     w1 = abs(lat.omega1_float)
     out = []
     for conv in lat.convergents(args.n):
+        if conv.q > sys.float_info.max:
+            raise RangeError(f"denominator q_{conv.index} exceeds the double range; ask for fewer terms")
         value = float(lat.real_value(LatticeVector(conv.p, -conv.q)))
         out.append(
             {

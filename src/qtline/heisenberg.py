@@ -159,6 +159,8 @@ def membership_multiplier(a: Cocycle, x: LambdaPoint) -> HeisenbergElement:
 
 def multiplier_residual(a: Cocycle, elem: HeisenbergElement, samples: int = 50, seed: int = 0) -> float:
     """Max residual of A_l(v+x~)/A_l(v) = h(v+l)/h(v) over seeded samples."""
+    if samples < 1:
+        raise PreconditionError("need samples >= 1")
     rng = random.Random(seed)
     lat = a.lattice
     xval = elem.point.real_value(lat)
@@ -302,6 +304,8 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0, tol: Toleranc
             witness_differs_from_one=abs(s) != 1,
             max_pairing_deviation=None,
         )
+    if samples < 1:
+        raise PreconditionError("need samples >= 1")
     rng = random.Random(seed)
     lat = a.lattice
     worst = 0.0

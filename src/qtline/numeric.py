@@ -9,7 +9,8 @@ floats compared through a single :class:`Tolerance` policy.
 
 Signs of quadratic irrationals are decided by the conjugate trick: for mixed
 signs of ``a`` and ``b``, ``a + b*sqrt(D)`` has the sign of ``a^2 - D*b^2``
-relative to the dominant term, which is pure rational arithmetic.
+relative to the dominant term, which is pure rational arithmetic.  Floors are
+integer arithmetic on the form ``(P + sqrt(N))/Q`` of :func:`surd_form`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, RangeError
 
 TOLERANCE_ENV_VAR = "QTLINE_TOLERANCE"
+# Bounds the O(sqrt(D)) square-free test that every QuadReal construction runs.
+MAX_RADICAND = 10**9
 
 # Bits of precision used when converting sqrt(D) to a rational approximation.
 _SQRT_BITS = 200
@@ -92,9 +95,10 @@ def _as_fraction(x) -> Fraction:
 class QuadReal:
     """Exact element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)).
 
-    ``d`` must be square-free and >= 2, which makes the representation unique,
-    so equality is componentwise.  Arithmetic with a plain ``int``/``Fraction``
-    is allowed; arithmetic between two QuadReals requires equal ``d``.
+    ``d`` must be square-free (which makes the representation unique, so
+    equality is componentwise) and in [2, MAX_RADICAND].  Arithmetic with a
+    plain ``int``/``Fraction`` is allowed; arithmetic between two QuadReals
+    requires equal ``d``.
     """
 
     a: Fraction
@@ -104,8 +108,8 @@ class QuadReal:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _as_fraction(self.a))
         object.__setattr__(self, "b", _as_fraction(self.b))
-        if not isinstance(self.d, int) or self.d < 2 or not _is_square_free(self.d):
-            raise DomainError(f"radicand must be a square-free integer >= 2, got {self.d!r}")
+        if not isinstance(self.d, int) or not 2 <= self.d <= MAX_RADICAND or not _is_square_free(self.d):
+            raise DomainError(f"radicand must be a square-free integer in [2, {MAX_RADICAND}], got {self.d!r}")
 
     @classmethod
     def rational(cls, value, d: int) -> QuadReal:
@@ -207,49 +211,38 @@ class QuadReal:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare QuadReal with {type(other).__name__}")
-        return (self - o).sign()
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
-
     def __abs__(self) -> QuadReal:
         return -self if self.sign() < 0 else self
 
     def __floor__(self) -> int:
         if self.b == 0:
             return math.floor(self.a)
-        n = math.floor(float(self))
-        # Float guess is within 1 ulp; fix up with exact comparisons.
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        p, n, q = surd_form(self)
+        return surd_floor(p, math.isqrt(n), q)
 
     def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
         # a + b*s with s a 200-bit rational enclosure of sqrt(d); the final
         # Fraction->float conversion is correctly rounded.
-        return float(self.a + self.b * _sqrt_lower(self.d))
+        exact = self.a if self.b == 0 else self.a + self.b * _sqrt_lower(self.d)
+        try:
+            return float(exact)
+        except OverflowError as exc:
+            raise RangeError("value lies beyond the double range") from exc
 
     def __str__(self) -> str:
         return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}*sqrt({self.d})"
 
 
-def quad_to_float(x: QuadReal) -> float:
-    """Double nearest to the exact value, off by at most a few ulp."""
-    return float(x)
+def surd_form(x: QuadReal) -> tuple[int, int, int]:
+    """Integers (P, N, Q) with x = (P + sqrt(N))/Q and Q | N - P^2, for irrational x."""
+    den = math.lcm(x.a.denominator, x.b.denominator)
+    sgn = 1 if x.b > 0 else -1
+    p, n, q = sgn * int(x.a * den), int(x.b * den) ** 2 * x.d, sgn * den
+    if (n - p * p) % q:
+        p, n, q = p * den, n * den * den, q * den
+    return p, n, q
+
+
+def surd_floor(p: int, r: int, q: int) -> int:
+    """floor((p + sqrt(n))/q) for irrational sqrt(n), given r = isqrt(n) < sqrt(n) < r + 1."""
+    return (p + r) // q if q > 0 else (p + r + 1) // q

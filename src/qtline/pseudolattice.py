@@ -11,9 +11,9 @@ satisfies
 
 which is checkable both in floats and by exact sign tests on QuadReal.
 
-The continued fraction is computed with exact floors in Q(sqrt(D)); floats
-mis-floor near integers, and a single wrong partial quotient corrupts every
-convergent after it.
+The continued fraction runs on integers, theta = (P + sqrt(N))/Q and then
+a = floor((P + isqrt(N))/Q), P' = aQ - P, Q' = (N - P'^2)/Q (Perron), so no
+partial quotient, on which every later convergent depends, meets a float.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .numeric import QuadReal
+from .numeric import QuadReal, surd_floor, surd_form
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,18 @@ class Pseudolattice:
         return l.a * self.omega1_float + l.b * self.omega2_float
 
     def cf_terms(self, n: int) -> list[int]:
-        """First n partial quotients of theta, via exact floors."""
+        """First n partial quotients of theta, via the integer recurrence."""
         if n < 1:
             raise PreconditionError("need n >= 1")
-        x = self.theta_exact
+        p, big_n, q = surd_form(self.theta_exact)
+        r = math.isqrt(big_n)
         terms = []
         for _ in range(n):
-            k = math.floor(x)
+            k = surd_floor(p, r, q)
             terms.append(k)
-            # theta irrational => every tail is irrational, so x - k never
-            # vanishes and the expansion never terminates.
-            x = (x - k).reciprocal()
+            # The tail is (P' + sqrt(N))/Q'; Q' = 0 would make N = P'^2 a square.
+            p = k * q - p
+            q = (big_n - p * p) // q
         return terms
 
     def convergents(self, n: int) -> list[Convergent]:

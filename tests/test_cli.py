@@ -54,6 +54,18 @@ def test_cf_quadreal_grammar(capsys):
     assert [(row["p"], row["q"]) for row in doc] == [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5)]
 
 
+def test_cf_beyond_double_range_is_exit_2(capsys):
+    # q_k of sqrt(2) passes the largest double near k = 805, where |omega1|/q_k
+    # can no longer be printed
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "sqrtD", "--n", "820")
+    assert code == 2 and "double range" in doc["error"]
+
+
+def test_cf_radicand_above_cap_is_exit_2(capsys):
+    code, doc = run(capsys, "cf", "--D", str(10**9 + 1), "--omega1", "1", "--omega2", "sqrtD")
+    assert code == 2 and "radicand" in doc["error"]
+
+
 def test_cf_rejects_garbage(capsys):
     code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "wibble+?")
     assert code == 1 and "error" in doc

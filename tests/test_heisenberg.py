@@ -83,6 +83,14 @@ class TestMembership:
         with pytest.raises(DomainError):
             membership_multiplier(section(l1, 2), LambdaPoint(1, 0, 3))
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_residual_needs_a_sample(self, l1, samples):
+        # no samples means no evidence, not a perfect residual of 0.0
+        a = section(l1, 2)
+        elem = membership_multiplier(a, LambdaPoint(1, 0, 2))
+        with pytest.raises(PreconditionError):
+            multiplier_residual(a, elem, samples=samples)
+
     def test_preconditions(self, l1):
         with pytest.raises(PreconditionError):
             membership_multiplier(trivial_cocycle(l1), LambdaPoint(0, 0, 1))
@@ -247,6 +255,11 @@ class TestDichotomy:
         report = dichotomy_check(section(l1, 7), tol=loose)
         assert report.witness_value == pytest.approx(cmath.exp(TWO_PI_I / 7))
         assert report.witness_differs_from_one
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_zero_chern_needs_a_sample(self, l1, samples):
+        with pytest.raises(PreconditionError):
+            dichotomy_check(trivial_cocycle(l1), samples=samples)
 
     def test_zero_chern_sampled_pairing(self, l1, l2):
         rng = random.Random(44)

@@ -65,7 +65,10 @@ def test_theta_from_json_rejects(fields):
         theta_from_json(obj)
 
 
-@pytest.mark.parametrize("text", ["NaN", "[Infinity, 0]", '{"c": [-Infinity, 0]}'])
+@pytest.mark.parametrize(
+    "text",
+    ["NaN", "[Infinity, 0]", '{"c": [-Infinity, 0]}', pytest.param("[" * 100000 + "]" * 100000, id="deep-nesting")],
+)
 def test_load_json_rejects_non_finite_constants(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text)

@@ -5,8 +5,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from qtline import DomainError, FormatError, QuadReal, Tolerance, approx_eq, default_tolerance, quad_to_float
-from qtline.numeric import TOLERANCE_ENV_VAR
+from qtline import DomainError, FormatError, QuadReal, Tolerance, approx_eq, default_tolerance
+from qtline.numeric import MAX_RADICAND, TOLERANCE_ENV_VAR
 
 mp.mp.dps = 50
 
@@ -43,6 +43,15 @@ class TestArithmetic:
             with pytest.raises(DomainError):
                 QuadReal(Fraction(1), Fraction(1), bad)
 
+    def test_radicand_cap(self):
+        # 10**9 = 2^9 * 5^9 is not square-free; 999999998 = 2 * 499999999 is the
+        # largest square-free radicand under the cap, and 10**9 + 1 =
+        # 7 * 11 * 13 * 19 * 52579 is square-free, so only the cap rejects it
+        assert MAX_RADICAND == 10**9
+        assert QuadReal.sqrt(999_999_998).d == 999_999_998
+        with pytest.raises(DomainError, match="radicand"):
+            QuadReal.sqrt(MAX_RADICAND + 1)
+
     def test_division(self):
         x = sqrt2(3, -2)
         assert (x / x) == sqrt2(1, 0)
@@ -68,17 +77,17 @@ class TestArithmetic:
 
 class TestFloatConversion:
     def test_sqrt2(self):
-        got = quad_to_float(QuadReal.sqrt(2))
+        got = float(QuadReal.sqrt(2))
         assert abs(got - float(mp.sqrt(2))) < 1e-12
         assert abs(got - float(mp.sqrt(2))) <= 4 * math.ulp(got)
 
     def test_rational_exact(self):
-        assert quad_to_float(sqrt2(1, 0)) == 1.0
-        assert quad_to_float(QuadReal(Fraction(7, 8), Fraction(0), 5)) == 0.875
+        assert float(sqrt2(1, 0)) == 1.0
+        assert float(QuadReal(Fraction(7, 8), Fraction(0), 5)) == 0.875
 
     def test_cancellation(self):
         # 3 - 2*sqrt(2): heavy cancellation, still correctly rounded
-        got = quad_to_float(sqrt2(3, -2))
+        got = float(sqrt2(3, -2))
         want = float(mp.mpf(3) - 2 * mp.sqrt(2))
         assert got == pytest.approx(want, abs=1e-12)
         assert abs(got - want) <= 4 * math.ulp(got)
@@ -86,11 +95,11 @@ class TestFloatConversion:
     @given(quadreals(), quadreals())
     def test_monotone(self, x, y):
         if x == y:
-            assert quad_to_float(x) == quad_to_float(y)
+            assert float(x) == float(y)
         elif (x - y).sign() < 0:
-            assert quad_to_float(x) <= quad_to_float(y)
+            assert float(x) <= float(y)
         else:
-            assert quad_to_float(x) >= quad_to_float(y)
+            assert float(x) >= float(y)
 
     @given(quadreals())
     def test_sign_matches_highprec(self, x):
@@ -110,6 +119,16 @@ class TestFloatConversion:
         # 239/169 approaches from below: 239 - 169*sqrt(2) ~ -0.003
         assert math.floor(sqrt2(239, -169)) == -1
         assert math.floor(sqrt2(-239, 169)) == 0
+
+    def test_floor_far_from_float_guess(self):
+        # the double nearest 10**30 + 12346 is about 2e13 away from it
+        assert math.floor(sqrt2(10**30 + 12345, 1)) == 10**30 + 12346
+        assert math.floor(sqrt2(-(10**30) - 12345, -1)) == -(10**30) - 12347
+
+    def test_floor_beyond_double_range(self):
+        assert math.floor(sqrt2(10**400, 1)) == 10**400 + 1
+        assert math.floor(sqrt2(-(10**400), 1)) == -(10**400) + 1
+        assert math.floor(sqrt2(0, 10**400)) == math.isqrt(2 * 10**800)
 
 
 class TestTolerance:

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qtline import DomainError, LatticeVector, PreconditionError, Pseudolattice, QuadReal
+from qtline import DomainError, LatticeVector, PreconditionError, Pseudolattice, QuadReal, RangeError
 
 mp.mp.dps = 60
 
@@ -54,6 +56,11 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Pseudolattice(QuadReal.rational(1, 2), QuadReal.sqrt(3))
 
+    def test_omega_beyond_double_range_rejected(self):
+        # a 401-digit omega2 has no double value to evaluate cocycles with
+        with pytest.raises(RangeError):
+            Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(10**400), Fraction(1), 2))
+
     def test_real_value(self, l1):
         assert l1.real_value(LatticeVector(1, 0)) == l1.omega1
         assert l1.real_value(LatticeVector(0, 0)) == QuadReal.rational(0, 2)
@@ -95,6 +102,10 @@ class TestConvergents:
             assert (w1_abs - abs(residual) * conv.q).sign() > 0
             # float route
             assert abs(float(residual)) < abs(lat.omega1_float) / conv.q
+
+    def test_huge_first_term(self):
+        lat = Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(10**30 + 12345), Fraction(1), 2))
+        assert lat.cf_terms(4) == [10**30 + 12346, 2, 2, 2]
 
     def test_denominators_increase_from_index_one(self, l2):
         qs = [c.q for c in l2.convergents(10)]
@@ -138,3 +149,54 @@ class TestDensity:
     def test_eps_validation(self, l1):
         with pytest.raises(PreconditionError):
             l1.approximate_real(0.5, eps=0.0)
+
+
+def float_guess_floor(x):
+    """The former QuadReal.__floor__: a float guess fixed up by exact sign tests.
+    Kept here only as a test oracle for the integer floor."""
+    if x.b == 0:
+        return math.floor(x.a)
+    n = math.floor(float(x))
+    while (x - n).sign() < 0:
+        n -= 1
+    while (x - (n + 1)).sign() >= 0:
+        n += 1
+    return n
+
+
+def reciprocal_cf_terms(theta, n):
+    """The former cf_terms loop: floor, subtract, invert in Q(sqrt(D))."""
+    terms = []
+    for _ in range(n):
+        k = float_guess_floor(theta)
+        terms.append(k)
+        theta = (theta - k).reciprocal()
+    return terms
+
+
+radicands = st.sampled_from([2, 3, 5, 6, 7, 13, 61, 94, 9973, 999983])
+coefficients = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000)
+nonzero_coefficients = coefficients.filter(lambda f: f != 0)
+
+
+class TestIntegerRecurrence:
+    """The integer floor and (P + sqrt N)/Q recurrence against the former
+    float-guess floor and reciprocal loop."""
+
+    @given(coefficients, coefficients, radicands)
+    def test_floor_matches_float_guess_floor(self, a, b, d):
+        x = QuadReal(a, b, d)
+        assert math.floor(x) == float_guess_floor(x)
+
+    @settings(deadline=None)
+    @given(
+        nonzero_coefficients, coefficients, coefficients, nonzero_coefficients, radicands, st.sampled_from([1, 5, 40])
+    )
+    @example(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 2), 5, 40)  # golden ratio, q0 = q1
+    @example(Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(1, 2), 5, 40)  # 1/golden, q0 = q1
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(-1), 2, 40)  # -sqrt(2)
+    def test_cf_terms_match_reciprocal_loop(self, a1, b1, a2, b2, d, n):
+        omega1, omega2 = QuadReal(a1, b1, d), QuadReal(a2, b2, d)
+        assume((omega2 / omega1).b != 0)
+        lat = Pseudolattice(omega1, omega2)
+        assert lat.cf_terms(n) == reciprocal_cf_terms(lat.theta_exact, n)
