@@ -96,6 +96,8 @@ class ExponentPoly:
 
     def __post_init__(self) -> None:
         cs = [complex(z) for z in self.coeffs]
+        if not all(cmath.isfinite(z) for z in cs):
+            raise DomainError("exponent polynomial coefficients must be finite")
         while cs and cs[-1] == 0:
             cs.pop()
         if len(cs) - 1 > MAX_DEGREE:

@@ -56,9 +56,10 @@ class LambdaPoint:
     s: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.s, int) and self.s >= 1):
+        # type(...) is int rather than isinstance: bool is an int subclass.
+        if not (type(self.s) is int and self.s >= 1):
             raise DomainError("LambdaPoint denominator must be a positive integer")
-        if not (isinstance(self.alpha, int) and isinstance(self.beta, int)):
+        if type(self.alpha) is not int or type(self.beta) is not int:
             raise DomainError("LambdaPoint coordinates must be integers")
 
     def real_value(self, lattice: Pseudolattice) -> float:

@@ -10,11 +10,15 @@ floats compared through a single :class:`Tolerance` policy.
 Signs of quadratic irrationals are decided by the conjugate trick: for mixed
 signs of ``a`` and ``b``, ``a + b*sqrt(D)`` has the sign of ``a^2 - D*b^2``
 relative to the dominant term, which is pure rational arithmetic.  Floors are
-integer arithmetic on the form ``(P + sqrt(N))/Q`` of :func:`surd_form`.
+integer arithmetic on the form ``(P + sqrt(N))/Q`` of :func:`surd_form`, and
+so is the conversion to a double: :func:`quad_float` takes ``floor(x*2^k)``
+with enough bits ``k`` that rounding it rounds ``x`` itself, so ``float(x)``
+is the double nearest ``x`` at every size, cancelling or not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -23,11 +27,15 @@ from fractions import Fraction
 from .errors import DomainError, FormatError, RangeError
 
 TOLERANCE_ENV_VAR = "QTLINE_TOLERANCE"
-# Bounds the O(sqrt(D)) square-free test that every QuadReal construction runs.
+# Bounds the O(sqrt(D)) square-free test of a new radicand.
 MAX_RADICAND = 10**9
-
-# Bits of precision used when converting sqrt(D) to a rational approximation.
-_SQRT_BITS = 200
+# Caps on the per-request work counts of the command line: residual samples,
+# triviality-search bound and continued-fraction terms.
+MAX_SAMPLES = 10**5
+MAX_BOUND = 10**6
+MAX_TERMS = 10**4
+# Significant bits kept in floor(x*2^k) before rounding to a double (53).
+_FLOAT_BITS = 117
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,9 @@ def approx_eq(x: complex, y: complex, tol: Tolerance | None = None) -> bool:
     return abs(x - y) <= tol.abs_eps + tol.rel_eps * max(abs(x), abs(y))
 
 
+# Memoized: every QuadReal result re-checks its operands' radicand.  Bounded, so a
+# process that sweeps many fields keeps a fixed-size table.
+@functools.lru_cache(maxsize=4096)
 def _is_square_free(n: int) -> bool:
     if n % 4 == 0:
         return False
@@ -75,12 +86,6 @@ def _is_square_free(n: int) -> bool:
             return False
         p += 2
     return True
-
-
-def _sqrt_lower(d: int) -> Fraction:
-    """Rational lower bound of sqrt(d) accurate to 2**-_SQRT_BITS."""
-    scaled = math.isqrt(d << (2 * _SQRT_BITS))
-    return Fraction(scaled, 1 << _SQRT_BITS)
 
 
 def _as_fraction(x) -> Fraction:
@@ -221,23 +226,24 @@ class QuadReal:
         return surd_floor(p, math.isqrt(n), q)
 
     def __float__(self) -> float:
-        # a + b*s with s a 200-bit rational enclosure of sqrt(d); the final
-        # Fraction->float conversion is correctly rounded.
-        exact = self.a if self.b == 0 else self.a + self.b * _sqrt_lower(self.d)
-        try:
-            return float(exact)
-        except OverflowError as exc:
-            raise RangeError("value lies beyond the double range") from exc
+        (a, b), den = over_common_denominator(self.a, self.b)
+        return quad_float(a, b, self.d, den)
 
     def __str__(self) -> str:
         return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}*sqrt({self.d})"
 
 
+def over_common_denominator(*xs: Fraction) -> tuple[list[int], int]:
+    """Integers [n_1, ..., n_k] and den > 0 with x_i = n_i/den, den the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def surd_form(x: QuadReal) -> tuple[int, int, int]:
     """Integers (P, N, Q) with x = (P + sqrt(N))/Q and Q | N - P^2, for irrational x."""
-    den = math.lcm(x.a.denominator, x.b.denominator)
-    sgn = 1 if x.b > 0 else -1
-    p, n, q = sgn * int(x.a * den), int(x.b * den) ** 2 * x.d, sgn * den
+    (a, b), den = over_common_denominator(x.a, x.b)
+    sgn = 1 if b > 0 else -1
+    p, n, q = sgn * a, b * b * x.d, sgn * den
     if (n - p * p) % q:
         p, n, q = p * den, n * den * den, q * den
     return p, n, q
@@ -246,3 +252,25 @@ def surd_form(x: QuadReal) -> tuple[int, int, int]:
 def surd_floor(p: int, r: int, q: int) -> int:
     """floor((p + sqrt(n))/q) for irrational sqrt(n), given r = isqrt(n) < sqrt(n) < r + 1."""
     return (p + r) // q if q > 0 else (p + r + 1) // q
+
+
+def quad_float(a: int, b: int, d: int, den: int) -> float:
+    """The double nearest (a + b*sqrt(d))/den, for integers and den > 0.
+
+    RangeError when it lies beyond the double range."""
+    try:
+        if b == 0:
+            return a / den
+        sgn = 1 if b > 0 else -1
+        p, n, q = sgn * a, b * b * d, sgn * den
+        # |x| = |p^2 - n| / (|q| * |p - sqrt(n)|) bounds |x| below without
+        # cancellation, so |x * 2^k| >= 2^_FLOAT_BITS.
+        top = max(abs(p).bit_length(), (n.bit_length() + 1) // 2) + 1
+        k = max(0, _FLOAT_BITS + 1 + q.bit_length() + top - (p * p - n).bit_length())
+        m = surd_floor(p << k, math.isqrt(n << 2 * k), q)
+        # x is irrational, so it lies strictly inside (m, m + 1)/2^k, an interval
+        # no double and no midpoint of two doubles falls in; so does (2m + 1)/2^(k+1),
+        # and int/int division rounds that correctly.
+        return (2 * m + 1) / (2 << k)
+    except OverflowError as exc:
+        raise RangeError("value lies beyond the double range") from exc

@@ -14,16 +14,21 @@ which is checkable both in floats and by exact sign tests on QuadReal.
 The continued fraction runs on integers, theta = (P + sqrt(N))/Q and then
 a = floor((P + isqrt(N))/Q), P' = aQ - P, Q' = (N - P'^2)/Q (Perron), so no
 partial quotient, on which every later convergent depends, meets a float.
+A Pseudolattice keeps theta, and omega1, omega2 over one integer denominator,
+so the double of a lattice value p*omega1 + q*omega2 is one integer
+combination rounded by :func:`qtline.numeric.quad_float`: correctly rounded
+however small the value is against p and q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .numeric import QuadReal, surd_floor, surd_form
+from .numeric import QuadReal, over_common_denominator, quad_float, surd_floor, surd_form
 
 
 @dataclass(frozen=True)
@@ -34,7 +39,8 @@ class LatticeVector:
     b: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        # type(...) is int rather than isinstance: bool is an int subclass.
+        if type(self.a) is not int or type(self.b) is not int:
             raise DomainError("lattice coordinates must be integers")
 
     def __add__(self, other: LatticeVector) -> LatticeVector:
@@ -64,38 +70,50 @@ class Pseudolattice:
 
     Construction verifies, exactly, that omega1 != 0 and that theta =
     omega2/omega1 is irrational (so L is dense in R rather than discrete).
+    It keeps theta_exact, the slope theta = omega2/omega1 as an exact field
+    element, and the coefficients of omega1, omega2 over one denominator.
     """
 
     omega1: QuadReal
     omega2: QuadReal
     omega1_float: float = field(init=False, repr=False, compare=False)
     omega2_float: float = field(init=False, repr=False, compare=False)
+    theta_exact: QuadReal = field(init=False, repr=False, compare=False)
+    # (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
+    _scaled: tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.omega1.d != self.omega2.d:
+        w1, w2 = self.omega1, self.omega2
+        if w1.d != w2.d:
             raise DomainError("omega1 and omega2 must live in the same quadratic field")
-        if not self.omega1:
+        if not w1:
             raise DomainError("omega1 must be nonzero")
-        if (self.omega2 / self.omega1).is_rational:
+        theta = w2 / w1
+        if theta.is_rational:
             raise DomainError("omega2/omega1 is rational; the subgroup is not dense in R")
-        object.__setattr__(self, "omega1_float", float(self.omega1))
-        object.__setattr__(self, "omega2_float", float(self.omega2))
+        object.__setattr__(self, "theta_exact", theta)
+        scaled, den = over_common_denominator(w1.a, w1.b, w2.a, w2.b)
+        object.__setattr__(self, "_scaled", (*scaled, den))
+        object.__setattr__(self, "omega1_float", self.rounded_value(LatticeVector(1, 0)))
+        object.__setattr__(self, "omega2_float", self.rounded_value(LatticeVector(0, 1)))
 
     @property
     def d(self) -> int:
         return self.omega1.d
 
-    @property
-    def theta_exact(self) -> QuadReal:
-        """The slope theta = omega2/omega1 as an exact field element."""
-        return self.omega2 / self.omega1
-
-    @property
+    @cached_property
     def theta(self) -> float:
+        """theta_exact as the nearest double, computed on first use."""
         return float(self.theta_exact)
 
     def real_value(self, l: LatticeVector) -> QuadReal:
         return self.omega1 * l.a + self.omega2 * l.b
+
+    def rounded_value(self, l: LatticeVector) -> float:
+        """real_value(l) rounded once to the nearest double, on integers, so it
+        keeps full precision where a*omega1 and b*omega2 nearly cancel."""
+        a1, b1, a2, b2, den = self._scaled
+        return quad_float(l.a * a1 + l.b * a2, l.a * b1 + l.b * b2, self.d, den)
 
     def float_value(self, l: LatticeVector) -> float:
         """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""
@@ -143,13 +161,12 @@ class Pseudolattice:
         """
         if eps <= 0:
             raise PreconditionError("need eps > 0")
-        vectors = self.small_vectors(max_terms)
-        values = [float(self.real_value(v)) for v in vectors]
         acc = LatticeVector(0, 0)
         remaining = target
-        for vec, val in zip(vectors, values):
+        for vec in self.small_vectors(max_terms):
             if abs(remaining) <= eps:
                 break
+            val = self.rounded_value(vec)
             if val == 0.0 or abs(val) > abs(remaining):
                 continue
             count = int(remaining / val)

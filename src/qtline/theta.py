@@ -44,6 +44,8 @@ class ThetaCandidate:
     unit_exponent: ExponentPoly
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.amplitude) and cmath.isfinite(self.alpha)):
+            raise DomainError("amplitude and alpha must be finite")
         if self.amplitude == 0:
             raise DomainError("amplitude must be nonzero (theta functions have no zeros)")
 

@@ -66,6 +66,32 @@ def test_cf_radicand_above_cap_is_exit_2(capsys):
     assert code == 2 and "radicand" in doc["error"]
 
 
+def test_cf_residuals_within_bound_at_depth(capsys):
+    # the residual |p_k - q_k sqrt(2)| ~ 1/q_k is rounded once on integers, so it
+    # stays accurate after q_k passes 2^100 (index 80)
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "sqrtD", "--n", "200")
+    assert code == 0 and len(doc) == 200
+    assert all(row["within_bound"] for row in doc)
+    assert all(0 < abs(row["residual"]) * row["q"] < 1 for row in doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "--D", "2", "--omega1", "1", "--omega2", "sqrtD", "--n", "10001"],
+        ["verify", "--cocycle", "COCYCLE", "--samples", "100001"],
+        ["theta-check", "--cocycle", "COCYCLE", "--theta", "COCYCLE", "--samples", "100001"],
+        ["trivial", "--cocycle", "COCYCLE", "--bound", "1000001"],
+        ["theta-solve", "--cocycle", "COCYCLE", "--bound", "1000001"],
+    ],
+    ids=["cf-n", "verify-samples", "theta-check-samples", "trivial-bound", "theta-solve-bound"],
+)
+def test_count_flag_above_cap_is_exit_2(capsys, s1_file, argv):
+    # checked before any work: one above each cap, never the capped amount itself
+    code, doc = run(capsys, *[s1_file if arg == "COCYCLE" else arg for arg in argv])
+    assert code == 2 and "must be at most" in doc["error"]
+
+
 def test_cf_rejects_garbage(capsys):
     code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "wibble+?")
     assert code == 1 and "error" in doc

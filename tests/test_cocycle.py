@@ -68,6 +68,11 @@ class TestExponentPoly:
         with pytest.raises(DomainError):
             ExponentPoly(tuple([0j] * 7 + [1 + 0j]))
 
+    @pytest.mark.parametrize("coeff", [complex(math.nan, 0), complex(0, math.inf), -math.inf], ids=["nan", "inf-im", "-inf"])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(DomainError, match="finite"):
+            ExponentPoly((coeff, 1))
+
     def test_horner(self):
         g = ExponentPoly((1 + 0j, 2 + 0j, 1j))
         v = 0.5 - 0.25j

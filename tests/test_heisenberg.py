@@ -79,6 +79,11 @@ class TestMembership:
             elem = membership_multiplier(a, LambdaPoint(alpha, beta, 3))
             assert multiplier_residual(a, elem, samples=20, seed=4) < 1e-9
 
+    @pytest.mark.parametrize("args", [(True, 1, 2), (1, False, 2), (0, 1, True)], ids=["alpha", "beta", "s"])
+    def test_boolean_coordinates_rejected(self, args):
+        with pytest.raises(DomainError):
+            LambdaPoint(*args)
+
     def test_wrong_denominator_rejected(self, l1):
         with pytest.raises(DomainError):
             membership_multiplier(section(l1, 2), LambdaPoint(1, 0, 3))

@@ -3,9 +3,20 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from qtline import DomainError, FormatError, QuadReal, Tolerance, approx_eq, default_tolerance
+from qtline import (
+    DomainError,
+    FormatError,
+    LatticeVector,
+    Pseudolattice,
+    QuadReal,
+    RangeError,
+    Tolerance,
+    approx_eq,
+    default_tolerance,
+)
+from qtline import numeric
 from qtline.numeric import MAX_RADICAND, TOLERANCE_ENV_VAR
 
 mp.mp.dps = 50
@@ -51,6 +62,15 @@ class TestArithmetic:
         assert QuadReal.sqrt(999_999_998).d == 999_999_998
         with pytest.raises(DomainError, match="radicand"):
             QuadReal.sqrt(MAX_RADICAND + 1)
+
+    def test_square_free_test_runs_once_per_radicand(self):
+        numeric._is_square_free.cache_clear()
+        x = QuadReal(Fraction(1, 3), Fraction(2), 999983)
+        for _ in range(4):
+            x = x * x.conjugate() + x / 7 - x.reciprocal()
+        Pseudolattice(QuadReal.rational(1, 999983), x).convergents(5)
+        info = numeric._is_square_free.cache_info()
+        assert info.misses == 1 and info.hits >= 20
 
     def test_division(self):
         x = sqrt2(3, -2)
@@ -129,6 +149,72 @@ class TestFloatConversion:
         assert math.floor(sqrt2(10**400, 1)) == 10**400 + 1
         assert math.floor(sqrt2(-(10**400), 1)) == -(10**400) + 1
         assert math.floor(sqrt2(0, 10**400)) == math.isqrt(2 * 10**800)
+
+
+def enclosure_float(x, bits=200):
+    """The former QuadReal.__float__: a + b*s with s = floor(sqrt(d)*2^bits)/2^bits.
+    Kept here only as a test oracle.  Returns None where the enclosure
+    [a + b*s, a + b*(s + 2^-bits)] does not round to a single double."""
+    s = Fraction(math.isqrt(x.d << (2 * bits)), 1 << bits)
+    lo, hi = float(x.a + x.b * s), float(x.a + x.b * (s + Fraction(1, 1 << bits)))
+    return lo if lo == hi else None
+
+
+def assert_nearest_double(x):
+    """float(x) equals the enclosure oracle widened by 2*log2|b| bits, which
+    certifies itself for every x here, and equals the 200-bit oracle wherever
+    that one certifies itself.  Returns (float(x), the 200-bit oracle)."""
+    got = float(x)
+    widened = enclosure_float(x, 200 + 2 * abs(x.b.numerator).bit_length())
+    assert widened is not None and got == widened
+    old = enclosure_float(x)
+    assert old is None or got == old
+    return got, old
+
+
+radicands = st.sampled_from([2, 3, 5, 7, 13, 61, 94, 9973, 999983, 999999998])
+wide_fractions = st.fractions(min_value=-(2**90) + 1, max_value=2**90 - 1, max_denominator=1000)
+
+
+def sqrt_d_lattice(d):
+    return Pseudolattice(QuadReal.rational(1, d), QuadReal.sqrt(d))
+
+
+class TestFloatAgainstEnclosure:
+    """float(QuadReal) is the double nearest x, computed on integers."""
+
+    @given(wide_fractions, wide_fractions, radicands)
+    def test_random_elements_match_enclosure(self, a, b, d):
+        got, old = assert_nearest_double(QuadReal(a, b, d))
+        # away from cancellation the 200-bit enclosure certifies itself, so
+        # the two conversions are bit-identical
+        if abs(b) < 2**60 and abs(got) > 2**-60:
+            assert got == old
+
+    @given(radicands, st.integers(0, 120), st.sampled_from([1, -1, Fraction(1, 3), Fraction(-7, 2)]))
+    @example(2, 120, 1)
+    def test_near_cancelling_values(self, d, index, scale):
+        # scale*(p - q*sqrt(d)) for a convergent p/q of sqrt(d) with q < 2^90,
+        # of size about scale/q
+        conv = [c for c in sqrt_d_lattice(d).convergents(index + 1) if c.q < 2**90][-1]
+        assert_nearest_double(QuadReal(scale * conv.p, -scale * conv.q, d))
+
+    def test_sqrt2_residuals_past_the_old_enclosure(self):
+        # the old enclosure's error q*2^-200 passes half an ulp of the residual
+        # ~1/q near index 59 (q ~ 2^75) and the residual itself near index 80
+        lat = sqrt_d_lattice(2)
+        residuals = [lat.real_value(LatticeVector(c.p, -c.q)) for c in lat.convergents(200)]
+        uncertified = [k for k, x in enumerate(residuals) if enclosure_float(x) is None]
+        assert uncertified[0] >= 55 and uncertified[-1] == 199
+        for x in residuals:
+            got, _ = assert_nearest_double(x)
+            assert 0 < abs(got) * abs(x.b) < 1
+
+    def test_float_beyond_double_range_raises(self):
+        for x in (sqrt2(10**400, 1), sqrt2(0, -(10**400)), sqrt2(Fraction(10**400), 0)):
+            with pytest.raises(RangeError):
+                float(x)
+        assert float(sqrt2(Fraction(1, 10**400), 1)) == float(mp.sqrt(2))
 
 
 class TestTolerance:

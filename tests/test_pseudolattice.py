@@ -9,6 +9,10 @@ from qtline import DomainError, LatticeVector, PreconditionError, Pseudolattice,
 
 mp.mp.dps = 60
 
+radicands = st.sampled_from([2, 3, 5, 6, 7, 13, 61, 94, 9973, 999983])
+coefficients = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000)
+nonzero_coefficients = coefficients.filter(lambda f: f != 0)
+
 
 def oracle_convergents(x, n):
     """Independent continued-fraction route through 60-digit floats."""
@@ -60,6 +64,15 @@ class TestConstruction:
         # a 401-digit omega2 has no double value to evaluate cocycles with
         with pytest.raises(RangeError):
             Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(10**400), Fraction(1), 2))
+
+    def test_theta_kept_from_construction(self, l2):
+        assert l2.theta_exact is l2.theta_exact and l2.theta is l2.theta
+        assert l2.theta_exact == l2.omega2 / l2.omega1
+
+    @pytest.mark.parametrize("coords", [(True, False), (1, True), (False, 0)])
+    def test_boolean_coordinates_rejected(self, coords):
+        with pytest.raises(DomainError):
+            LatticeVector(*coords)
 
     def test_real_value(self, l1):
         assert l1.real_value(LatticeVector(1, 0)) == l1.omega1
@@ -150,6 +163,40 @@ class TestDensity:
         with pytest.raises(PreconditionError):
             l1.approximate_real(0.5, eps=0.0)
 
+    @settings(deadline=None)
+    @given(
+        nonzero_coefficients, coefficients, coefficients, nonzero_coefficients, radicands,
+        st.floats(min_value=-5.0, max_value=5.0),
+    )
+    def test_approximate_real_matches_exact_values(self, a1, b1, a2, b2, d, target):
+        omega1, omega2 = QuadReal(a1, b1, d), QuadReal(a2, b2, d)
+        assume((omega2 / omega1).b != 0)
+        lat = Pseudolattice(omega1, omega2)
+        vectors = lat.small_vectors(60)
+        values = [float(lat.real_value(v)) for v in vectors]
+        assert [lat.rounded_value(v) for v in vectors] == values
+        try:
+            got = lat.approximate_real(target, eps=1e-3)
+        except PreconditionError:
+            got = None
+        assert got == greedy_descent(vectors, values, target, 1e-3)
+
+
+def greedy_descent(vectors, values, target, eps):
+    """The greedy loop of approximate_real on precomputed float(real_value(v)),
+    as it was before it rounded each value on integers.  Test oracle only."""
+    acc, remaining = LatticeVector(0, 0), target
+    for vec, val in zip(vectors, values):
+        if abs(remaining) <= eps:
+            break
+        if val == 0.0 or abs(val) > abs(remaining):
+            continue
+        count = int(remaining / val)
+        if count:
+            acc = LatticeVector(acc.a + count * vec.a, acc.b + count * vec.b)
+            remaining -= count * val
+    return acc if abs(remaining) <= eps else None
+
 
 def float_guess_floor(x):
     """The former QuadReal.__floor__: a float guess fixed up by exact sign tests.
@@ -172,11 +219,6 @@ def reciprocal_cf_terms(theta, n):
         terms.append(k)
         theta = (theta - k).reciprocal()
     return terms
-
-
-radicands = st.sampled_from([2, 3, 5, 6, 7, 13, 61, 94, 9973, 999983])
-coefficients = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000)
-nonzero_coefficients = coefficients.filter(lambda f: f != 0)
 
 
 class TestIntegerRecurrence:

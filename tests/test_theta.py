@@ -55,6 +55,15 @@ class TestResidual:
         with pytest.raises(RangeError):
             theta_residual(a, t, samples=50, seed=0)
 
+    @pytest.mark.parametrize(
+        "amplitude, alpha",
+        [(math.nan, 0.0), (complex(1, math.inf), 0.0), (1.0, math.nan), (1.0, complex(0, -math.inf))],
+        ids=["amplitude-nan", "amplitude-inf", "alpha-nan", "alpha-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, amplitude, alpha):
+        with pytest.raises(DomainError, match="finite"):
+            ThetaCandidate(amplitude=amplitude, alpha=alpha, unit_exponent=ExponentPoly.zero())
+
     def test_amplitude_must_be_nonzero(self):
         with pytest.raises(DomainError):
             ThetaCandidate(amplitude=0.0, alpha=0.0, unit_exponent=ExponentPoly.zero())
