@@ -26,11 +26,11 @@ every branch-of-logarithm decision elsewhere in the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
 
 from .cocycle import Cocycle, ExponentPoly
-from .errors import ConsistencyError
-from .numeric import Tolerance, default_tolerance
+from .errors import ConsistencyError, RangeError
+from .numeric import Tolerance, _Frozen, default_tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 # A rounded four-term sum farther than this from an integer means a malformed
@@ -38,11 +38,13 @@ from .pseudolattice import LatticeVector, Pseudolattice
 _INTEGER_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class AltForm:
+class AltForm(_Frozen):
     """Integral alternating form s*(ad - bc) on the lattice basis."""
 
-    s: int
+    _fields = ("s",)
+
+    def __init__(self, s: int) -> None:
+        object.__setattr__(self, "s", s)
 
     def __add__(self, other: AltForm) -> AltForm:
         return AltForm(self.s + other.s)
@@ -77,6 +79,8 @@ def chern_numeric(
         - a.exponent(l2, v)
         - a.exponent(l1, v + lat.float_value(l2))
     )
+    if not cmath.isfinite(total):
+        raise RangeError(f"four-term sum {total!r} is not finite")
     if abs(total.imag) > tol.abs_eps:
         raise ConsistencyError(f"four-term sum has imaginary part {total.imag:.3g}")
     nearest = round(total.real)

@@ -17,7 +17,7 @@ from typing import Any, NoReturn
 
 from . import jsonio
 from .chern import chern_numeric, chern_symbolic
-from .cocycle import cocycle_identity_residuals
+from .cocycle import cocycle_identity_residuals, max_residual
 from .errors import DomainError, FormatError, QTLineError, RangeError
 from .heisenberg import LambdaPoint, closed_form_pairing, commutator_pairing, k_group
 from .numeric import MAX_BOUND, MAX_SAMPLES, MAX_TERMS, QuadReal, approx_eq, default_tolerance
@@ -134,7 +134,7 @@ def _cmd_cf(args: argparse.Namespace) -> Any:
 
 def _residual_report(residuals: list[float], args: argparse.Namespace) -> Any:
     result: dict[str, Any] = {
-        "max_residual": max(residuals),
+        "max_residual": max_residual(residuals),
         "samples": args.samples,
         "seed": args.seed,
     }

@@ -31,9 +31,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 
 from .errors import DomainError, PreconditionError, RangeError
+from .numeric import _Frozen
 from .pseudolattice import LatticeVector, Pseudolattice
 
 # Hard cap on exponent-polynomial degree: keeps |exponents| small enough that
@@ -53,9 +53,9 @@ _INV_2PI_I = 1.0 / _TWO_PI_I
 
 def exp_2pi_i(exponent: complex, kind: str, v: complex, l: LatticeVector | None = None) -> complex:
     """e^{2*pi*i*exponent}; RangeError naming the sample (l, v) when the
-    real part of the argument exceeds _EXP_LIMIT in absolute value."""
+    argument is not finite or its real part exceeds _EXP_LIMIT in absolute value."""
     z = _TWO_PI_I * exponent
-    if abs(z.real) > _EXP_LIMIT:
+    if not (abs(z.real) <= _EXP_LIMIT and math.isfinite(z.imag)):
         at = "" if l is None else f"l=({l.a},{l.b}), "
         raise RangeError(f"{kind} exponent {z:.6g} out of float exp range at {at}v={v:.6g}")
     return cmath.exp(z)
@@ -64,12 +64,21 @@ def exp_2pi_i(exponent: complex, kind: str, v: complex, l: LatticeVector | None 
 def exponent_residual(x: complex, y: complex) -> float:
     """Relative residual |A - B| / max(1, |A|) of A = e^{2*pi*i*x}, B = e^{2*pi*i*y}, as
     min(1, |A|) * |1 - e^{2*pi*i(y-x)}|: finite even where |A| overflows a double.
-    RangeError where e^{2*pi*i(y-x)} itself would overflow."""
+    RangeError where e^{2*pi*i(y-x)} itself would overflow or is not finite
+    (a NaN or infinite exponent), so no residual is NaN."""
     z = _TWO_PI_I * (y - x)
-    if z.real > _EXP_LIMIT:
+    if not (z.real <= _EXP_LIMIT and cmath.isfinite(z)):
         raise RangeError(f"residual exponent {z:.6g} out of float exp range")
     scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
     return min(1.0, scale) * abs(1.0 - cmath.exp(z))
+
+
+def max_residual(residuals: list[float]) -> float:
+    """The largest residual; RangeError if one is NaN, wherever it sits
+    (max() alone returns or skips a NaN depending on its position)."""
+    if any(r != r for r in residuals):
+        raise RangeError("a residual is NaN")
+    return max(residuals)
 
 
 def draw_sample(rng: random.Random, vectors: int, coeff_bound: int = COEFF_BOUND, v_bound: float = V_BOUND) -> tuple:
@@ -84,18 +93,17 @@ def draw_sample(rng: random.Random, vectors: int, coeff_bound: int = COEFF_BOUND
     return tuple(sample)
 
 
-@dataclass(frozen=True)
-class ExponentPoly:
+class ExponentPoly(_Frozen):
     """Polynomial g(v) = sum g_j v^j with complex coefficients, low degree first.
 
     Trailing zeros are stripped, so structural equality is well defined; the
     zero polynomial has an empty coefficient tuple.
     """
 
-    coeffs: tuple[complex, ...] = ()
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = [complex(z) for z in self.coeffs]
+    def __init__(self, coeffs: tuple[complex, ...] = ()) -> None:
+        cs = [complex(z) for z in coeffs]
         if not all(cmath.isfinite(z) for z in cs):
             raise DomainError("exponent polynomial coefficients must be finite")
         while cs and cs[-1] == 0:
@@ -145,8 +153,7 @@ class ExponentPoly:
         return self + (-other)
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(_Frozen):
     """Normal form (s, c, g): the cocycle
 
         A_l(v) = c^b * e^{s(pi*i/omega1)[b^2*omega2 + 2bv]} * e^{2*pi*i(g(v+l) - g(v))}
@@ -154,19 +161,19 @@ class Cocycle:
     for l = a*omega1 + b*omega2.  The cocycle identity holds by construction.
     """
 
-    s: int
-    c: complex
-    g: ExponentPoly
-    lattice: Pseudolattice
-    _log_c: complex = field(init=False, repr=False, compare=False)
+    _fields = ("s", "c", "g", "lattice")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.s, int):
+    def __init__(self, s: int, c: complex, g: ExponentPoly, lattice: Pseudolattice) -> None:
+        if not isinstance(s, int):
             raise DomainError("s must be an integer")
-        c = complex(self.c)
+        c = complex(c)
         if c == 0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise DomainError("character value c must be finite and nonzero")
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "lattice", lattice)
+        # log(c) on the principal branch, kept out of equality, hashing and repr.
         object.__setattr__(self, "_log_c", cmath.log(c))
 
     def exponent(self, l: LatticeVector, v: complex) -> complex:
@@ -253,4 +260,4 @@ def cocycle_identity_residuals(a: Cocycle, samples: int = 100, seed: int = 0) ->
 
 def verify_cocycle_identity(a: Cocycle, samples: int = 100, seed: int = 0) -> float:
     """Max of :func:`cocycle_identity_residuals`; zero exactly for the trivial cocycle."""
-    return max(cocycle_identity_residuals(a, samples=samples, seed=seed))
+    return max_residual(cocycle_identity_residuals(a, samples=samples, seed=seed))

@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .chern import chern_symbolic
 from .cocycle import _TWO_PI_I, Cocycle, ExponentPoly, draw_sample
 from .errors import ConsistencyError, DomainError, PreconditionError
-from .numeric import Tolerance, approx_eq, default_tolerance
+from .numeric import Tolerance, _Frozen, approx_eq, default_tolerance, quad_float
 from .pseudolattice import Pseudolattice
 
 # Fixed base points for the v-independence cross-check.
@@ -47,24 +45,26 @@ _V_PROBE_1 = 0.3 + 0.2j
 _V_PROBE_2 = 1.7 - 0.9j
 
 
-@dataclass(frozen=True)
-class LambdaPoint:
+class LambdaPoint(_Frozen):
     """Lift x~ = (alpha*omega1 + beta*omega2)/s of a torus point, s >= 1."""
 
-    alpha: int
-    beta: int
-    s: int
+    _fields = ("alpha", "beta", "s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: int, beta: int, s: int) -> None:
         # type(...) is int rather than isinstance: bool is an int subclass.
-        if not (type(self.s) is int and self.s >= 1):
+        if not (type(s) is int and s >= 1):
             raise DomainError("LambdaPoint denominator must be a positive integer")
-        if type(self.alpha) is not int or type(self.beta) is not int:
+        if type(alpha) is not int or type(beta) is not int:
             raise DomainError("LambdaPoint coordinates must be integers")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "s", s)
 
     def real_value(self, lattice: Pseudolattice) -> float:
-        exact = (lattice.omega1 * self.alpha + lattice.omega2 * self.beta) * Fraction(1, self.s)
-        return float(exact)
+        """(alpha*omega1 + beta*omega2)/s rounded once to the nearest double, on integers."""
+        a1, b1, a2, b2, den = lattice._scaled
+        alpha, beta = self.alpha, self.beta
+        return quad_float(alpha * a1 + beta * a2, alpha * b1 + beta * b2, lattice.d, den * self.s)
 
     def __add__(self, other: LambdaPoint) -> LambdaPoint:
         if self.s != other.s:
@@ -75,12 +75,14 @@ class LambdaPoint:
         return LambdaPoint(-self.alpha, -self.beta, self.s)
 
 
-@dataclass(frozen=True)
-class KGroupDescription:
+class KGroupDescription(_Frozen):
     """Either the finite group (Z/sZ)^2 or the full torus."""
 
-    finite: bool
-    modulus: int | None = None
+    _fields = ("finite", "modulus")
+
+    def __init__(self, finite: bool, modulus: int | None = None) -> None:
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def finite_group(cls, modulus: int) -> KGroupDescription:
@@ -95,8 +97,7 @@ class KGroupDescription:
         return self.modulus * self.modulus if self.finite else None
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
+class HeisenbergElement(_Frozen):
     """Pair (x~, h) with h(0) = 1 forced; scalar carries the C^x part.
 
     The unit part of the multiplier is e^{(2*pi*i/omega1)*kappa*v} with kappa
@@ -104,12 +105,13 @@ class HeisenbergElement:
     whole datum.
     """
 
-    point: LambdaPoint
-    scalar: complex
+    _fields = ("point", "scalar")
 
-    def __post_init__(self) -> None:
-        if self.scalar == 0:
+    def __init__(self, point: LambdaPoint, scalar: complex) -> None:
+        if scalar == 0:
             raise DomainError("central scalar must be nonzero")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "scalar", scalar)
 
 
 def k_group(a: Cocycle) -> KGroupDescription:
@@ -262,16 +264,33 @@ def _pairing_trivial_chern(a: Cocycle, x1val: float, x2val: float, v: complex) -
     return cmath.exp(_TWO_PI_I * (log_h_v(x1val, x2val) - log_h_v(x2val, x1val)))
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(_Frozen):
     """One-branch summary tying the Chern class, K, and the pairing together."""
 
-    chern_s: int
-    k_group: KGroupDescription
-    witness_pair: tuple[LambdaPoint, LambdaPoint] | None
-    witness_value: complex | None
-    witness_differs_from_one: bool | None
-    max_pairing_deviation: float | None
+    _fields = (
+        "chern_s",
+        "k_group",
+        "witness_pair",
+        "witness_value",
+        "witness_differs_from_one",
+        "max_pairing_deviation",
+    )
+
+    def __init__(
+        self,
+        chern_s: int,
+        k_group: KGroupDescription,
+        witness_pair: tuple[LambdaPoint, LambdaPoint] | None,
+        witness_value: complex | None,
+        witness_differs_from_one: bool | None,
+        max_pairing_deviation: float | None,
+    ) -> None:
+        object.__setattr__(self, "chern_s", chern_s)
+        object.__setattr__(self, "k_group", k_group)
+        object.__setattr__(self, "witness_pair", witness_pair)
+        object.__setattr__(self, "witness_value", witness_value)
+        object.__setattr__(self, "witness_differs_from_one", witness_differs_from_one)
+        object.__setattr__(self, "max_pairing_deviation", max_pairing_deviation)
 
 
 def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0, tol: Tolerance | None = None) -> DichotomyReport:

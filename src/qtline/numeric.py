@@ -14,6 +14,9 @@ integer arithmetic on the form ``(P + sqrt(N))/Q`` of :func:`surd_form`, and
 so is the conversion to a double: :func:`quad_float` takes ``floor(x*2^k)``
 with enough bits ``k`` that rounding it rounds ``x`` itself, so ``float(x)``
 is the double nearest ``x`` at every size, cancelling or not.
+
+The value classes of the package derive from :class:`_Frozen`, which gives
+them immutability, equality, hashing and ``repr`` over a per-class field list.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FormatError, RangeError
@@ -38,17 +40,50 @@ MAX_TERMS = 10**4
 _FLOAT_BITS = 117
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Frozen:
+    """Immutable value object: ``==``, ``hash`` and ``repr`` over the class's ``_fields``.
+
+    Only instances of the same class compare equal.  Each ``__init__`` sets its
+    attributes with ``object.__setattr__``, past the raising ``__setattr__``;
+    attributes outside ``_fields`` (cached derived values) take no part in
+    equality, hashing or ``repr``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tolerance(_Frozen):
     """Absolute/relative tolerance pair used by every approximate comparison."""
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    _fields = ("abs_eps", "rel_eps")
 
-    def __post_init__(self) -> None:
+    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9) -> None:
         # An infinite epsilon would make every approximate comparison pass.
-        if not (0.0 < self.abs_eps < math.inf and 0.0 < self.rel_eps < math.inf):
+        if not (0.0 < abs_eps < math.inf and 0.0 < rel_eps < math.inf):
             raise DomainError("tolerances must be finite and strictly positive")
+        object.__setattr__(self, "abs_eps", abs_eps)
+        object.__setattr__(self, "rel_eps", rel_eps)
 
 
 def default_tolerance() -> Tolerance:
@@ -96,8 +131,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class QuadReal:
+class QuadReal(_Frozen):
     """Exact element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)).
 
     ``d`` must be square-free (which makes the representation unique, so
@@ -106,15 +140,15 @@ class QuadReal:
     requires equal ``d``.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    _fields = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        if not isinstance(self.d, int) or not 2 <= self.d <= MAX_RADICAND or not _is_square_free(self.d):
-            raise DomainError(f"radicand must be a square-free integer in [2, {MAX_RADICAND}], got {self.d!r}")
+    def __init__(self, a: Fraction, b: Fraction, d: int) -> None:
+        a, b = _as_fraction(a), _as_fraction(b)
+        if not isinstance(d, int) or not 2 <= d <= MAX_RADICAND or not _is_square_free(d):
+            raise DomainError(f"radicand must be a square-free integer in [2, {MAX_RADICAND}], got {d!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def rational(cls, value, d: int) -> QuadReal:

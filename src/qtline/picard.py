@@ -36,35 +36,33 @@ an integral form and carry no information).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .chern import AltForm, chern_symbolic, sigma_section
 from .cocycle import _TWO_PI_I, Cocycle, ExponentPoly
 from .errors import DomainError, PreconditionError
-from .numeric import Tolerance, default_tolerance
+from .numeric import Tolerance, _Frozen, default_tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 DEFAULT_WITNESS_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Frozen):
     """Homomorphism L -> C^x, stored by its values on the basis."""
 
-    phi_omega1: complex
-    phi_omega2: complex
-    lattice: Pseudolattice
+    _fields = ("phi_omega1", "phi_omega2", "lattice")
 
-    def __post_init__(self) -> None:
-        if self.phi_omega1 == 0 or self.phi_omega2 == 0:
+    def __init__(self, phi_omega1: complex, phi_omega2: complex, lattice: Pseudolattice) -> None:
+        if phi_omega1 == 0 or phi_omega2 == 0:
             raise DomainError("character values must be nonzero")
+        object.__setattr__(self, "phi_omega1", phi_omega1)
+        object.__setattr__(self, "phi_omega2", phi_omega2)
+        object.__setattr__(self, "lattice", lattice)
 
     def __call__(self, l: LatticeVector) -> complex:
         return self.phi_omega1**l.a * self.phi_omega2**l.b
 
 
-@dataclass(frozen=True)
-class TrivialityVerdict:
+class TrivialityVerdict(_Frozen):
     """Outcome of a bounded triviality test.
 
     status is one of "trivial", "nontrivial", "unknown".  A trivial verdict
@@ -73,10 +71,19 @@ class TrivialityVerdict:
     unknown verdict records the exhausted search bound.
     """
 
-    status: str
-    witness: int | None = None
-    reason: str | None = None
-    bound: int | None = None
+    _fields = ("status", "witness", "reason", "bound")
+
+    def __init__(
+        self,
+        status: str,
+        witness: int | None = None,
+        reason: str | None = None,
+        bound: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "bound", bound)
 
     @classmethod
     def trivial(cls, witness: int) -> TrivialityVerdict:
@@ -174,15 +181,24 @@ def triviality_test(
     return TrivialityVerdict.unknown(bound)
 
 
-@dataclass(frozen=True)
-class AHData:
+class AHData(_Frozen):
     """Normal form (chi, E): semicharacter values on the basis plus the Chern form."""
 
-    chi_omega1: complex
-    chi_omega2: complex
-    chi_omega12: complex
-    e_form: AltForm
-    lattice: Pseudolattice
+    _fields = ("chi_omega1", "chi_omega2", "chi_omega12", "e_form", "lattice")
+
+    def __init__(
+        self,
+        chi_omega1: complex,
+        chi_omega2: complex,
+        chi_omega12: complex,
+        e_form: AltForm,
+        lattice: Pseudolattice,
+    ) -> None:
+        object.__setattr__(self, "chi_omega1", chi_omega1)
+        object.__setattr__(self, "chi_omega2", chi_omega2)
+        object.__setattr__(self, "chi_omega12", chi_omega12)
+        object.__setattr__(self, "e_form", e_form)
+        object.__setattr__(self, "lattice", lattice)
 
     def chi(self, l: LatticeVector) -> complex:
         """Semicharacter value chi(omega1)^a * chi(omega2)^b * e^{pi*i*s*a*b}."""

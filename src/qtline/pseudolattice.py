@@ -23,25 +23,24 @@ however small the value is against p and q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .numeric import QuadReal, over_common_denominator, quad_float, surd_floor, surd_form
+from .numeric import QuadReal, _Frozen, over_common_denominator, quad_float, surd_floor, surd_form
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(_Frozen):
     """Integer coordinates (a, b) of the lattice point a*omega1 + b*omega2."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: int, b: int) -> None:
         # type(...) is int rather than isinstance: bool is an int subclass.
-        if type(self.a) is not int or type(self.b) is not int:
+        if type(a) is not int or type(b) is not int:
             raise DomainError("lattice coordinates must be integers")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, other: LatticeVector) -> LatticeVector:
         return LatticeVector(self.a + other.a, self.b + other.b)
@@ -50,8 +49,7 @@ class LatticeVector:
         return LatticeVector(-self.a, -self.b)
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(_Frozen):
     """Continued-fraction convergent p/q of theta, in lowest terms.
 
     Denominators are nondecreasing and strictly increasing from index 1 on
@@ -59,40 +57,40 @@ class Convergent:
     golden ratio).
     """
 
-    p: int
-    q: int
-    index: int
+    _fields = ("p", "q", "index")
+
+    def __init__(self, p: int, q: int, index: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Pseudolattice:
+class Pseudolattice(_Frozen):
     """L = Z*omega1 + Z*omega2 with omega1, omega2 in one real quadratic field.
 
     Construction verifies, exactly, that omega1 != 0 and that theta =
     omega2/omega1 is irrational (so L is dense in R rather than discrete).
     It keeps theta_exact, the slope theta = omega2/omega1 as an exact field
-    element, and the coefficients of omega1, omega2 over one denominator.
+    element, the coefficients of omega1, omega2 over one denominator, and
+    omega1, omega2 as doubles; only omega1 and omega2 take part in equality,
+    hashing and repr.
     """
 
-    omega1: QuadReal
-    omega2: QuadReal
-    omega1_float: float = field(init=False, repr=False, compare=False)
-    omega2_float: float = field(init=False, repr=False, compare=False)
-    theta_exact: QuadReal = field(init=False, repr=False, compare=False)
-    # (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
-    _scaled: tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
+    _fields = ("omega1", "omega2")
 
-    def __post_init__(self) -> None:
-        w1, w2 = self.omega1, self.omega2
-        if w1.d != w2.d:
+    def __init__(self, omega1: QuadReal, omega2: QuadReal) -> None:
+        if omega1.d != omega2.d:
             raise DomainError("omega1 and omega2 must live in the same quadratic field")
-        if not w1:
+        if not omega1:
             raise DomainError("omega1 must be nonzero")
-        theta = w2 / w1
+        theta = omega2 / omega1
         if theta.is_rational:
             raise DomainError("omega2/omega1 is rational; the subgroup is not dense in R")
+        scaled, den = over_common_denominator(omega1.a, omega1.b, omega2.a, omega2.b)
+        object.__setattr__(self, "omega1", omega1)
+        object.__setattr__(self, "omega2", omega2)
         object.__setattr__(self, "theta_exact", theta)
-        scaled, den = over_common_denominator(w1.a, w1.b, w2.a, w2.b)
+        # (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
         object.__setattr__(self, "_scaled", (*scaled, den))
         object.__setattr__(self, "omega1_float", self.rounded_value(LatticeVector(1, 0)))
         object.__setattr__(self, "omega2_float", self.rounded_value(LatticeVector(0, 1)))

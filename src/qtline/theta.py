@@ -26,28 +26,36 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
-from .cocycle import _EXP_LIMIT, _TWO_PI_I, Cocycle, ExponentPoly, draw_sample, exp_2pi_i, exponent_residual
+from .cocycle import (
+    _EXP_LIMIT,
+    _TWO_PI_I,
+    Cocycle,
+    ExponentPoly,
+    draw_sample,
+    exp_2pi_i,
+    exponent_residual,
+    max_residual,
+)
 from .errors import DomainError, PreconditionError
-from .numeric import Tolerance, default_tolerance
+from .numeric import Tolerance, _Frozen, default_tolerance
 from .picard import TrivialityVerdict, reduce_to_constant, triviality_test
 from .pseudolattice import LatticeVector
 
 
-@dataclass(frozen=True)
-class ThetaCandidate:
+class ThetaCandidate(_Frozen):
     """theta(v) = amplitude * e^{2*pi*i*unit_exponent(v)} * e^{2*pi*i*alpha*v}."""
 
-    amplitude: complex
-    alpha: complex
-    unit_exponent: ExponentPoly
+    _fields = ("amplitude", "alpha", "unit_exponent")
 
-    def __post_init__(self) -> None:
-        if not (cmath.isfinite(self.amplitude) and cmath.isfinite(self.alpha)):
+    def __init__(self, amplitude: complex, alpha: complex, unit_exponent: ExponentPoly) -> None:
+        if not (cmath.isfinite(amplitude) and cmath.isfinite(alpha)):
             raise DomainError("amplitude and alpha must be finite")
-        if self.amplitude == 0:
+        if amplitude == 0:
             raise DomainError("amplitude must be nonzero (theta functions have no zeros)")
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "unit_exponent", unit_exponent)
 
     def log_value(self, v: complex) -> complex:
         """Exponent E(v) with theta(v) = e^{2*pi*i*E(v)}, amplitude folded in."""
@@ -78,15 +86,17 @@ def theta_residuals(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int
 
 def theta_residual(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int = 0) -> float:
     """Max of :func:`theta_residuals`."""
-    return max(theta_residuals(a, t, samples=samples, seed=seed))
+    return max_residual(theta_residuals(a, t, samples=samples, seed=seed))
 
 
-@dataclass(frozen=True)
-class ThetaSolveResult:
+class ThetaSolveResult(_Frozen):
     """Either an explicit solution or a machine-checkable non-existence verdict."""
 
-    candidate: ThetaCandidate | None
-    verdict: TrivialityVerdict
+    _fields = ("candidate", "verdict")
+
+    def __init__(self, candidate: ThetaCandidate | None, verdict: TrivialityVerdict) -> None:
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def solved(self) -> bool:
@@ -114,13 +124,15 @@ def solve_theta(a: Cocycle, bound: int = 10_000, tol: Tolerance | None = None) -
     return ThetaSolveResult(candidate=candidate, verdict=verdict)
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(_Frozen):
     """Small lattice vectors with the diverging modulus factors they force."""
 
-    vectors: tuple[LatticeVector, ...]
-    factors: tuple[float, ...]
-    modulus: float
+    _fields = ("vectors", "factors", "modulus")
+
+    def __init__(self, vectors: tuple[LatticeVector, ...], factors: tuple[float, ...], modulus: float) -> None:
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "modulus", modulus)
 
 
 def modulus_obstruction_demo(a: Cocycle, terms: int = 6, tol: Tolerance | None = None) -> ObstructionWitness:

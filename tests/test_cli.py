@@ -1,6 +1,10 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +265,42 @@ def test_non_numeric_json_numbers_are_exit_1(capsys, tmp_path, text):
     path.write_text(text.replace("LAT", lattice))
     code, doc = run(capsys, "verify", "--cocycle", str(path), "--samples", "10")
     assert code == 1 and "error" in doc
+
+
+def _reject_nan(name):
+    raise ValueError(f"stdout holds {name}")
+
+
+@pytest.mark.parametrize("command", ["verify", "theta-check", "chern"])
+def test_non_finite_exponent_is_exit_2(capsys, tmp_path, command):
+    # g = 1e307 v^6 is finite, but g(v + l) - g(v) is inf - inf = NaN
+    doc = cocycle_to_json(Cocycle(0, 1.0, ExponentPoly.zero(), L1))
+    doc["g"] = [[0.0, 0.0]] * 6 + [[1e307, 0.0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"amplitude": [1.0, 0.0], "alpha": [0.0, 0.0], "unit_exponent": []}))
+    argv = {
+        "verify": ["verify", "--cocycle", str(path), "--samples", "20"],
+        "theta-check": ["theta-check", "--cocycle", str(path), "--theta", str(theta_path), "--samples", "20"],
+        "chern": ["chern", "--cocycle", str(path)],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out, parse_constant=_reject_nan)
+    assert code == 2 and "error" in out
+    assert "Traceback" not in captured.err
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Both cost start-up time in every one-shot process; qtline needs neither.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import qtline.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

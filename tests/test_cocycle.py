@@ -23,6 +23,7 @@ from qtline import (
     verify_cocycle_identity,
 )
 from helpers import random_cocycle, random_v, random_vector
+from qtline.cocycle import exp_2pi_i, exponent_residual, max_residual
 from qtline import lattice_sqrt2
 
 mp.mp.dps = 40
@@ -252,3 +253,27 @@ class TestCocycleIdentity:
             want = cocycle_defect(a, u, w)
             assert want == -a.s * u.b * w.a
             assert abs(numeric - want) < 1e-9
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "x, y",
+        [(complex(math.nan, 0), 0j), (0j, complex(0, math.inf)), (1e308 + 0j, -1e308 + 0j)],
+        ids=["nan", "inf", "overflowing-difference"],
+    )
+    def test_residual_kernel_rejects_non_finite(self, x, y):
+        with pytest.raises(RangeError):
+            exponent_residual(x, y)
+
+    @pytest.mark.parametrize("exponent", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)])
+    def test_exp_rejects_non_finite(self, exponent):
+        with pytest.raises(RangeError):
+            exp_2pi_i(exponent, "test", 0j)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_max_residual_rejects_nan_anywhere(self, position):
+        residuals = [0.5, 0.25, 0.125]
+        assert max_residual(residuals) == 0.5
+        residuals[position] = math.nan
+        with pytest.raises(RangeError):
+            max_residual(residuals)

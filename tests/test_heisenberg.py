@@ -1,7 +1,10 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 from itertools import product
+
+import mpmath as mp
 
 import pytest
 
@@ -11,6 +14,8 @@ from qtline import (
     ExponentPoly,
     LambdaPoint,
     PreconditionError,
+    Pseudolattice,
+    QuadReal,
     Tolerance,
     approx_eq,
     closed_form_pairing,
@@ -29,6 +34,11 @@ from qtline import (
 from helpers import random_chern_trivial
 
 TWO_PI_I = 2j * math.pi
+
+
+def to_mpf(x):
+    """a + b*sqrt(d) at the working precision of mpmath."""
+    return mp.mpf(x.a.numerator) / x.a.denominator + mp.mpf(x.b.numerator) / x.b.denominator * mp.sqrt(x.d)
 
 
 def section(lattice, s, c=1.0):
@@ -102,6 +112,37 @@ class TestMembership:
         with_g = Cocycle(2, 1.0, ExponentPoly((0j, 0.5 + 0j)), l1)
         with pytest.raises(PreconditionError):
             membership_multiplier(with_g, LambdaPoint(1, 1, 2))
+
+
+class TestRealValue:
+    @staticmethod
+    def lattices(l1, l2):
+        odd = Pseudolattice(QuadReal(Fraction(3, 7), Fraction(1, 5), 3), QuadReal(Fraction(-2, 3), Fraction(4, 11), 3))
+        return [l1, l2, odd]
+
+    @staticmethod
+    def via_field(lattice, x):
+        return float((lattice.omega1 * x.alpha + lattice.omega2 * x.beta) * Fraction(1, x.s))
+
+    def test_matches_field_arithmetic_on_random_points(self, l1, l2):
+        rng = random.Random(11)
+        for lattice in self.lattices(l1, l2):
+            for _ in range(300):
+                bound = 10 ** rng.randint(0, 30)
+                x = LambdaPoint(rng.randint(-bound, bound), rng.randint(-bound, bound), rng.randint(1, 50))
+                assert x.real_value(lattice) == self.via_field(lattice, x)
+
+    def test_correct_where_the_terms_nearly_cancel(self, l1, l2):
+        # (p_k*omega1 - q_k*omega2)/s shrinks like 1/q_k while both terms grow
+        for lattice in self.lattices(l1, l2):
+            for conv in lattice.convergents(60)[10:]:
+                for s in (1, 7):
+                    x = LambdaPoint(conv.p, -conv.q, s)
+                    value = x.real_value(lattice)
+                    assert value == self.via_field(lattice, x)
+                    with mp.workdps(120):
+                        w1, w2 = (to_mpf(w) for w in (lattice.omega1, lattice.omega2))
+                        assert value == float((conv.p * w1 - conv.q * w2) / s)
 
 
 class TestGroupLaw:

@@ -1,0 +1,184 @@
+"""Value-object semantics of the package's immutable classes.
+
+Every class compares and hashes by its fields, equals only instances of its
+own class, refuses assignment and deletion, and prints as
+``Name(field=value, ...)``.  Cached derived attributes take no part in any
+of that.
+"""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from qtline import (
+    AltForm,
+    Cocycle,
+    Convergent,
+    ExponentPoly,
+    HeisenbergElement,
+    KGroupDescription,
+    LambdaPoint,
+    LatticeVector,
+    Pseudolattice,
+    QuadReal,
+    Tolerance,
+    TrivialityVerdict,
+    ah_normal_form,
+    dichotomy_check,
+    existence_cocycle,
+    lattice_golden,
+    lattice_sqrt2,
+    modulus_obstruction_demo,
+    reduce_to_constant,
+    solve_theta,
+    trivial_cocycle,
+)
+
+# Each factory builds a fresh, equal object on every call, with the name of one
+# of its fields.
+FACTORIES = {
+    "Tolerance": (lambda: Tolerance(1e-6, 2e-7), "abs_eps"),
+    "QuadReal": (lambda: QuadReal(Fraction(1, 2), 3, 5), "a"),
+    "LatticeVector": (lambda: LatticeVector(3, -4), "a"),
+    "Convergent": (lambda: Convergent(7, 5, 3), "q"),
+    "Pseudolattice": (lattice_golden, "omega1"),
+    "ExponentPoly": (lambda: ExponentPoly((1, 2j)), "coeffs"),
+    "Cocycle": (lambda: Cocycle(2, 1 + 1j, ExponentPoly((0, 1.5)), lattice_sqrt2()), "s"),
+    "AltForm": (lambda: AltForm(3), "s"),
+    "LambdaPoint": (lambda: LambdaPoint(1, 2, 3), "beta"),
+    "KGroupDescription": (lambda: KGroupDescription.finite_group(3), "modulus"),
+    "HeisenbergElement": (lambda: HeisenbergElement(LambdaPoint(0, 1, 2), 2j), "scalar"),
+    "DichotomyReport": (lambda: dichotomy_check(existence_cocycle(lattice_sqrt2())), "chern_s"),
+    "Character": (lambda: reduce_to_constant(trivial_cocycle(lattice_sqrt2())), "phi_omega2"),
+    "TrivialityVerdict": (lambda: TrivialityVerdict.trivial(3), "witness"),
+    "AHData": (lambda: ah_normal_form(existence_cocycle(lattice_golden())), "e_form"),
+    "ThetaCandidate": (lambda: solve_theta(trivial_cocycle(lattice_sqrt2())).candidate, "alpha"),
+    "ThetaSolveResult": (lambda: solve_theta(existence_cocycle(lattice_sqrt2())), "verdict"),
+    "ObstructionWitness": (
+        lambda: modulus_obstruction_demo(Cocycle(0, 2.0, ExponentPoly.zero(), lattice_sqrt2())),
+        "modulus",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(FACTORIES))
+def factory(request):
+    return FACTORIES[request.param]
+
+
+def test_equal_fields_mean_equal_objects_and_hashes(factory):
+    make, _ = factory
+    x, y = make(), make()
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
+def test_assignment_and_deletion_raise(factory):
+    make, field = factory
+    x = make()
+    before = getattr(x, field)
+    with pytest.raises(AttributeError):
+        setattr(x, field, before)
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+    assert getattr(x, field) == before
+
+
+def test_pickle_round_trip(factory):
+    make, _ = factory
+    x = make()
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_objects_of_other_classes_are_unequal():
+    assert LatticeVector(1, 2) != (1, 2)
+    assert AltForm(3) != 3
+    assert Tolerance() != (1e-9, 1e-9)
+    assert LambdaPoint(1, 2, 3) != Convergent(1, 2, 3)
+
+    class Shifted(LatticeVector):
+        pass
+
+    assert Shifted(1, 2) != LatticeVector(1, 2)
+    assert LatticeVector(1, 2) != Shifted(1, 2)
+
+
+def test_field_values_decide_equality():
+    assert LatticeVector(1, 2) != LatticeVector(2, 1)
+    assert TrivialityVerdict.trivial(0) != TrivialityVerdict.unknown(0)
+    assert QuadReal(1, 1, 2) != QuadReal(1, 1, 3)
+
+
+def test_pseudolattice_equality_ignores_cached_values():
+    used, fresh = lattice_sqrt2(), lattice_sqrt2()
+    used.theta  # fills the lazily cached double
+    assert "theta" in vars(used) and "theta" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    # Same slope theta and cached theta_exact, other generators: a different lattice.
+    doubled = Pseudolattice(QuadReal.rational(2, 2), QuadReal(0, 2, 2))
+    assert doubled.theta_exact == used.theta_exact
+    assert doubled != used
+
+
+def test_cocycle_equality_ignores_cached_log():
+    a = Cocycle(1, -1.0, ExponentPoly.zero(), lattice_sqrt2())
+    assert a == Cocycle(1, -1 + 0j, ExponentPoly.zero(), lattice_sqrt2())
+    assert "_log_c" not in repr(a)
+
+
+def test_exponent_poly_strips_trailing_zeros():
+    g = ExponentPoly((1, 2, 0, 0j))
+    assert g.coeffs == (1 + 0j, 2 + 0j)
+    assert g == ExponentPoly((1, 2)) and hash(g) == hash(ExponentPoly((1, 2)))
+    assert ExponentPoly((0, 0)) == ExponentPoly.zero() == ExponentPoly()
+    assert ExponentPoly.zero().coeffs == ()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (QuadReal(Fraction(1, 2), 3, 5), "QuadReal(a=Fraction(1, 2), b=Fraction(3, 1), d=5)"),
+        (LatticeVector(3, -4), "LatticeVector(a=3, b=-4)"),
+        (Convergent(7, 5, 3), "Convergent(p=7, q=5, index=3)"),
+        (
+            TrivialityVerdict.trivial(3),
+            "TrivialityVerdict(status='trivial', witness=3, reason=None, bound=None)",
+        ),
+        (
+            TrivialityVerdict.nontrivial("nonzero Chern class"),
+            "TrivialityVerdict(status='nontrivial', witness=None, reason='nonzero Chern class', bound=None)",
+        ),
+        (
+            lattice_sqrt2(),
+            "Pseudolattice(omega1=QuadReal(a=Fraction(1, 1), b=Fraction(0, 1), d=2), "
+            "omega2=QuadReal(a=Fraction(0, 1), b=Fraction(1, 1), d=2))",
+        ),
+        (ExponentPoly((1, 2j)), "ExponentPoly(coeffs=((1+0j), 2j))"),
+        (KGroupDescription.full_torus(), "KGroupDescription(finite=False, modulus=None)"),
+    ],
+    ids=[
+        "QuadReal",
+        "LatticeVector",
+        "Convergent",
+        "TrivialityVerdict-trivial",
+        "TrivialityVerdict-nontrivial",
+        "Pseudolattice",
+        "ExponentPoly",
+        "KGroupDescription",
+    ],
+)
+def test_repr_text(value, text):
+    assert repr(value) == text
+
+
+def test_keyword_construction_and_defaults():
+    assert Tolerance() == Tolerance(abs_eps=1e-9, rel_eps=1e-9)
+    assert TrivialityVerdict("unknown", bound=5) == TrivialityVerdict.unknown(5)
+    assert KGroupDescription(finite=False) == KGroupDescription.full_torus()
+    assert LatticeVector(b=2, a=1) == LatticeVector(1, 2)
+    assert ExponentPoly(coeffs=(1,)) == ExponentPoly((1,))
