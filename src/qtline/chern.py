@@ -73,14 +73,19 @@ def chern_numeric(
     if tol is None:
         tol = default_tolerance()
     lat = a.lattice
-    total = (
-        a.exponent(l2, v + lat.float_value(l1))
-        + a.exponent(l1, v)
-        - a.exponent(l2, v)
-        - a.exponent(l1, v + lat.float_value(l2))
+    terms = (
+        a.exponent(l2, v + lat.float_value(l1)),
+        a.exponent(l1, v),
+        -a.exponent(l2, v),
+        -a.exponent(l1, v + lat.float_value(l2)),
     )
+    total = sum(terms)
     if not cmath.isfinite(total):
         raise RangeError(f"four-term sum {total!r} is not finite")
+    # 2^-50 of the largest term bounds the rounding error of a four-term sum.
+    largest = max(abs(t) for t in terms)
+    if largest * 2.0**-50 > _INTEGER_SLACK:
+        raise RangeError(f"four-term sum of terms up to {largest:.3g} cannot resolve an integer")
     if abs(total.imag) > tol.abs_eps:
         raise ConsistencyError(f"four-term sum has imaginary part {total.imag:.3g}")
     nearest = round(total.real)

@@ -21,7 +21,7 @@ from .cocycle import cocycle_identity_residuals, max_residual
 from .errors import DomainError, FormatError, QTLineError, RangeError
 from .heisenberg import LambdaPoint, closed_form_pairing, commutator_pairing, k_group
 from .numeric import MAX_BOUND, MAX_SAMPLES, MAX_TERMS, QuadReal, approx_eq, default_tolerance
-from .picard import ah_normal_form, triviality_test
+from .picard import DEFAULT_WITNESS_BOUND, ah_normal_form, triviality_test
 from .pseudolattice import LatticeVector, Pseudolattice
 from .theta import solve_theta, theta_residuals
 
@@ -252,7 +252,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("trivial", help="bounded cohomological-triviality verdict")
     p.add_argument("--cocycle", required=True)
-    p.add_argument("--bound", type=int, default=10000)
+    p.add_argument("--bound", type=int, default=DEFAULT_WITNESS_BOUND)
     p.set_defaults(func=_cmd_trivial)
 
     p = sub.add_parser("pairing", help="commutator pairing on stabilizer lifts")
@@ -267,7 +267,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("theta-solve", help="solve the theta functional equation or certify")
     p.add_argument("--cocycle", required=True)
-    p.add_argument("--bound", type=int, default=10000)
+    p.add_argument("--bound", type=int, default=DEFAULT_WITNESS_BOUND)
     p.set_defaults(func=_cmd_theta_solve)
 
     p = sub.add_parser("theta-check", help="residual of a candidate theta function")

@@ -32,11 +32,12 @@ as a v-dependence rather than a silently wrong constant.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 
 from .chern import chern_symbolic
-from .cocycle import _TWO_PI_I, Cocycle, ExponentPoly, draw_sample
-from .errors import ConsistencyError, DomainError, PreconditionError
+from .cocycle import _EXP_LIMIT, _TWO_PI_I, Cocycle, ExponentPoly, draw_sample, max_residual
+from .errors import ConsistencyError, DomainError, PreconditionError, RangeError
 from .numeric import Tolerance, _Frozen, approx_eq, default_tolerance, quad_float
 from .pseudolattice import Pseudolattice
 
@@ -108,8 +109,8 @@ class HeisenbergElement(_Frozen):
     _fields = ("point", "scalar")
 
     def __init__(self, point: LambdaPoint, scalar: complex) -> None:
-        if scalar == 0:
-            raise DomainError("central scalar must be nonzero")
+        if scalar == 0 or not cmath.isfinite(scalar):
+            raise DomainError("central scalar must be finite and nonzero")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "scalar", scalar)
 
@@ -140,8 +141,12 @@ def _kappa(a: Cocycle, x: LambdaPoint) -> int:
 
 
 def _phase(a: Cocycle, kappa: int, x: complex) -> complex:
-    """Unit part e^{(2*pi*i/omega1)*kappa*x} of a multiplier."""
-    return cmath.exp(_TWO_PI_I * kappa * x / a.lattice.omega1_float)
+    """Unit part e^{(2*pi*i/omega1)*kappa*x} of a multiplier; RangeError when the
+    exponent is not finite or its real part exceeds _EXP_LIMIT in absolute value."""
+    z = _TWO_PI_I * kappa * x / a.lattice.omega1_float
+    if not (abs(z.real) <= _EXP_LIMIT and math.isfinite(z.imag)):
+        raise RangeError(f"multiplier exponent {z:.6g} out of float exp range at x={x:.6g}")
+    return cmath.exp(z)
 
 
 def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex:
@@ -167,13 +172,13 @@ def multiplier_residual(a: Cocycle, elem: HeisenbergElement, samples: int = 50, 
     rng = random.Random(seed)
     lat = a.lattice
     xval = elem.point.real_value(lat)
-    worst = 0.0
+    residuals = []
     for _ in range(samples):
         l, v = draw_sample(rng, 1, 5, 2.0)
         lhs = a.evaluate(l, v + xval) / a.evaluate(l, v)
         rhs = multiplier_value(a, elem, v + lat.float_value(l)) / multiplier_value(a, elem, v)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return worst
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return max_residual(residuals)
 
 
 def heisenberg_multiply(g1: HeisenbergElement, g2: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
@@ -220,7 +225,9 @@ def commutator_pairing(
 
     Works on any cocycle with s != 0: the character part cancels in
     A_l(v+x~)/A_l(v) and the coboundary part is stripped first, so only the
-    quadratic-exponent block matters.
+    quadratic-exponent block matters.  The pairing depends only on the
+    classes mod L, so each lift's (alpha, beta) is first reduced mod |s|,
+    which keeps the multiplier exponents at the probe points bounded.
     """
     if tol is None:
         tol = default_tolerance()
@@ -229,6 +236,9 @@ def commutator_pairing(
     stripped = Cocycle(a.s, a.c, ExponentPoly.zero(), a.lattice)
     _check_point(stripped, x1)
     _check_point(stripped, x2)
+    n = abs(a.s)
+    x1 = LambdaPoint(x1.alpha % n, x1.beta % n, n)
+    x2 = LambdaPoint(x2.alpha % n, x2.beta % n, n)
     e1 = membership_multiplier(stripped, x1)
     e2 = membership_multiplier(stripped, x2)
     x1val = x1.real_value(a.lattice)
@@ -328,19 +338,19 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0, tol: Toleranc
         raise PreconditionError("need samples >= 1")
     rng = random.Random(seed)
     lat = a.lattice
-    worst = 0.0
+    deviations = []
     for _ in range(samples):
         den = rng.randint(1, 6)
         l1, l2, v = draw_sample(rng, 2, 5, 2.0)
         p1 = LambdaPoint(l1.a, l1.b, den)
         p2 = LambdaPoint(l2.a, l2.b, den)
         value = _pairing_trivial_chern(a, p1.real_value(lat), p2.real_value(lat), v)
-        worst = max(worst, abs(value - 1.0))
+        deviations.append(abs(value - 1.0))
     return DichotomyReport(
         chern_s=0,
         k_group=group,
         witness_pair=None,
         witness_value=None,
         witness_differs_from_one=None,
-        max_pairing_deviation=worst,
+        max_pairing_deviation=max_residual(deviations),
     )

@@ -10,8 +10,14 @@ the linear part g_1*v survives as the character l -> e^{2*pi*i*g_1*l}.
 A character phi is a coboundary exactly when phi(l) = k^l for one complex k.
 After normalizing phi(omega1) to 1 (multiply by k^l for k = phi(omega1)^{-1},
 powers taken on the principal branch), what remains of the class is the single
-number phihat(omega2) in C^x — the Pic^0 invariant.  The normalized character
-is a coboundary iff phihat(omega2) = e^{2*pi*i*m*theta} for some integer m;
+number phihat(omega2) in C^x — the Pic^0 invariant.  The g_1-dependent
+factors cancel in closed form: with m0 the principal fold of Re(g_1)*omega1
+(the integer with Re(g_1)*omega1 - m0 in (-1/2, 1/2]),
+
+    phihat(omega2) = c * e^{2*pi*i*m0*theta},
+
+so Im(g_1) never reaches an exponential.  The normalized character is a
+coboundary iff phihat(omega2) = e^{2*pi*i*m*theta} for some integer m;
 ``triviality_test`` searches |m| <= bound and returns a three-valued verdict,
 since unit-circle membership in the dense subgroup {e^{2*pi*i*m*theta}} cannot
 be decided numerically without a bound.
@@ -20,7 +26,7 @@ Branch caveat, by design: a different branch of log phi(omega1) shifts the
 invariant by a factor e^{2*pi*i*m*theta}.  The library always computes the
 principal-branch representative and exposes the ambiguity class through
 triviality witnesses; multiplicativity of the invariant therefore holds
-exactly only when the principal branch is additive on the arguments involved.
+exactly only when the principal folds of the factors add up.
 
 The normal form of an arbitrary cocycle is the pair (chi, E): E is the Chern
 form, and chi is the semicharacter gamma_c * chi_E on the basis, where
@@ -36,10 +42,11 @@ an integral form and carry no information).
 from __future__ import annotations
 
 import cmath
+import math
 
-from .chern import AltForm, chern_symbolic, sigma_section
+from .chern import AltForm, chern_symbolic
 from .cocycle import _TWO_PI_I, Cocycle, ExponentPoly
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, RangeError
 from .numeric import Tolerance, _Frozen, default_tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
@@ -142,14 +149,30 @@ def character_cocycle(phi: Character) -> Cocycle:
     return Cocycle(0, c, ExponentPoly.linear(slope), lat)
 
 
+def principal_fold(a: Cocycle) -> int:
+    """m0 = ceil(Re(g_1)*omega1 - 1/2), the integer with Re(g_1)*omega1 - m0 in
+    (-1/2, 1/2]; RangeError when the exponent 2*pi*m0*theta leaves the double range."""
+    x = a.g.linear_coefficient.real * a.lattice.omega1_float
+    # Where this can overflow, |x| >= 2^53 and m0 == x: it tests the Pic^0 exponent itself.
+    if not math.isfinite(2 * math.pi * (x * a.lattice.theta)):
+        raise RangeError(f"Pic^0 phase of Re(g1)*omega1 = {x:.6g} is beyond the double range")
+    return math.ceil(x - 0.5)
+
+
+def _pic0_value(a: Cocycle) -> complex:
+    """c * e^{2*pi*i*m0*theta}: the Pic^0 invariant of a's (c, g) part; s does not enter."""
+    return a.c * cmath.exp(_TWO_PI_I * (principal_fold(a) * a.lattice.theta))
+
+
 def pic0_invariant(a: Cocycle) -> complex:
-    """phihat(omega2) after the principal-branch normalization phihat(omega1) = 1.
+    """phihat(omega2) after the principal-branch normalization phihat(omega1) = 1,
+    in closed form c * e^{2*pi*i*m0*theta} with m0 = :func:`principal_fold`.
 
     For the pure character cocycle (0, c, 0) this returns c exactly.
     """
-    phi = reduce_to_constant(a)
-    log1 = cmath.log(phi.phi_omega1)
-    return phi.phi_omega2 * cmath.exp(-phi.lattice.theta * log1)
+    if chern_symbolic(a).s != 0:
+        raise PreconditionError("pic0_invariant needs a cocycle with zero Chern class")
+    return _pic0_value(a)
 
 
 def triviality_test(
@@ -170,7 +193,7 @@ def triviality_test(
         tol = default_tolerance()
     if chern_symbolic(a).s != 0:
         return TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
-    w = pic0_invariant(a)
+    w = _pic0_value(a)
     if abs(abs(w) - 1.0) > tol.abs_eps:
         return TrivialityVerdict.nontrivial(REASON_MODULUS)
     theta = a.lattice.theta
@@ -210,11 +233,11 @@ def ah_normal_form(a: Cocycle) -> AHData:
     """Classifying pair of the cocycle's isomorphism class.
 
     E is the Chern form; the c packed into the chi values is the Pic^0
-    invariant of a tensor the inverse of its quadratic-exponent section.
+    invariant of a tensor the inverse of its quadratic-exponent section,
+    which is the (c, g) part of a.
     """
     e = chern_symbolic(a)
-    flat = a.tensor(sigma_section(e, a.lattice).inverse())
-    c = pic0_invariant(flat)
+    c = _pic0_value(a)
     parity = -1.0 if e.s % 2 else 1.0
     return AHData(
         chi_omega1=1.0 + 0j,

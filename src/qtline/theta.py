@@ -14,7 +14,8 @@ solutions outright, while a triviality witness m yields the explicit solution
 
     theta(v) = e^{2*pi*i*(g(v) + alpha*v)},    alpha = (m - m0)/omega1,
 
-where m0 is the principal-branch fold of the linear exponent coefficient.
+where m0 = picard.principal_fold(a), the principal-branch fold of the
+linear exponent coefficient, the same m0 as in the Pic^0 invariant.
 The modulus obstruction is made quantitative by ``modulus_obstruction_demo``:
 continued-fraction small vectors l_n -> 0 whose omega2-coefficients diverge
 force |theta| to jump by unbounded factors |c|^{q_n} across vanishing
@@ -39,7 +40,7 @@ from .cocycle import (
 )
 from .errors import DomainError, PreconditionError
 from .numeric import Tolerance, _Frozen, default_tolerance
-from .picard import TrivialityVerdict, reduce_to_constant, triviality_test
+from .picard import DEFAULT_WITNESS_BOUND, TrivialityVerdict, principal_fold, triviality_test
 from .pseudolattice import LatticeVector
 
 
@@ -103,7 +104,7 @@ class ThetaSolveResult(_Frozen):
         return self.candidate is not None
 
 
-def solve_theta(a: Cocycle, bound: int = 10_000, tol: Tolerance | None = None) -> ThetaSolveResult:
+def solve_theta(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND, tol: Tolerance | None = None) -> ThetaSolveResult:
     """Solve the functional equation for a, or certify there is no solution.
 
     Delegates solvability to the bounded triviality test; a trivial verdict
@@ -113,13 +114,7 @@ def solve_theta(a: Cocycle, bound: int = 10_000, tol: Tolerance | None = None) -
     verdict = triviality_test(a, bound=bound, tol=tol)
     if not verdict.is_trivial:
         return ThetaSolveResult(candidate=None, verdict=verdict)
-    lat = a.lattice
-    g1 = a.g.linear_coefficient
-    phi = reduce_to_constant(a)
-    # Principal-branch fold: log(e^{2*pi*i*g1*omega1}) = 2*pi*i*(g1*omega1 - m0).
-    fold = g1 * lat.omega1_float - cmath.log(phi.phi_omega1) / _TWO_PI_I
-    m0 = round(fold.real)
-    alpha = (verdict.witness - m0) / lat.omega1_float
+    alpha = (verdict.witness - principal_fold(a)) / a.lattice.omega1_float
     candidate = ThetaCandidate(amplitude=1.0 + 0j, alpha=alpha, unit_exponent=a.g)
     return ThetaSolveResult(candidate=candidate, verdict=verdict)
 

@@ -9,6 +9,7 @@ from qtline import (
     ConsistencyError,
     ExponentPoly,
     LatticeVector,
+    RangeError,
     Tolerance,
     alt_eval,
     chern_numeric,
@@ -93,3 +94,14 @@ class TestChernMap:
             for _ in range(200):
                 rng = random.Random(1)
                 chern_numeric(a, random_vector(rng), random_vector(rng), random_v(rng), tol=tiny)
+
+    @pytest.mark.parametrize("v", [1e9, 1e16])
+    def test_unresolvable_sum_is_range_error(self, l1, v):
+        # terms near 2*v leave no integer resolution at v = 1e16 (the sum read 0)
+        a = sigma_section(AltForm(2), l1)
+        with pytest.raises(RangeError):
+            chern_numeric(a, LatticeVector(1, 0), LatticeVector(0, 1), complex(v, 0))
+
+    def test_large_but_resolvable_sum(self, l1):
+        a = sigma_section(AltForm(2), l1)
+        assert chern_numeric(a, LatticeVector(1, 0), LatticeVector(0, 1), 1e6 + 0j) == 2

@@ -304,3 +304,78 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("im", [-200.0, 200.0])
+def test_imaginary_slope_is_trivial(capsys, tmp_path, im):
+    # e^{2*pi*i*g1*omega1} over- or underflows a double here, but Im(g1) cancels
+    # from the Pic^0 invariant: the class is trivial with witness 0
+    path = write_cocycle(tmp_path, "im.json", Cocycle(0, 1.0, ExponentPoly((0, complex(0, im))), L1))
+    code, doc = run(capsys, "trivial", "--cocycle", path)
+    assert code == 0 and doc["status"] == "trivial" and doc["witness"] == 0
+    code, doc = run(capsys, "normal-form", "--cocycle", path)
+    assert code == 0 and doc["c"] == [1.0, 0.0]
+    code, doc = run(capsys, "theta-solve", "--cocycle", path)
+    assert code == 0 and doc["status"] == "solved" and doc["witness"] == 0
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(doc["theta"]))
+    code, doc = run(capsys, "theta-check", "--cocycle", path, "--theta", str(theta_path), "--samples", "300")
+    assert code == 0 and doc["max_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("x1", ["1,200", "1,1000"])
+def test_pairing_far_lift_answers_as_its_class(capsys, s2_file, x1):
+    assert main(["pairing", "--cocycle", s2_file, "--x1", "1,0", "--x2", "0,1"]) == 0
+    reduced = capsys.readouterr().out
+    assert main(["pairing", "--cocycle", s2_file, "--x1", x1, "--x2", "0,1"]) == 0
+    assert capsys.readouterr().out == reduced
+
+
+def test_pairing_multiplier_out_of_range_is_exit_2(capsys, tmp_path):
+    path = write_cocycle(tmp_path, "s1000.json", Cocycle(1000, 1.0, ExponentPoly.zero(), L1))
+    code, doc = run(capsys, "pairing", "--cocycle", path, "--x1", "1,999", "--x2", "0,1")
+    assert code == 2 and "out of float exp range" in doc["error"]
+
+
+@pytest.mark.parametrize("v, expected_code", [("1e6,0", 0), ("1e9,0", 2), ("1e16,0", 2)])
+def test_chern_beyond_integer_resolution_is_exit_2(capsys, s2_file, v, expected_code):
+    # at v = 1e16 the four-term sum used to read 0 with exit 0
+    code, doc = run(capsys, "chern", "--cocycle", s2_file, "--v", v)
+    assert code == expected_code
+    assert doc == {"numeric_check": 2, "s": 2} if code == 0 else ("cannot resolve" in doc["error"])
+
+
+CONTRACT_COCYCLES = {
+    "im-200": Cocycle(0, 1.0, ExponentPoly((0, -200j)), L1),
+    "im+200": Cocycle(0, 1.0, ExponentPoly((0, 200j)), L1),
+    "g1=1e308": Cocycle(0, 1.0, ExponentPoly((0, 1e308)), L1),
+    "s2": Cocycle(2, 1.0, ExponentPoly.zero(), L1),
+    "s1000": Cocycle(1000, 1.0, ExponentPoly.zero(), L1),
+}
+CONTRACT_ARGV = [
+    *[
+        [command, "--cocycle", name]
+        for name in ("im-200", "im+200", "g1=1e308")
+        for command in ("trivial", "normal-form", "theta-solve")
+    ],
+    ["pairing", "--cocycle", "s2", "--x1", "1,200", "--x2", "0,1"],
+    ["pairing", "--cocycle", "s2", "--x1", "1,1000", "--x2", "0,1"],
+    ["pairing", "--cocycle", "s1000", "--x1", "1,999", "--x2", "0,1"],
+    ["chern", "--cocycle", "s2", "--v", "1e9,0"],
+    ["chern", "--cocycle", "s2", "--v", "1e16,0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", CONTRACT_ARGV, ids=["-".join(arg for arg in argv if not arg.startswith("--")) for argv in CONTRACT_ARGV]
+)
+def test_cli_contract(capsys, tmp_path, argv):
+    # one strict-JSON line on stdout, exit 0, 1 or 2, and no traceback
+    paths = {name: write_cocycle(tmp_path, f"c{i}.json", a) for i, (name, a) in enumerate(CONTRACT_COCYCLES.items())}
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0], parse_constant=_reject_nan)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err

@@ -12,10 +12,12 @@ from qtline import (
     Cocycle,
     DomainError,
     ExponentPoly,
+    HeisenbergElement,
     LambdaPoint,
     PreconditionError,
     Pseudolattice,
     QuadReal,
+    RangeError,
     Tolerance,
     approx_eq,
     closed_form_pairing,
@@ -97,6 +99,12 @@ class TestMembership:
     def test_wrong_denominator_rejected(self, l1):
         with pytest.raises(DomainError):
             membership_multiplier(section(l1, 2), LambdaPoint(1, 0, 3))
+
+    @pytest.mark.parametrize("scalar", [complex(math.nan, 0), complex(1, math.inf), math.nan], ids=["nan", "inf", "float-nan"])
+    def test_non_finite_scalar_rejected(self, scalar):
+        # a NaN scalar used to give multiplier_residual a perfect 0.0
+        with pytest.raises(DomainError, match="finite"):
+            HeisenbergElement(LambdaPoint(1, 0, 2), scalar)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_residual_needs_a_sample(self, l1, samples):
@@ -257,6 +265,20 @@ class TestPairing:
             assert abs(lhs - rhs) < 1e-9
             shifted = LambdaPoint(x.alpha + 5 * rng.randint(-3, 3), x.beta + 5 * rng.randint(-3, 3), 5)
             assert abs(commutator_pairing(a, shifted, z) - commutator_pairing(a, x, z)) < 1e-9
+
+    def test_lifts_reduced_mod_s(self, l1):
+        # far-out representatives of a class give the class's own value
+        a = section(l1, 2)
+        z = LambdaPoint(0, 1, 2)
+        base = commutator_pairing(a, LambdaPoint(1, 0, 2), z)
+        for x in (LambdaPoint(1, 200, 2), LambdaPoint(1, 1000, 2), LambdaPoint(-1, -4000, 2)):
+            assert commutator_pairing(a, x, z) == base
+
+    def test_multiplier_out_of_exp_range_is_range_error(self, l1):
+        # beta = 999 over omega1/1000 drives e^{2*pi*i*kappa*v/omega1} past the
+        # double range at the complex probe points
+        with pytest.raises(RangeError):
+            commutator_pairing(section(l1, 1000), LambdaPoint(1, 999, 1000), LambdaPoint(0, 1, 1000))
 
     def test_requires_nonzero_chern(self, l1):
         with pytest.raises(PreconditionError):

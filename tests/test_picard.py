@@ -11,6 +11,7 @@ from qtline import (
     ExponentPoly,
     LatticeVector,
     PreconditionError,
+    RangeError,
     ah_group_law,
     ah_normal_form,
     alt_eval,
@@ -18,6 +19,8 @@ from qtline import (
     character_cocycle,
     coboundary,
     existence_cocycle,
+    lattice_golden,
+    lattice_sqrt2,
     pic0_invariant,
     reduce_to_constant,
     sigma_section,
@@ -26,6 +29,7 @@ from qtline import (
     triviality_test,
     trivial_cocycle,
 )
+from qtline.picard import principal_fold
 from helpers import random_chern_trivial, random_nonzero, random_v, random_vector
 
 TWO_PI_I = 2j * math.pi
@@ -135,6 +139,63 @@ class TestPic0Invariant:
         a = coboundary(ExponentPoly.zero(), 0.5 / l1.omega1_float, l1)
         assert pic0_invariant(a) == pytest.approx(1.0, abs=1e-9)
         assert triviality_test(a).witness == 0
+
+    def test_closed_form_matches_reduction_route(self):
+        # Oracle: the exp/log route through reduce_to_constant's character, and
+        # the fold m0 read back from the principal log of phi(omega1).
+        def reference(a):
+            phi = reduce_to_constant(a)
+            log1 = cmath.log(phi.phi_omega1)
+            fold = round((a.g.linear_coefficient * a.lattice.omega1_float - log1 / TWO_PI_I).real)
+            return phi.phi_omega2 * cmath.exp(-a.lattice.theta * log1), fold
+
+        rng = random.Random(38)
+        checked = 0
+        for lat in (lattice_sqrt2(), lattice_golden()):
+            for i in range(2100):
+                g1 = complex(rng.uniform(-50, 50), rng.uniform(-3, 3))
+                x = g1.real * lat.omega1_float
+                if abs(x - math.floor(x) - 0.5) < 1e-9:
+                    continue
+                c = random_nonzero(rng) if i % 2 else cmath.exp(1j * rng.uniform(-3.1, 3.1))
+                a = Cocycle(0, c, ExponentPoly((random_nonzero(rng), g1, 0.1j)), lat)
+                want, fold = reference(a)
+                assert principal_fold(a) == fold
+                got = pic0_invariant(a)
+                assert abs(got - want) <= 1e-12 * abs(want)
+                sectioned = a.tensor(sigma_section(AltForm(rng.randint(-4, 4)), lat))
+                assert abs(ah_normal_form(sectioned).chi_omega2 - want) <= 1e-12 * abs(want)
+                checked += 1
+        assert checked >= 4000
+
+    @pytest.mark.parametrize("slope, m0", [(0.5, 0), (-0.5, -1), (1.5, 1), (-1.5, -2)])
+    def test_tie_rule(self, l1, slope, m0):
+        # Re(g1)*omega1 - m0 lies in (-1/2, 1/2], the principal branch's interval
+        a = coboundary(ExponentPoly.zero(), slope, l1)
+        assert l1.omega1_float == 1.0
+        assert principal_fold(a) == m0
+        assert pic0_invariant(a) == cmath.exp(TWO_PI_I * (m0 * l1.theta))
+        assert triviality_test(a).witness == m0
+
+    @pytest.mark.parametrize("im", [-200.0, 200.0])
+    def test_imaginary_slope_cancels(self, l1, im):
+        # e^{2*pi*i*g1*omega1} over- or underflows here, but Im(g1) cancels
+        # from the invariant
+        a = coboundary(ExponentPoly.zero(), complex(0, im), l1)
+        assert pic0_invariant(a) == 1 + 0j
+        assert triviality_test(a).witness == 0
+        assert ah_normal_form(a).chi_omega2 == 1 + 0j
+
+    def test_phase_beyond_double_range(self, l1):
+        a = coboundary(ExponentPoly.zero(), 1e308, l1)
+        with pytest.raises(RangeError):
+            pic0_invariant(a)
+        with pytest.raises(RangeError):
+            ah_normal_form(a)
+
+    def test_requires_zero_chern(self, l1):
+        with pytest.raises(PreconditionError):
+            pic0_invariant(sigma_section(AltForm(2), l1))
 
     def test_multiplicative_branch_safe(self, l1, l2):
         rng = random.Random(34)
