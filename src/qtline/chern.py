@@ -73,12 +73,15 @@ def chern_numeric(
     if tol is None:
         tol = default_tolerance()
     lat = a.lattice
-    terms = (
-        a.exponent(l2, v + lat.float_value(l1)),
-        a.exponent(l1, v),
-        -a.exponent(l2, v),
-        -a.exponent(l1, v + lat.float_value(l2)),
-    )
+    try:
+        terms = (
+            a.exponent(l2, v + lat.float_value(l1)),
+            a.exponent(l1, v),
+            -a.exponent(l2, v),
+            -a.exponent(l1, v + lat.float_value(l2)),
+        )
+    except OverflowError as exc:  # an integer coordinate beyond the double range
+        raise RangeError(f"four-term sum cannot be formed: {exc}") from exc
     total = sum(terms)
     if not cmath.isfinite(total):
         raise RangeError(f"four-term sum {total!r} is not finite")

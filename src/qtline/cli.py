@@ -20,10 +20,18 @@ from .chern import chern_numeric, chern_symbolic
 from .cocycle import cocycle_identity_residuals, max_residual
 from .errors import DomainError, FormatError, QTLineError, RangeError
 from .heisenberg import LambdaPoint, closed_form_pairing, commutator_pairing, k_group
-from .numeric import MAX_BOUND, MAX_SAMPLES, MAX_TERMS, QuadReal, approx_eq, default_tolerance
+from .numeric import QuadReal, approx_eq, default_tolerance
 from .picard import DEFAULT_WITNESS_BOUND, ah_normal_form, triviality_test
 from .pseudolattice import LatticeVector, Pseudolattice
 from .theta import solve_theta, theta_residuals
+
+# Caps on the per-request work counts: continued-fraction terms, residual
+# samples and triviality-search bound.
+MAX_TERMS = 10**4
+MAX_SAMPLES = 10**5
+MAX_BOUND = 10**6
+# Each count flag's cap, keyed by the flag's argparse dest.
+_CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
 
 
 class _UsageError(Exception):
@@ -101,21 +109,13 @@ def _load_cocycle(path: str):
     return jsonio.cocycle_from_json(_load_json(path))
 
 
-def _at_most(value: int, cap: int, flag: str) -> int:
-    """A count flag's value, or DomainError (exit 2) when it asks for more work than cap."""
-    if value > cap:
-        raise DomainError(f"{flag} must be at most {cap}, got {value}")
-    return value
-
-
 def _cmd_cf(args: argparse.Namespace) -> Any:
-    n = _at_most(args.n, MAX_TERMS, "--n")
     omega1 = _parse_quadreal(args.omega1, args.D)
     omega2 = _parse_quadreal(args.omega2, args.D)
     lat = Pseudolattice(omega1, omega2)
     w1 = abs(lat.omega1_float)
     out = []
-    for conv in lat.convergents(n):
+    for conv in lat.convergents(args.n):
         if conv.q > sys.float_info.max:
             raise RangeError(f"denominator q_{conv.index} exceeds the double range; ask for fewer terms")
         value = lat.rounded_value(LatticeVector(conv.p, -conv.q))
@@ -144,9 +144,8 @@ def _residual_report(residuals: list[float], args: argparse.Namespace) -> Any:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Any:
-    samples = _at_most(args.samples, MAX_SAMPLES, "--samples")
     a = _load_cocycle(args.cocycle)
-    return _residual_report(cocycle_identity_residuals(a, samples=samples, seed=args.seed), args)
+    return _residual_report(cocycle_identity_residuals(a, samples=args.samples, seed=args.seed), args)
 
 
 def _cmd_chern(args: argparse.Namespace) -> Any:
@@ -171,8 +170,7 @@ def _cmd_normal_form(args: argparse.Namespace) -> Any:
 
 
 def _cmd_trivial(args: argparse.Namespace) -> Any:
-    bound = _at_most(args.bound, MAX_BOUND, "--bound")
-    verdict = triviality_test(_load_cocycle(args.cocycle), bound=bound)
+    verdict = triviality_test(_load_cocycle(args.cocycle), bound=args.bound)
     return {
         "status": verdict.status,
         "witness": verdict.witness,
@@ -201,8 +199,7 @@ def _cmd_k_group(args: argparse.Namespace) -> Any:
 
 
 def _cmd_theta_solve(args: argparse.Namespace) -> Any:
-    bound = _at_most(args.bound, MAX_BOUND, "--bound")
-    result = solve_theta(_load_cocycle(args.cocycle), bound=bound)
+    result = solve_theta(_load_cocycle(args.cocycle), bound=args.bound)
     if result.solved:
         return {
             "status": "solved",
@@ -215,10 +212,9 @@ def _cmd_theta_solve(args: argparse.Namespace) -> Any:
 
 
 def _cmd_theta_check(args: argparse.Namespace) -> Any:
-    samples = _at_most(args.samples, MAX_SAMPLES, "--samples")
     a = _load_cocycle(args.cocycle)
     t = jsonio.theta_from_json(_load_json(args.theta))
-    return _residual_report(theta_residuals(a, t, samples=samples, seed=args.seed), args)
+    return _residual_report(theta_residuals(a, t, samples=args.samples, seed=args.seed), args)
 
 
 def _build_parser() -> _Parser:
@@ -293,6 +289,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit({"error": str(exc)})
         return 1
     try:
+        # every cap is checked before any document is read
+        for flag, cap in _CAPS.items():
+            value = getattr(args, flag, None)
+            if value is not None and value > cap:
+                raise DomainError(f"--{flag} must be at most {cap}, got {value}")
         _emit(args.func(args))
         return 0
     except FormatError as exc:

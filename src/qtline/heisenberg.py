@@ -24,21 +24,20 @@ pairing
     e(x1, x2) = H_v(x1~, x2~) / H_v(x2~, x1~),   H_v(x~, y~) = h_y(v + x~)/h_y(v),
 
 whose value is the root of unity e^{2*pi*i*(alpha1*beta2 - alpha2*beta1)/s}.
-The pairing is computed here by numerically evaluating H_v at two fixed base
-points and requiring agreement, so any branch or normalization bug shows up
-as a v-dependence rather than a silently wrong constant.
+Both routes here work on the lifts' classes mod L.  The H_v ratios are formed
+as exponents at two fixed base points that must agree, so a branch or
+normalization bug shows up as a v-dependence rather than a wrong constant.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import random
 
 from .chern import chern_symbolic
-from .cocycle import _EXP_LIMIT, _TWO_PI_I, Cocycle, ExponentPoly, draw_sample, max_residual
-from .errors import ConsistencyError, DomainError, PreconditionError, RangeError
-from .numeric import Tolerance, _Frozen, approx_eq, default_tolerance, quad_float
+from .cocycle import _TWO_PI_I, Cocycle, draw_sample, exp_2pi_i, max_residual
+from .errors import ConsistencyError, DomainError, PreconditionError
+from .numeric import Tolerance, _Frozen, approx_eq, default_tolerance
 from .pseudolattice import Pseudolattice
 
 # Fixed base points for the v-independence cross-check.
@@ -63,9 +62,7 @@ class LambdaPoint(_Frozen):
 
     def real_value(self, lattice: Pseudolattice) -> float:
         """(alpha*omega1 + beta*omega2)/s rounded once to the nearest double, on integers."""
-        a1, b1, a2, b2, den = lattice._scaled
-        alpha, beta = self.alpha, self.beta
-        return quad_float(alpha * a1 + beta * a2, alpha * b1 + beta * b2, lattice.d, den * self.s)
+        return lattice.rounded_combination(self.alpha, self.beta, self.s)
 
     def __add__(self, other: LambdaPoint) -> LambdaPoint:
         if self.s != other.s:
@@ -141,12 +138,8 @@ def _kappa(a: Cocycle, x: LambdaPoint) -> int:
 
 
 def _phase(a: Cocycle, kappa: int, x: complex) -> complex:
-    """Unit part e^{(2*pi*i/omega1)*kappa*x} of a multiplier; RangeError when the
-    exponent is not finite or its real part exceeds _EXP_LIMIT in absolute value."""
-    z = _TWO_PI_I * kappa * x / a.lattice.omega1_float
-    if not (abs(z.real) <= _EXP_LIMIT and math.isfinite(z.imag)):
-        raise RangeError(f"multiplier exponent {z:.6g} out of float exp range at x={x:.6g}")
-    return cmath.exp(z)
+    """Unit part e^{(2*pi*i/omega1)*kappa*x} of a multiplier, through exp_2pi_i's guard."""
+    return exp_2pi_i(kappa * x / a.lattice.omega1_float, "multiplier", x)
 
 
 def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex:
@@ -206,13 +199,16 @@ def heisenberg_inverse(g: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
 
 
 def closed_form_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
-    """e^{2*pi*i*(alpha1*beta2 - alpha2*beta1)/s} with the signed s of the cocycle."""
+    """e^{2*pi*i*(alpha1*beta2 - alpha2*beta1)/s} with the signed s of the cocycle;
+    the cross term is reduced mod s on integers, keeping its sign."""
     if a.s == 0:
         raise PreconditionError("closed form needs a nonzero Chern class")
     _check_point(a, x1)
     _check_point(a, x2)
     cross = x1.alpha * x2.beta - x2.alpha * x1.beta
-    return cmath.exp(_TWO_PI_I * cross / a.s)
+    residue = abs(cross) % abs(a.s)
+    # Both scaled by 1/8, which is exact, so 2*pi*residue stays finite at any |s|.
+    return cmath.exp(_TWO_PI_I * ((residue if cross >= 0 else -residue) * 0.125) / (a.s * 0.125))
 
 
 def commutator_pairing(
@@ -223,31 +219,28 @@ def commutator_pairing(
 ) -> complex:
     """The pairing via H_v ratios, cross-checked at two base points.
 
-    Works on any cocycle with s != 0: the character part cancels in
-    A_l(v+x~)/A_l(v) and the coboundary part is stripped first, so only the
-    quadratic-exponent block matters.  The pairing depends only on the
-    classes mod L, so each lift's (alpha, beta) is first reduced mod |s|,
-    which keeps the multiplier exponents at the probe points bounded.
+    Works on any cocycle with s != 0: characters and coboundaries cancel in
+    A_l(v+x~)/A_l(v), leaving the multipliers e^{(2*pi*i/omega1)*kappa*v}.
+    With (alpha, beta) reduced mod |s|, H_v(x1~, x2~)/H_v(x2~, x1~) is one
+    exponent (kappa2*((v + x1~) - v) - kappa1*((v + x2~) - v))/omega1 whose
+    imaginary part is exactly 0, so it never leaves the float range.
     """
     if tol is None:
         tol = default_tolerance()
     if a.s == 0:
         raise PreconditionError("commutator pairing needs a nonzero Chern class")
-    stripped = Cocycle(a.s, a.c, ExponentPoly.zero(), a.lattice)
-    _check_point(stripped, x1)
-    _check_point(stripped, x2)
+    _check_point(a, x1)
+    _check_point(a, x2)
     n = abs(a.s)
     x1 = LambdaPoint(x1.alpha % n, x1.beta % n, n)
     x2 = LambdaPoint(x2.alpha % n, x2.beta % n, n)
-    e1 = membership_multiplier(stripped, x1)
-    e2 = membership_multiplier(stripped, x2)
+    k1, k2 = _kappa(a, x1), _kappa(a, x2)
     x1val = x1.real_value(a.lattice)
     x2val = x2.real_value(a.lattice)
+    w1 = a.lattice.omega1_float
 
     def pairing_at(v: complex) -> complex:
-        h12 = multiplier_value(stripped, e2, v + x1val) / multiplier_value(stripped, e2, v)
-        h21 = multiplier_value(stripped, e1, v + x2val) / multiplier_value(stripped, e1, v)
-        return h12 / h21
+        return exp_2pi_i((k2 * ((v + x1val) - v) - k1 * ((v + x2val) - v)) / w1, "pairing", v)
 
     first = pairing_at(_V_PROBE_1)
     second = pairing_at(_V_PROBE_2)
@@ -271,7 +264,7 @@ def _pairing_trivial_chern(a: Cocycle, x1val: float, x2val: float, v: complex) -
     def log_h_v(first: float, second: float) -> complex:
         return g(v + first + second) + g(v) - g(v + first) - g(v + second)
 
-    return cmath.exp(_TWO_PI_I * (log_h_v(x1val, x2val) - log_h_v(x2val, x1val)))
+    return exp_2pi_i(log_h_v(x1val, x2val) - log_h_v(x2val, x1val), "pairing", v)
 
 
 class DichotomyReport(_Frozen):

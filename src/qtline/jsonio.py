@@ -106,8 +106,8 @@ def cocycle_to_json(a: Cocycle) -> dict[str, Any]:
 def cocycle_from_json(obj: Any) -> Cocycle:
     if not isinstance(obj, dict) or set(obj) != {"s", "c", "g", "lattice"}:
         raise FormatError(f'cocycle must be an object with keys "s", "c", "g", "lattice", got {obj!r}')
-    if type(obj["s"]) is not int:
-        raise FormatError(f"cocycle s must be an integer, got {obj['s']!r}")
+    if not (type(obj["s"]) is int and _is_finite_number(obj["s"])):
+        raise FormatError(f"cocycle s must be an integer within the double range, got {obj['s']!r}")
     return Cocycle(
         obj["s"],
         complex_from_json(obj["c"], "cocycle c"),

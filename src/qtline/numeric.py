@@ -31,11 +31,6 @@ from .errors import DomainError, FormatError, RangeError
 TOLERANCE_ENV_VAR = "QTLINE_TOLERANCE"
 # Bounds the O(sqrt(D)) square-free test of a new radicand.
 MAX_RADICAND = 10**9
-# Caps on the per-request work counts of the command line: residual samples,
-# triviality-search bound and continued-fraction terms.
-MAX_SAMPLES = 10**5
-MAX_BOUND = 10**6
-MAX_TERMS = 10**4
 # Significant bits kept in floor(x*2^k) before rounding to a double (53).
 _FLOAT_BITS = 117
 

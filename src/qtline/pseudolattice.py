@@ -107,11 +107,15 @@ class Pseudolattice(_Frozen):
     def real_value(self, l: LatticeVector) -> QuadReal:
         return self.omega1 * l.a + self.omega2 * l.b
 
+    def rounded_combination(self, a: int, b: int, den: int = 1) -> float:
+        """(a*omega1 + b*omega2)/den rounded once to the nearest double, on integers,
+        so it keeps full precision where a*omega1 and b*omega2 nearly cancel."""
+        a1, b1, a2, b2, scale = self._scaled
+        return quad_float(a * a1 + b * a2, a * b1 + b * b2, self.d, scale * den)
+
     def rounded_value(self, l: LatticeVector) -> float:
-        """real_value(l) rounded once to the nearest double, on integers, so it
-        keeps full precision where a*omega1 and b*omega2 nearly cancel."""
-        a1, b1, a2, b2, den = self._scaled
-        return quad_float(l.a * a1 + l.b * a2, l.a * b1 + l.b * b2, self.d, den)
+        """real_value(l) rounded once to the nearest double."""
+        return self.rounded_combination(l.a, l.b)
 
     def float_value(self, l: LatticeVector) -> float:
         """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""

@@ -105,3 +105,14 @@ class TestChernMap:
     def test_large_but_resolvable_sum(self, l1):
         a = sigma_section(AltForm(2), l1)
         assert chern_numeric(a, LatticeVector(1, 0), LatticeVector(0, 1), 1e6 + 0j) == 2
+
+    @pytest.mark.parametrize(
+        "l1, l2",
+        [((0, 10**400), (0, 1)), ((10**400, 0), (0, 1)), ((1, 0), (0, -(10**309)))],
+        ids=["l1-b", "l1-a", "l2-b"],
+    )
+    def test_coordinates_beyond_double_range_are_range_error(self, l1, l2):
+        # an OverflowError converting the coordinates to doubles used to escape
+        a = Cocycle(2, 1.0, ExponentPoly((0j, 0.1 + 0j)), L1)
+        with pytest.raises(RangeError):
+            chern_numeric(a, LatticeVector(*l1), LatticeVector(*l2), 0.3 + 0.2j)

@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qtline import Cocycle, ExponentPoly, lattice_sqrt2
+from qtline import Cocycle, ExponentPoly, lattice_golden, lattice_sqrt2
 from qtline.cli import main
 from qtline.jsonio import cocycle_to_json
 
@@ -256,8 +259,9 @@ def test_bad_tolerance_env_is_json_error(capsys, monkeypatch, witness_file, raw,
         '{"s": 1, "c": [NaN, 0], "g": [], "lattice": LAT}',
         '{"s": 1, "c": [1, 0], "g": [[Infinity, 0]], "lattice": LAT}',
         '{"s": 1, "c": [1e999, 0], "g": [], "lattice": LAT}',
+        '{"s": 1%s, "c": [1, 0], "g": [], "lattice": LAT}' % ("0" * 400),
     ],
-    ids=["bool-s", "bool-c", "nan-c", "infinity-g", "overflow-c"],
+    ids=["bool-s", "bool-c", "nan-c", "infinity-g", "overflow-c", "overflow-s"],
 )
 def test_non_numeric_json_numbers_are_exit_1(capsys, tmp_path, text):
     lattice = json.dumps(cocycle_to_json(Cocycle(0, 1.0, ExponentPoly.zero(), L1))["lattice"])
@@ -331,10 +335,22 @@ def test_pairing_far_lift_answers_as_its_class(capsys, s2_file, x1):
     assert capsys.readouterr().out == reduced
 
 
-def test_pairing_multiplier_out_of_range_is_exit_2(capsys, tmp_path):
-    path = write_cocycle(tmp_path, "s1000.json", Cocycle(1000, 1.0, ExponentPoly.zero(), L1))
-    code, doc = run(capsys, "pairing", "--cocycle", path, "--x1", "1,999", "--x2", "0,1")
-    assert code == 2 and "out of float exp range" in doc["error"]
+@pytest.mark.parametrize("s, x1", [(1000, "1,999"), (200, "1,150"), (130, "1,125")])
+def test_pairing_large_beta_lift_is_exit_0(capsys, tmp_path, s, x1):
+    # these used to be RangeErrors: a multiplier alone overflowed at a probe point
+    path = write_cocycle(tmp_path, f"s{s}.json", Cocycle(s, 1.0, ExponentPoly.zero(), L1))
+    code, doc = run(capsys, "pairing", "--cocycle", path, "--x1", x1, "--x2", "0,1")
+    assert code == 0 and doc["agree"] is True
+    assert abs(complex(*doc["value"]) - cmath.exp(TWO_PI_I / s)) < 1e-9
+
+
+@pytest.mark.parametrize("x1", ["100000000,1", "10000000000,1", str(10**400) + ",0"], ids=["1e8", "1e10", "1e400"])
+def test_pairing_closed_form_on_residues(capsys, s2_file, x1):
+    # the closed form read 0.9999999999999992 - 3.9e-08i ("agree": false) at 1e8
+    # and overflowed at 1e400; its cross term is now reduced mod s first
+    code, doc = run(capsys, "pairing", "--cocycle", s2_file, "--x1", x1, "--x2", "0,1")
+    assert code == 0 and doc["agree"] is True
+    assert abs(complex(*doc["closed_form"]) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("v, expected_code", [("1e6,0", 0), ("1e9,0", 2), ("1e16,0", 2)])
@@ -345,13 +361,128 @@ def test_chern_beyond_integer_resolution_is_exit_2(capsys, s2_file, v, expected_
     assert doc == {"numeric_check": 2, "s": 2} if code == 0 else ("cannot resolve" in doc["error"])
 
 
-CONTRACT_COCYCLES = {
+# The CLI contract: one strict-JSON stdout line, exit 0, 1 or 2, no traceback.
+
+BIG = str(10**400)
+FUZZ_COCYCLES = {
+    "s2": Cocycle(2, 1.0, ExponentPoly.zero(), L1),
+    "s-3": Cocycle(-3, 0.6 + 0.8j, ExponentPoly((0j, 0.2 + 0.1j, 0.05j)), lattice_golden()),
+    "s1000": Cocycle(1000, 1.0, ExponentPoly.zero(), L1),
+    "s=1e11": Cocycle(10**11, 1.0, ExponentPoly.zero(), L1),
+    "s=-1e300": Cocycle(-(10**300), 1.0, ExponentPoly.zero(), L1),
+    "s=1e308": Cocycle(10**308, 1.0, ExponentPoly.zero(), L1),
+    "s=1e400": Cocycle(10**400, 1.0, ExponentPoly.zero(), L1),
+    "witness": Cocycle(0, cmath.exp(TWO_PI_I * L1.theta), ExponentPoly.zero(), L1),
+    "c=1e300": Cocycle(0, 1e300, ExponentPoly.zero(), L1),
+    "c=1e-300": Cocycle(0, 1e-300j, ExponentPoly.zero(), L1),
+    "g1=1e308": Cocycle(0, 1.0, ExponentPoly((0, 1e308)), L1),
     "im-200": Cocycle(0, 1.0, ExponentPoly((0, -200j)), L1),
     "im+200": Cocycle(0, 1.0, ExponentPoly((0, 200j)), L1),
-    "g1=1e308": Cocycle(0, 1.0, ExponentPoly((0, 1e308)), L1),
-    "s2": Cocycle(2, 1.0, ExponentPoly.zero(), L1),
-    "s1000": Cocycle(1000, 1.0, ExponentPoly.zero(), L1),
+    "g6=1e307": Cocycle(1, 1.0, ExponentPoly((0,) * 6 + (1e307,)), L1),
+    "g2=1e10": Cocycle(5, -1.0, ExponentPoly((1e10, 0, 1e10j)), lattice_golden()),
 }
+FUZZ_DOCUMENTS = {
+    "theta": {"amplitude": [1.0, 0.0], "alpha": [0.0, 0.0], "unit_exponent": []},
+    "theta-far": {"amplitude": [1e300, 0.0], "alpha": [0.0, 30.0], "unit_exponent": [[1e300, 0]]},
+    "not-an-object": [1, 2, 3],
+    "not-json": "{nope",
+}
+
+
+def _flag(name, good, bad=()):
+    """(name, value) with a good value twice as often as a bad one."""
+    values = st.sampled_from(good) if not bad else st.one_of(*[st.sampled_from(good)] * 2, st.sampled_from(bad))
+    return st.tuples(st.just(name), values)
+
+
+_PAIRS = (["1,0", "0,1", "-3,7", "1,999", "1,150", "100000000,1", f"{BIG},0", f"0,-{BIG}"],
+          ["", "1", "1,2,3", "a,1", "1.5,2", ",", "nan,0", "inf,1"])
+_DOCUMENT = [*FUZZ_COCYCLES, *FUZZ_DOCUMENTS, "missing"]
+# Count flags stay small, or far above their caps, which are refused before any work.
+_SAMPLES = (["1", "17", "300"], ["-1", "0", "100001", BIG, "1e3", "x"])
+_BOUND = (["0", "1", "100", "10000"], ["-1", "1000001", BIG, "x"])
+_SEED = (["0", "7", "-1", BIG], ["1e3", "nan", "x", ""])
+_QUADREAL = (["1", "sqrtD", "(1+sqrtD)/2", "2*sqrtD", "-3/2", "1e400"], ["0", "1/0", "(1+sqrtD)/0", "sqrtD+", "wibble"])
+_SUBCOMMANDS = {
+    "cf": [
+        _flag("--D", ["2", "5", "3", "999999937"], ["4", "0", "-2", "1000000001", "x", BIG]),
+        _flag("--omega1", *_QUADREAL),
+        _flag("--omega2", *_QUADREAL),
+        _flag("--n", ["1", "10", "200", "820"], ["-1", "0", "10001", BIG, "1.5"]),
+    ],
+    "verify": [_flag("--cocycle", _DOCUMENT), _flag("--samples", *_SAMPLES), _flag("--seed", *_SEED)],
+    "chern": [
+        _flag("--cocycle", _DOCUMENT),
+        _flag("--l1", *_PAIRS),
+        _flag("--l2", *_PAIRS),
+        _flag("--v", ["0.3,0.2", "1.5,-0.5", "1e16,0", "-1e300,5", "1e308,1e308", "0,1e-320"],
+              ["nan,0", "0,inf", "1e309,0", "a,b", "1", "1,2,3", ""]),
+    ],
+    "normal-form": [_flag("--cocycle", _DOCUMENT)],
+    "trivial": [_flag("--cocycle", _DOCUMENT), _flag("--bound", *_BOUND)],
+    "pairing": [_flag("--cocycle", _DOCUMENT), _flag("--x1", *_PAIRS), _flag("--x2", *_PAIRS)],
+    "k-group": [_flag("--cocycle", _DOCUMENT)],
+    "theta-solve": [_flag("--cocycle", _DOCUMENT), _flag("--bound", *_BOUND)],
+    "theta-check": [
+        _flag("--cocycle", _DOCUMENT),
+        _flag("--theta", _DOCUMENT),
+        _flag("--samples", *_SAMPLES),
+        _flag("--seed", *_SEED),
+    ],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand with a random subset of its flags, then, one time in three,
+    mutations: a dropped or repeated token, a stray token, a foreign flag."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for flag in _SUBCOMMANDS[command]:
+        if draw(st.integers(0, 9)):
+            argv += draw(flag)
+    if command in ("verify", "theta-check") and draw(st.booleans()):
+        argv.append("--emit-samples")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["drop", "repeat", "stray", "foreign"]))
+        at = draw(st.integers(0, len(argv)))
+        if kind == "drop" and at < len(argv):
+            del argv[at]
+        elif kind == "repeat" and at < len(argv):
+            argv.insert(at, argv[at])
+        elif kind == "stray":
+            argv.insert(at, draw(st.sampled_from(["--nope", "-", "--", "extra", "--n=3", "--seed=-1"])))
+        else:
+            foreign = draw(st.sampled_from([f for flags in _SUBCOMMANDS.values() for f in flags]))
+            argv += draw(foreign)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {"missing": str(root / "missing.json")}
+    for name, a in FUZZ_COCYCLES.items():
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(cocycle_to_json(a)))
+    for name, doc in FUZZ_DOCUMENTS.items():
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return paths
+
+
+def check_contract(argv, paths):
+    """One strict-JSON stdout line, exit 0, 1 or 2, and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([paths.get(arg, arg) for arg in argv])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    json.loads(lines[0], parse_constant=_reject_nan)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 CONTRACT_ARGV = [
     *[
         [command, "--cocycle", name]
@@ -361,21 +492,44 @@ CONTRACT_ARGV = [
     ["pairing", "--cocycle", "s2", "--x1", "1,200", "--x2", "0,1"],
     ["pairing", "--cocycle", "s2", "--x1", "1,1000", "--x2", "0,1"],
     ["pairing", "--cocycle", "s1000", "--x1", "1,999", "--x2", "0,1"],
+    ["pairing", "--cocycle", "s2", "--x1", "100000000,1", "--x2", "0,1"],
+    ["pairing", "--cocycle", "s2", "--x1", BIG + ",0", "--x2", "0,1"],
     ["chern", "--cocycle", "s2", "--v", "1e9,0"],
     ["chern", "--cocycle", "s2", "--v", "1e16,0"],
+    ["chern", "--cocycle", "s2", "--l1", "0," + BIG],
 ]
 
 
 @pytest.mark.parametrize(
-    "argv", CONTRACT_ARGV, ids=["-".join(arg for arg in argv if not arg.startswith("--")) for argv in CONTRACT_ARGV]
+    "argv",
+    CONTRACT_ARGV,
+    ids=["-".join(arg.replace(BIG, "1e400") for arg in argv if not arg.startswith("--")) for argv in CONTRACT_ARGV],
 )
-def test_cli_contract(capsys, tmp_path, argv):
-    # one strict-JSON line on stdout, exit 0, 1 or 2, and no traceback
-    paths = {name: write_cocycle(tmp_path, f"c{i}.json", a) for i, (name, a) in enumerate(CONTRACT_COCYCLES.items())}
-    code = main([paths.get(arg, arg) for arg in argv])
-    captured = capsys.readouterr()
-    lines = captured.out.splitlines()
-    assert len(lines) == 1
-    json.loads(lines[0], parse_constant=_reject_nan)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in captured.err
+def test_cli_contract(fuzz_paths, argv):
+    check_contract(argv, fuzz_paths)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(argv=fuzz_argv())
+def test_cli_contract_fuzz(fuzz_paths, argv):
+    check_contract(argv, fuzz_paths)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--samples", "50"],
+        ["chern"],
+        ["normal-form"],
+        ["trivial", "--bound", "100"],
+        ["pairing", "--x1", "1,999", "--x2", "0,1"],
+        ["k-group"],
+        ["theta-solve", "--bound", "100"],
+        ["theta-check", "--theta", "theta", "--samples", "50"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_contract_every_document(fuzz_paths, argv):
+    # every subcommand that reads a cocycle, on every fuzz document
+    for name in _DOCUMENT:
+        check_contract([*argv, "--cocycle", name], fuzz_paths)

@@ -17,7 +17,6 @@ from qtline import (
     PreconditionError,
     Pseudolattice,
     QuadReal,
-    RangeError,
     Tolerance,
     approx_eq,
     closed_form_pairing,
@@ -274,11 +273,54 @@ class TestPairing:
         for x in (LambdaPoint(1, 200, 2), LambdaPoint(1, 1000, 2), LambdaPoint(-1, -4000, 2)):
             assert commutator_pairing(a, x, z) == base
 
-    def test_multiplier_out_of_exp_range_is_range_error(self, l1):
-        # beta = 999 over omega1/1000 drives e^{2*pi*i*kappa*v/omega1} past the
-        # double range at the complex probe points
-        with pytest.raises(RangeError):
-            commutator_pairing(section(l1, 1000), LambdaPoint(1, 999, 1000), LambdaPoint(0, 1, 1000))
+    @pytest.mark.parametrize("s, beta", [(1000, 999), (200, 150), (130, 125)])
+    def test_large_beta_lift_answers(self, l1, s, beta):
+        # the multiplier e^{2*pi*i*kappa*v/omega1} alone overflows a double at a
+        # complex probe point once beta passes about 124; the H_v ratio, formed
+        # as one real exponent, never does
+        value = commutator_pairing(section(l1, s), LambdaPoint(1, beta, s), LambdaPoint(0, 1, s))
+        assert abs(value - cmath.exp(TWO_PI_I / s)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [10**8, 10**10, 10**400], ids=["1e8", "1e10", "1e400"])
+    def test_closed_form_reduces_the_cross_term(self, l1, alpha):
+        # the cross term alpha is a multiple of s = 2: the exact value is 1, which
+        # the float of the unreduced cross term missed (or overflowed on)
+        a = section(l1, 2)
+        x1, x2 = LambdaPoint(alpha, 1, 2), LambdaPoint(0, 1, 2)
+        closed = closed_form_pairing(a, x1, x2)
+        assert abs(closed - 1.0) < 1e-12
+        assert approx_eq(commutator_pairing(a, x1, x2), closed)
+
+    def test_closed_form_finite_at_huge_s(self, l1):
+        # 2*pi*residue would overflow a double here without the exact 1/8 scaling
+        n = 10**308
+        a = section(l1, n)
+        x1, x2 = LambdaPoint(n - 1, 0, n), LambdaPoint(0, 1, n)
+        assert abs(closed_form_pairing(a, x1, x2) - 1.0) < 1e-12
+        assert approx_eq(commutator_pairing(a, x1, x2), closed_form_pairing(a, x1, x2))
+
+    def test_closed_form_bit_identical_below_s(self, l1):
+        # with |cross| < |s| the reduction is the identity: the old expression exactly
+        for s in (-7, -3, 2, 5, 200):
+            a = section(l1, s)
+            for a1, b1, a2, b2 in product(range(-3, 4), repeat=4):
+                cross = a1 * b2 - a2 * b1
+                if abs(cross) < abs(s):
+                    x1, x2 = LambdaPoint(a1, b1, abs(s)), LambdaPoint(a2, b2, abs(s))
+                    assert closed_form_pairing(a, x1, x2) == cmath.exp(TWO_PI_I * cross / s)
+
+    def test_every_lift_answers_and_agrees(self, l1, l2):
+        # 864 random and far lifts over both lattices: both routes answer and agree
+        rng = random.Random(8)
+        for lat in (l1, l2):
+            for s in (*range(-7, 0), *range(1, 8), 200, 1000):
+                n = abs(s)
+                a = section(lat, s, c=0.6 - 0.8j)
+                for _ in range(27):
+                    scale = rng.choice([3 * n, 10**6, 10**40])
+                    x1 = LambdaPoint(rng.randint(-scale, scale), rng.randint(-scale, scale), n)
+                    x2 = LambdaPoint(rng.randint(-3 * n, 3 * n), rng.randint(-3 * n, 3 * n), n)
+                    assert abs(commutator_pairing(a, x1, x2) - closed_form_pairing(a, x1, x2)) <= 1e-9
 
     def test_requires_nonzero_chern(self, l1):
         with pytest.raises(PreconditionError):
