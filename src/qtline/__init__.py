@@ -32,6 +32,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     FormatError,
+    PrecisionError,
     PreconditionError,
     QTLineError,
     RangeError,
@@ -99,6 +100,7 @@ __all__ = [
     "LambdaPoint",
     "LatticeVector",
     "ObstructionWitness",
+    "PrecisionError",
     "PreconditionError",
     "Pseudolattice",
     "QTLineError",

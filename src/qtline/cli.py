@@ -118,7 +118,7 @@ def _cmd_cf(args: argparse.Namespace) -> Any:
     for conv in lat.convergents(args.n):
         if conv.q > sys.float_info.max:
             raise RangeError(f"denominator q_{conv.index} exceeds the double range; ask for fewer terms")
-        value = lat.rounded_value(LatticeVector(conv.p, -conv.q))
+        value = lat.rounded_combination(conv.p, -conv.q)
         out.append(
             {
                 "index": conv.index,

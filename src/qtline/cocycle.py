@@ -32,8 +32,8 @@ import cmath
 import math
 import random
 
-from .errors import DomainError, PreconditionError, RangeError
-from .numeric import _Frozen
+from .errors import DomainError, PrecisionError, PreconditionError, RangeError
+from .numeric import _Frozen, default_tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 # Hard cap on exponent-polynomial degree: keeps |exponents| small enough that
@@ -61,14 +61,28 @@ def exp_2pi_i(exponent: complex, kind: str, v: complex, l: LatticeVector | None 
     return cmath.exp(z)
 
 
-def exponent_residual(x: complex, y: complex) -> float:
+def resolvable_exponent() -> float:
+    """abs_eps * 2^52 for the default tolerance: past this magnitude an
+    exponent's ulp exceeds abs_eps, so a double no longer resolves it mod 1 to
+    the tolerance."""
+    return default_tolerance().abs_eps * 2.0**52
+
+
+def exponent_residual(x: complex, y: complex, limit: float) -> float:
     """Relative residual |A - B| / max(1, |A|) of A = e^{2*pi*i*x}, B = e^{2*pi*i*y}, as
     min(1, |A|) * |1 - e^{2*pi*i(y-x)}|: finite even where |A| overflows a double.
     RangeError where e^{2*pi*i(y-x)} itself would overflow or is not finite
-    (a NaN or infinite exponent), so no residual is NaN."""
+    (a NaN or infinite exponent), so no residual is NaN.  PrecisionError where
+    |x| or |y| passes limit (see :func:`resolvable_exponent`), where the
+    residual would be rounding noise."""
     z = _TWO_PI_I * (y - x)
     if not (z.real <= _EXP_LIMIT and cmath.isfinite(z)):
         raise RangeError(f"residual exponent {z:.6g} out of float exp range")
+    if abs(x) > limit or abs(y) > limit:
+        raise PrecisionError(
+            f"exponent of magnitude {max(abs(x), abs(y)):.6g} passes {limit:.6g}: "
+            "a double cannot resolve it mod 1 to the tolerance"
+        )
     scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
     return min(1.0, scale) * abs(1.0 - cmath.exp(z))
 
@@ -248,13 +262,14 @@ def cocycle_identity_residuals(a: Cocycle, samples: int = 100, seed: int = 0) ->
     """
     if samples < 1:
         raise PreconditionError("need samples >= 1")
+    limit = resolvable_exponent()
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
         l1, l2, v = draw_sample(rng, 2)
         x = a.exponent(l1 + l2, v)
         y = a.exponent(l1, v + a.lattice.float_value(l2)) + a.exponent(l2, v)
-        out.append(exponent_residual(x, y))
+        out.append(exponent_residual(x, y, limit))
     return out
 
 

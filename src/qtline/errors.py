@@ -18,6 +18,11 @@ class RangeError(QTLineError, OverflowError):
     """An exponent magnitude exceeds the double-precision exp range."""
 
 
+class PrecisionError(RangeError):
+    """A quantity lies in the double range but is too large for a double to
+    resolve to the tolerance, so what it would yield is rounding noise."""
+
+
 class ConsistencyError(QTLineError, ArithmeticError):
     """Two computation routes that must agree did not.  Signals a malformed
     input or a branch-of-logarithm bug, never a tolerance issue on healthy

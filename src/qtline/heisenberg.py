@@ -32,11 +32,12 @@ normalization bug shows up as a v-dependence rather than a wrong constant.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 
 from .chern import chern_symbolic
 from .cocycle import _TWO_PI_I, Cocycle, draw_sample, exp_2pi_i, max_residual
-from .errors import ConsistencyError, DomainError, PreconditionError
+from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError
 from .numeric import Tolerance, _Frozen, approx_eq, default_tolerance
 from .pseudolattice import Pseudolattice
 
@@ -224,6 +225,10 @@ def commutator_pairing(
     With (alpha, beta) reduced mod |s|, H_v(x1~, x2~)/H_v(x2~, x1~) is one
     exponent (kappa2*((v + x1~) - v) - kappa1*((v + x2~) - v))/omega1 whose
     imaginary part is exactly 0, so it never leaves the float range.
+    (v + x~) - v keeps x~ only to the ulp of v + x~, and kappa multiplies that
+    error: PrecisionError where the phase error bound
+    2*pi*(|kappa1| + |kappa2|)*ulp(|Re v| + max|x~|)/|omega1| passes the
+    tolerance abs_eps + rel_eps that the two probes are compared with.
     """
     if tol is None:
         tol = default_tolerance()
@@ -238,6 +243,14 @@ def commutator_pairing(
     x1val = x1.real_value(a.lattice)
     x2val = x2.real_value(a.lattice)
     w1 = a.lattice.omega1_float
+    # Re(_V_PROBE_2) is the larger of the two probes' real parts.
+    reach = abs(_V_PROBE_2.real) + max(abs(x1val), abs(x2val))
+    bound = 2 * math.pi * (abs(k1) + abs(k2)) * math.ulp(reach) / abs(w1)
+    if bound > tol.abs_eps + tol.rel_eps:
+        raise PrecisionError(
+            f"pairing phase error bound {bound:.3g} passes the tolerance: kappa = {k1}, {k2} "
+            f"is too large for a double to resolve the H_v ratio"
+        )
 
     def pairing_at(v: complex) -> complex:
         return exp_2pi_i((k2 * ((v + x1val) - v) - k1 * ((v + x2val) - v)) / w1, "pairing", v)

@@ -14,6 +14,10 @@ which is checkable both in floats and by exact sign tests on QuadReal.
 The continued fraction runs on integers, theta = (P + sqrt(N))/Q and then
 a = floor((P + isqrt(N))/Q), P' = aQ - P, Q' = (N - P'^2)/Q (Perron), so no
 partial quotient, on which every later convergent depends, meets a float.
+One lazy walk, Pseudolattice._expansion, yields each partial quotient with its
+convergent p_k/q_k in turn; cf_terms, convergents, small_vectors and
+approximate_real all read it, and approximate_real stops reading once it is
+within eps of its target.
 A Pseudolattice keeps theta, and omega1, omega2 over one integer denominator,
 so the double of a lattice value p*omega1 + q*omega2 is one integer
 combination rounded by :func:`qtline.numeric.quad_float`: correctly rounded
@@ -23,11 +27,16 @@ however small the value is against p and q.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .numeric import QuadReal, _Frozen, over_common_denominator, quad_float, surd_floor, surd_form
+from .numeric import QuadReal, _Frozen, over_common_denominator, quad_float, surd_form
+
+# object.__setattr__ looked up once: LatticeVector and Convergent are built per
+# continued-fraction term, and LatticeVector per residual sample.
+_set = object.__setattr__
 
 
 class LatticeVector(_Frozen):
@@ -39,8 +48,8 @@ class LatticeVector(_Frozen):
         # type(...) is int rather than isinstance: bool is an int subclass.
         if type(a) is not int or type(b) is not int:
             raise DomainError("lattice coordinates must be integers")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __add__(self, other: LatticeVector) -> LatticeVector:
         return LatticeVector(self.a + other.a, self.b + other.b)
@@ -60,9 +69,9 @@ class Convergent(_Frozen):
     _fields = ("p", "q", "index")
 
     def __init__(self, p: int, q: int, index: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "index", index)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "index", index)
 
 
 class Pseudolattice(_Frozen):
@@ -105,6 +114,10 @@ class Pseudolattice(_Frozen):
         return float(self.theta_exact)
 
     def real_value(self, l: LatticeVector) -> QuadReal:
+        """a*omega1 + b*omega2 as an exact field element.  The float routes
+        (rounded_value, float_value) never build it; it is kept for exact sign
+        tests on lattice values, such as the certified bound
+        |p_k*omega1 - q_k*omega2| < |omega1|/q_k, and as their reference."""
         return self.omega1 * l.a + self.omega2 * l.b
 
     def rounded_combination(self, a: int, b: int, den: int = 1) -> float:
@@ -121,66 +134,66 @@ class Pseudolattice(_Frozen):
         """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""
         return l.a * self.omega1_float + l.b * self.omega2_float
 
-    def cf_terms(self, n: int) -> list[int]:
-        """First n partial quotients of theta, via the integer recurrence."""
+    def _expansion(self, n: int) -> Iterator[tuple[int, int, int]]:
+        """(a_k, p_k, q_k) for k = 0 .. n-1, computed one at a time as they are read:
+        each partial quotient with its convergent p_k/q_k (p_{-1}/q_{-1} = 1/0)."""
         if n < 1:
             raise PreconditionError("need n >= 1")
         p, big_n, q = surd_form(self.theta_exact)
         r = math.isqrt(big_n)
-        terms = []
+        num, num_prev, den, den_prev = 1, 0, 0, 1
         for _ in range(n):
-            k = surd_floor(p, r, q)
-            terms.append(k)
+            # surd_floor(p, r, q), inlined: this is the per-term hot path.
+            a = (p + r) // q if q > 0 else (p + r + 1) // q
+            num, num_prev = a * num + num_prev, num
+            den, den_prev = a * den + den_prev, den
+            yield a, num, den
             # The tail is (P' + sqrt(N))/Q'; Q' = 0 would make N = P'^2 a square.
-            p = k * q - p
+            p = a * q - p
             q = (big_n - p * p) // q
-        return terms
+
+    def cf_terms(self, n: int) -> list[int]:
+        """First n partial quotients of theta, via the integer recurrence."""
+        return [a for a, _, _ in self._expansion(n)]
 
     def convergents(self, n: int) -> list[Convergent]:
         """First n convergents p_k/q_k of theta (k = 0 .. n-1)."""
-        terms = self.cf_terms(n)
-        out: list[Convergent] = []
-        p_prev, p = 1, terms[0]
-        q_prev, q = 0, 1
-        out.append(Convergent(p, q, 0))
-        for k, a in enumerate(terms[1:], start=1):
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-            out.append(Convergent(p, q, k))
-        return out
+        return [Convergent(p, q, k) for k, (_, p, q) in enumerate(self._expansion(n))]
 
     def small_vectors(self, n: int) -> list[LatticeVector]:
         """Vectors (p_k, -q_k) whose real values p_k*omega1 - q_k*omega2
         shrink strictly to zero while |q_k| grows."""
-        return [LatticeVector(c.p, -c.q) for c in self.convergents(n)]
+        return [LatticeVector(p, -q) for _, p, q in self._expansion(n)]
 
     def approximate_real(self, target: float, eps: float = 1e-3, max_terms: int = 60) -> LatticeVector:
         """A lattice vector whose real value is within eps of target.
 
-        Greedy descent on the small-vector sequence: repeatedly subtract the
-        largest small vector not exceeding the remaining gap.  Density of L
-        guarantees termination for any eps > 0.
+        Greedy descent on the small vectors (p_k, -q_k), k < max_terms:
+        repeatedly subtract the largest one not exceeding the remaining gap.
+        It walks the expansion lazily and stops once the gap is at most eps.
+        Density of L guarantees termination for any eps > 0.
         """
         if eps <= 0:
             raise PreconditionError("need eps > 0")
-        acc = LatticeVector(0, 0)
+        acc_a = acc_b = 0
         remaining = target
-        for vec in self.small_vectors(max_terms):
+        for _, p, q in self._expansion(max_terms):
             if abs(remaining) <= eps:
                 break
-            val = self.rounded_value(vec)
+            val = self.rounded_combination(p, -q)
             if val == 0.0 or abs(val) > abs(remaining):
                 continue
             count = int(remaining / val)
             if count == 0:
                 continue
-            acc = LatticeVector(acc.a + count * vec.a, acc.b + count * vec.b)
+            acc_a += count * p
+            acc_b -= count * q
             remaining -= count * val
         if abs(remaining) > eps:
             raise PreconditionError(
                 f"could not reach {target} within {eps} using {max_terms} convergents"
             )
-        return acc
+        return LatticeVector(acc_a, acc_b)
 
 
 def lattice_sqrt2() -> Pseudolattice:

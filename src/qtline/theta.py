@@ -37,6 +37,7 @@ from .cocycle import (
     exp_2pi_i,
     exponent_residual,
     max_residual,
+    resolvable_exponent,
 )
 from .errors import DomainError, PreconditionError
 from .numeric import Tolerance, _Frozen, default_tolerance
@@ -75,13 +76,14 @@ def theta_residuals(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int
     """
     if samples < 1:
         raise PreconditionError("need samples >= 1")
+    limit = resolvable_exponent()
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
         l, v = draw_sample(rng, 1)
         x = t.log_value(v + a.lattice.float_value(l))
         y = a.exponent(l, v) + t.log_value(v)
-        out.append(exponent_residual(x, y))
+        out.append(exponent_residual(x, y, limit))
     return out
 
 
@@ -150,13 +152,12 @@ def modulus_obstruction_demo(a: Cocycle, terms: int = 6, tol: Tolerance | None =
     vectors: list[LatticeVector] = []
     factors: list[float] = []
     last_q = 0
-    for vec in a.lattice.small_vectors(max(terms * 3, terms + 4)):
-        q = -vec.b
+    for _, p, q in a.lattice._expansion(max(terms * 3, terms + 4)):
         if q <= last_q:
             continue
         if q * growth > _EXP_LIMIT:
             break
-        vectors.append(vec)
+        vectors.append(LatticeVector(p, -q))
         factors.append(math.exp(q * growth))
         last_q = q
         if len(vectors) == terms:

@@ -533,3 +533,31 @@ def test_cli_contract_every_document(fuzz_paths, argv):
     # every subcommand that reads a cocycle, on every fuzz document
     for name in _DOCUMENT:
         check_contract([*argv, "--cocycle", name], fuzz_paths)
+
+
+@pytest.mark.parametrize(
+    "s, g",
+    [(0, (0j, 1e300 + 0j)), (10**11, ())],
+    ids=["g1=1e300", "s=1e11"],
+)
+def test_unresolvable_residual_is_exit_2(capsys, tmp_path, s, g):
+    # both satisfy the identity by construction; verify printed residuals of
+    # 1.99 and 0.05 with exit 0
+    path = write_cocycle(tmp_path, "big.json", Cocycle(s, 1.0, ExponentPoly(g), L1))
+    code, doc = run(capsys, "verify", "--cocycle", path)
+    assert code == 2 and "cannot resolve" in doc["error"]
+
+
+def test_unresolvable_theta_check_is_exit_2(capsys, tmp_path, witness_file):
+    # |alpha * v| passes 1e-9 * 2^52: the phase of theta is rounding noise
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"amplitude": [1.0, 0.0], "alpha": [1e8, 0.0], "unit_exponent": []}))
+    code, doc = run(capsys, "theta-check", "--cocycle", witness_file, "--theta", str(theta_path), "--samples", "50")
+    assert code == 2 and "cannot resolve" in doc["error"]
+
+
+def test_pairing_unresolvable_kappa_is_exit_2(capsys, tmp_path):
+    # printed "agree": false with exit 0: |value - closed| = 1.8e-8
+    path = write_cocycle(tmp_path, "s1e7.json", Cocycle(10**7, 1.0, ExponentPoly.zero(), L1))
+    code, doc = run(capsys, "pairing", "--cocycle", path, "--x1=8514075,6540822", "--x2=9181550,5606644")
+    assert code == 2 and "kappa" in doc["error"]

@@ -12,6 +12,7 @@ from qtline import (
     DomainError,
     ExponentPoly,
     LatticeVector,
+    PrecisionError,
     Pseudolattice,
     QuadReal,
     RangeError,
@@ -23,7 +24,7 @@ from qtline import (
     verify_cocycle_identity,
 )
 from helpers import random_cocycle, random_v, random_vector
-from qtline.cocycle import exp_2pi_i, exponent_residual, max_residual
+from qtline.cocycle import exp_2pi_i, exponent_residual, max_residual, resolvable_exponent
 from qtline import lattice_sqrt2
 
 mp.mp.dps = 40
@@ -263,7 +264,7 @@ class TestNonFinite:
     )
     def test_residual_kernel_rejects_non_finite(self, x, y):
         with pytest.raises(RangeError):
-            exponent_residual(x, y)
+            exponent_residual(x, y, resolvable_exponent())
 
     @pytest.mark.parametrize("exponent", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)])
     def test_exp_rejects_non_finite(self, exponent):
@@ -277,3 +278,36 @@ class TestNonFinite:
         residuals[position] = math.nan
         with pytest.raises(RangeError):
             max_residual(residuals)
+
+
+class TestPrecisionGuard:
+    """Each of these cocycles satisfies the identity by construction, yet its
+    exponents pass abs_eps * 2^52, where a double no longer resolves them mod 1:
+    the sampled residual would be rounding noise (1.99, 0.05, 7.7e-4 and 5.1e-8
+    here, against abs_eps = 1e-9)."""
+
+    @pytest.mark.parametrize(
+        "s, g",
+        [(0, (0j, 1e300 + 0j)), (10**11, ()), (0, (0j, 1e10 + 0j)), (10**5, ())],
+        ids=["g1=1e300", "s=1e11", "g1=1e10", "s=1e5"],
+    )
+    def test_unresolvable_exponents_are_precision_errors(self, l1, s, g):
+        with pytest.raises(PrecisionError, match="cannot resolve"):
+            verify_cocycle_identity(Cocycle(s, 1.0, ExponentPoly(g), l1), samples=1000)
+
+    def test_resolvable_large_s_answers(self, l1):
+        assert verify_cocycle_identity(Cocycle(10**3, 1.0, ExponentPoly.zero(), l1), samples=1000) < 1e-9
+
+    def test_limit_follows_the_tolerance(self, l1, monkeypatch):
+        assert resolvable_exponent() == 1e-9 * 2.0**52
+        a = Cocycle(10**5, 1.0, ExponentPoly.zero(), l1)
+        monkeypatch.setenv("QTLINE_TOLERANCE", "1e-6")
+        assert resolvable_exponent() == 1e-6 * 2.0**52
+        assert verify_cocycle_identity(a, samples=1000) < 1e-6
+
+    def test_kernel_checks_both_exponents(self):
+        limit = resolvable_exponent()
+        assert exponent_residual(limit + 0j, limit + 0j, limit) == 0.0
+        for x, y in [(2 * limit, 0j), (0j, 2j * limit)]:
+            with pytest.raises(PrecisionError):
+                exponent_residual(x, y, limit)

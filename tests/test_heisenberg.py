@@ -14,6 +14,7 @@ from qtline import (
     ExponentPoly,
     HeisenbergElement,
     LambdaPoint,
+    PrecisionError,
     PreconditionError,
     Pseudolattice,
     QuadReal,
@@ -321,6 +322,30 @@ class TestPairing:
                     x1 = LambdaPoint(rng.randint(-scale, scale), rng.randint(-scale, scale), n)
                     x2 = LambdaPoint(rng.randint(-3 * n, 3 * n), rng.randint(-3 * n, 3 * n), n)
                     assert abs(commutator_pairing(a, x1, x2) - closed_form_pairing(a, x1, x2)) <= 1e-9
+
+    def test_unresolvable_kappa_is_precision_error(self, l1):
+        # |value - closed| was 1.8e-8 here, reported as "agree": false
+        a = section(l1, 10**7)
+        x1, x2 = LambdaPoint(8514075, 6540822, 10**7), LambdaPoint(9181550, 5606644, 10**7)
+        with pytest.raises(PrecisionError, match="kappa = 6540822, 5606644"):
+            commutator_pairing(a, x1, x2)
+
+    @pytest.mark.parametrize("s", [10**6, 10**7, -(10**7)])
+    def test_large_s_lifts_agree_or_are_refused(self, l1, l2, s):
+        # at s = 10^7, 166 of 300 such lifts raised a ConsistencyError and
+        # others drifted from the closed form by more than the tolerance
+        rng = random.Random(s)
+        n = abs(s)
+        for lat in (l1, l2):
+            a = section(lat, s)
+            for _ in range(150):
+                x1 = LambdaPoint(rng.randrange(n), rng.randrange(n), n)
+                x2 = LambdaPoint(rng.randrange(n), rng.randrange(n), n)
+                try:
+                    value = commutator_pairing(a, x1, x2)
+                except PrecisionError:
+                    continue
+                assert approx_eq(value, closed_form_pairing(a, x1, x2))
 
     def test_requires_nonzero_chern(self, l1):
         with pytest.raises(PreconditionError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qtline import DomainError, LatticeVector, PreconditionError, Pseudolattice, QuadReal, RangeError
+from qtline.numeric import surd_floor, surd_form
 
 mp.mp.dps = 60
 
@@ -166,25 +167,43 @@ class TestDensity:
     @settings(deadline=None)
     @given(
         nonzero_coefficients, coefficients, coefficients, nonzero_coefficients, radicands,
-        st.floats(min_value=-5.0, max_value=5.0),
+        st.one_of(st.floats(min_value=-5.0, max_value=5.0), st.sampled_from([1e6, -3e12, 1e300])),
+        st.sampled_from([1e-3, 1e-9, 1e-300]),
+        st.sampled_from([1, 2, 5, 60]),
     )
-    def test_approximate_real_matches_exact_values(self, a1, b1, a2, b2, d, target):
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 0.3, 1e-3, 60)  # reached with 8 terms
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 0.3, 1e-3, 5)  # out of terms
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 0.0005, 1e-3, 1)  # reached with no term
+    def test_approximate_real_matches_exact_values(self, a1, b1, a2, b2, d, target, eps, max_terms):
         omega1, omega2 = QuadReal(a1, b1, d), QuadReal(a2, b2, d)
         assume((omega2 / omega1).b != 0)
         lat = Pseudolattice(omega1, omega2)
-        vectors = lat.small_vectors(60)
+        vectors = [LatticeVector(p, -q) for p, q in eager_convergents(lat, max_terms)]
         values = [float(lat.real_value(v)) for v in vectors]
         assert [lat.rounded_value(v) for v in vectors] == values
-        try:
-            got = lat.approximate_real(target, eps=1e-3)
-        except PreconditionError:
-            got = None
-        assert got == greedy_descent(vectors, values, target, 1e-3)
+        assert outcome(lambda: lat.approximate_real(target, eps, max_terms)) == outcome(
+            lambda: greedy_descent(vectors, values, target, eps)
+        )
+
+    @pytest.mark.parametrize("target", [0.0, 0.5])
+    def test_no_terms_is_a_precondition_error(self, l1, target):
+        # raised even where the target needs no term at all
+        with pytest.raises(PreconditionError, match="need n >= 1"):
+            l1.approximate_real(target, max_terms=0)
+
+
+def outcome(call):
+    """The value of call(), or the message of the PreconditionError it raises."""
+    try:
+        return call()
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
 
 
 def greedy_descent(vectors, values, target, eps):
     """The greedy loop of approximate_real on precomputed float(real_value(v)),
-    as it was before it rounded each value on integers.  Test oracle only."""
+    as it was before it rounded each value on integers and before it walked the
+    expansion lazily.  Test oracle only."""
     acc, remaining = LatticeVector(0, 0), target
     for vec, val in zip(vectors, values):
         if abs(remaining) <= eps:
@@ -195,7 +214,31 @@ def greedy_descent(vectors, values, target, eps):
         if count:
             acc = LatticeVector(acc.a + count * vec.a, acc.b + count * vec.b)
             remaining -= count * val
-    return acc if abs(remaining) <= eps else None
+    if abs(remaining) > eps:
+        raise PreconditionError(f"could not reach {target} within {eps} using {len(vectors)} convergents")
+    return acc
+
+
+def eager_convergents(lat, n):
+    """(p_k, q_k) for k < n from the former loops: every partial quotient by the
+    integer recurrence first, then the convergent recurrence over that list.
+    Test oracle only."""
+    p, big_n, q = surd_form(lat.theta_exact)
+    r = math.isqrt(big_n)
+    terms = []
+    for _ in range(n):
+        k = surd_floor(p, r, q)
+        terms.append(k)
+        p = k * q - p
+        q = (big_n - p * p) // q
+    p_prev, p = 1, terms[0]
+    q_prev, q = 0, 1
+    out = [(p, q)]
+    for a in terms[1:]:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        out.append((p, q))
+    return out
 
 
 def float_guess_floor(x):
@@ -242,3 +285,24 @@ class TestIntegerRecurrence:
         assume((omega2 / omega1).b != 0)
         lat = Pseudolattice(omega1, omega2)
         assert lat.cf_terms(n) == reciprocal_cf_terms(lat.theta_exact, n)
+
+    @settings(deadline=None)
+    @given(
+        nonzero_coefficients, coefficients, coefficients, nonzero_coefficients, radicands, st.sampled_from([1, 5, 40])
+    )
+    @example(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 2), 5, 40)  # golden ratio, q0 = q1
+    @example(Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(1, 2), 5, 40)  # 1/golden, q0 = q1
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(-1), 2, 40)  # -sqrt(2)
+    def test_convergents_and_small_vectors_match_eager_loops(self, a1, b1, a2, b2, d, n):
+        omega1, omega2 = QuadReal(a1, b1, d), QuadReal(a2, b2, d)
+        assume((omega2 / omega1).b != 0)
+        lat = Pseudolattice(omega1, omega2)
+        want = eager_convergents(lat, n)
+        assert [(c.p, c.q, c.index) for c in lat.convergents(n)] == [(p, q, k) for k, (p, q) in enumerate(want)]
+        assert lat.small_vectors(n) == [LatticeVector(p, -q) for p, q in want]
+
+    @pytest.mark.parametrize("method", ["cf_terms", "convergents", "small_vectors"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_every_reader_needs_positive_n(self, l2, method, n):
+        with pytest.raises(PreconditionError, match="need n >= 1"):
+            getattr(l2, method)(n)
