@@ -62,10 +62,10 @@ def exp_2pi_i(exponent: complex, kind: str, v: complex, l: LatticeVector | None 
 
 
 def resolvable_exponent() -> float:
-    """abs_eps * 2^52 for the default tolerance: past this magnitude an
-    exponent's ulp exceeds abs_eps, so a double no longer resolves it mod 1 to
-    the tolerance."""
-    return default_tolerance().abs_eps * 2.0**52
+    """abs_eps * 2^52 / (2*pi) for the default tolerance: past this magnitude
+    2*pi times an exponent's ulp, the residual's rounding error, exceeds abs_eps,
+    so a double no longer resolves the exponent mod 1 to the tolerance."""
+    return default_tolerance().abs_eps * 2.0**52 / (2.0 * math.pi)
 
 
 def exponent_residual(x: complex, y: complex, limit: float) -> float:

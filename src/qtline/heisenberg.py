@@ -143,6 +143,20 @@ def _phase(a: Cocycle, kappa: int, x: complex) -> complex:
     return exp_2pi_i(kappa * x / a.lattice.omega1_float, "multiplier", x)
 
 
+def _require_resolvable_phase(
+    a: Cocycle, kappas: tuple[int, ...], reach: float, tol: Tolerance, kind: str, target: str
+) -> None:
+    """PrecisionError where the error bound 2*pi*sum|kappa|*ulp(reach)/|omega1| of the
+    phases e^{(2*pi*i/omega1)*kappa*x}, |x| <= reach, passes abs_eps + rel_eps:
+    x is kept only to its ulp, and kappa multiplies that error."""
+    bound = 2 * math.pi * sum(map(abs, kappas)) * math.ulp(reach) / abs(a.lattice.omega1_float)
+    if bound > tol.abs_eps + tol.rel_eps:
+        raise PrecisionError(
+            f"{kind} phase error bound {bound:.3g} passes the tolerance: "
+            f"kappa = {', '.join(map(str, kappas))} is too large for a double to resolve {target}"
+        )
+
+
 def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex:
     """Value of the full multiplier h at v (scalar times the unit part)."""
     return elem.scalar * _phase(a, _kappa(a, elem.point), v)
@@ -183,6 +197,7 @@ def heisenberg_multiply(g1: HeisenbergElement, g2: HeisenbergElement, a: Cocycle
     point = g1.point + g2.point
     kappa2 = _kappa(a, g2.point)
     x1val = g1.point.real_value(a.lattice)
+    _require_resolvable_phase(a, (kappa2,), abs(x1val), default_tolerance(), "multiplier", "h2(x1~)")
     carried = 1.0 + 0j if kappa2 == 0 else _phase(a, kappa2, x1val)
     return HeisenbergElement(point=point, scalar=g1.scalar * g2.scalar * carried)
 
@@ -195,8 +210,10 @@ def heisenberg_inverse(g: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
     """Inverse (-x, h(v - x~)^{-1}) in the normalized representation."""
     _require_normal_form(a)
     _check_point(a, g.point)
+    kappa = _kappa(a, g.point)
     xval = g.point.real_value(a.lattice)
-    return HeisenbergElement(point=-g.point, scalar=_phase(a, _kappa(a, g.point), xval) / g.scalar)
+    _require_resolvable_phase(a, (kappa,), abs(xval), default_tolerance(), "multiplier", "h(x~)")
+    return HeisenbergElement(point=-g.point, scalar=_phase(a, kappa, xval) / g.scalar)
 
 
 def closed_form_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
@@ -245,12 +262,7 @@ def commutator_pairing(
     w1 = a.lattice.omega1_float
     # Re(_V_PROBE_2) is the larger of the two probes' real parts.
     reach = abs(_V_PROBE_2.real) + max(abs(x1val), abs(x2val))
-    bound = 2 * math.pi * (abs(k1) + abs(k2)) * math.ulp(reach) / abs(w1)
-    if bound > tol.abs_eps + tol.rel_eps:
-        raise PrecisionError(
-            f"pairing phase error bound {bound:.3g} passes the tolerance: kappa = {k1}, {k2} "
-            f"is too large for a double to resolve the H_v ratio"
-        )
+    _require_resolvable_phase(a, (k1, k2), reach, tol, "pairing", "the H_v ratio")
 
     def pairing_at(v: complex) -> complex:
         return exp_2pi_i((k2 * ((v + x1val) - v) - k1 * ((v + x2val) - v)) / w1, "pairing", v)

@@ -132,7 +132,9 @@ class QuadReal(_Frozen):
     ``d`` must be square-free (which makes the representation unique, so
     equality is componentwise) and in [2, MAX_RADICAND].  Arithmetic with a
     plain ``int``/``Fraction`` is allowed; arithmetic between two QuadReals
-    requires equal ``d``.
+    requires equal ``d``.  No hot path does QuadReal arithmetic: it is the exact
+    value type of the API, for inputs, ``Pseudolattice.theta_exact`` (division)
+    and exact sign tests on ``Pseudolattice.real_value`` (``sign``, ``abs``).
     """
 
     _fields = ("a", "b", "d")
@@ -194,9 +196,6 @@ class QuadReal(_Frozen):
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> QuadReal:
-        return QuadReal(self.a, -self.b, self.d)
-
     @property
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (the product with the conjugate)."""
@@ -241,10 +240,6 @@ class QuadReal(_Frozen):
     def __bool__(self) -> bool:
         return not (self.a == 0 and self.b == 0)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __abs__(self) -> QuadReal:
         return -self if self.sign() < 0 else self
 
@@ -264,18 +259,25 @@ class QuadReal(_Frozen):
 
 def over_common_denominator(*xs: Fraction) -> tuple[list[int], int]:
     """Integers [n_1, ..., n_k] and den > 0 with x_i = n_i/den, den the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
+
+
+def perron_form(a: int, b: int, d: int, den: int) -> tuple[int, int, int]:
+    """Integers (P, N, Q) with (a + b*sqrt(d))/den = (P + sqrt(N))/Q and Q | N - P^2,
+    for integers b != 0 and den > 0: the start of Perron's continued-fraction recurrence."""
+    sgn = 1 if b > 0 else -1
+    p, n, q = sgn * a, b * b * d, sgn * den
+    if (n - p * p) % q:
+        p, n, q = p * den, n * den * den, q * den
+    return p, n, q
 
 
 def surd_form(x: QuadReal) -> tuple[int, int, int]:
     """Integers (P, N, Q) with x = (P + sqrt(N))/Q and Q | N - P^2, for irrational x."""
     (a, b), den = over_common_denominator(x.a, x.b)
-    sgn = 1 if b > 0 else -1
-    p, n, q = sgn * a, b * b * x.d, sgn * den
-    if (n - p * p) % q:
-        p, n, q = p * den, n * den * den, q * den
-    return p, n, q
+    return perron_form(a, b, x.d, den)
 
 
 def surd_floor(p: int, r: int, q: int) -> int:
@@ -284,7 +286,7 @@ def surd_floor(p: int, r: int, q: int) -> int:
 
 
 def quad_float(a: int, b: int, d: int, den: int) -> float:
-    """The double nearest (a + b*sqrt(d))/den, for integers and den > 0.
+    """The double nearest (a + b*sqrt(d))/den, for integers and den != 0.
 
     RangeError when it lies beyond the double range."""
     try:

@@ -18,10 +18,13 @@ One lazy walk, Pseudolattice._expansion, yields each partial quotient with its
 convergent p_k/q_k in turn; cf_terms, convergents, small_vectors and
 approximate_real all read it, and approximate_real stops reading once it is
 within eps of its target.
-A Pseudolattice keeps theta, and omega1, omega2 over one integer denominator,
-so the double of a lattice value p*omega1 + q*omega2 is one integer
-combination rounded by :func:`qtline.numeric.quad_float`: correctly rounded
-however small the value is against p and q.
+A Pseudolattice is built on integers: it keeps omega1, omega2 over one integer
+denominator and theta as its Perron triple (P, N, Q), formed once from those
+integers with no QuadReal division.  The walk starts from that triple, the
+double theta rounds it once, and the exact theta_exact is built on demand.
+The double of a lattice value p*omega1 + q*omega2 is one integer combination
+rounded by :func:`qtline.numeric.quad_float`: correctly rounded however small
+the value is against p and q.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .numeric import QuadReal, _Frozen, over_common_denominator, quad_float, surd_form
+from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float
 
 # object.__setattr__ looked up once: LatticeVector and Convergent are built per
-# continued-fraction term, and LatticeVector per residual sample.
+# continued-fraction term, LatticeVector per residual sample, and a
+# Pseudolattice per request.
 _set = object.__setattr__
 
 
@@ -79,30 +83,37 @@ class Pseudolattice(_Frozen):
 
     Construction verifies, exactly, that omega1 != 0 and that theta =
     omega2/omega1 is irrational (so L is dense in R rather than discrete).
-    It keeps theta_exact, the slope theta = omega2/omega1 as an exact field
-    element, the coefficients of omega1, omega2 over one denominator, and
-    omega1, omega2 as doubles; only omega1 and omega2 take part in equality,
+    It keeps the coefficients of omega1, omega2 over one denominator, theta
+    as the integer Perron triple (P + sqrt(N))/Q, and omega1, omega2 as
+    doubles; theta (the double) and theta_exact (the field element) are
+    cached on first use.  Only omega1 and omega2 take part in equality,
     hashing and repr.
     """
 
     _fields = ("omega1", "omega2")
 
     def __init__(self, omega1: QuadReal, omega2: QuadReal) -> None:
-        if omega1.d != omega2.d:
+        d = omega1.d
+        if d != omega2.d:
             raise DomainError("omega1 and omega2 must live in the same quadratic field")
         if not omega1:
             raise DomainError("omega1 must be nonzero")
-        theta = omega2 / omega1
-        if theta.is_rational:
+        (a1, b1, a2, b2), den = over_common_denominator(omega1.a, omega1.b, omega2.a, omega2.b)
+        # theta = (a2 + b2*sqrt(d))(a1 - b1*sqrt(d)) / (a1^2 - d*b1^2) = (a + b*sqrt(d))/q.
+        b = a1 * b2 - a2 * b1
+        if not b:
             raise DomainError("omega2/omega1 is rational; the subgroup is not dense in R")
-        scaled, den = over_common_denominator(omega1.a, omega1.b, omega2.a, omega2.b)
-        object.__setattr__(self, "omega1", omega1)
-        object.__setattr__(self, "omega2", omega2)
-        object.__setattr__(self, "theta_exact", theta)
+        a, q = a1 * a2 - d * b1 * b2, a1 * a1 - d * b1 * b1
+        # q != 0 as omega1 != 0 and sqrt(d) is irrational.  Dividing by +-gcd leaves
+        # q > 0 and a, b, q in lowest terms, so _perron is surd_form(theta_exact).
+        g = math.gcd(a, b, q) if q > 0 else -math.gcd(a, b, q)
+        _set(self, "omega1", omega1)
+        _set(self, "omega2", omega2)
+        _set(self, "_perron", perron_form(a // g, b // g, d, q // g))
         # (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
-        object.__setattr__(self, "_scaled", (*scaled, den))
-        object.__setattr__(self, "omega1_float", self.rounded_value(LatticeVector(1, 0)))
-        object.__setattr__(self, "omega2_float", self.rounded_value(LatticeVector(0, 1)))
+        _set(self, "_scaled", (a1, b1, a2, b2, den))
+        _set(self, "omega1_float", quad_float(a1, b1, d, den))
+        _set(self, "omega2_float", quad_float(a2, b2, d, den))
 
     @property
     def d(self) -> int:
@@ -110,8 +121,14 @@ class Pseudolattice(_Frozen):
 
     @cached_property
     def theta(self) -> float:
-        """theta_exact as the nearest double, computed on first use."""
-        return float(self.theta_exact)
+        """theta as the nearest double, rounded once from its Perron form on first use."""
+        p, n, q = self._perron
+        return quad_float(p, 1, n, q)
+
+    @cached_property
+    def theta_exact(self) -> QuadReal:
+        """theta = omega2/omega1 as an exact field element, built on first use."""
+        return self.omega2 / self.omega1
 
     def real_value(self, l: LatticeVector) -> QuadReal:
         """a*omega1 + b*omega2 as an exact field element.  The float routes
@@ -139,7 +156,7 @@ class Pseudolattice(_Frozen):
         each partial quotient with its convergent p_k/q_k (p_{-1}/q_{-1} = 1/0)."""
         if n < 1:
             raise PreconditionError("need n >= 1")
-        p, big_n, q = surd_form(self.theta_exact)
+        p, big_n, q = self._perron
         r = math.isqrt(big_n)
         num, num_prev, den, den_prev = 1, 0, 0, 1
         for _ in range(n):

@@ -548,8 +548,18 @@ def test_unresolvable_residual_is_exit_2(capsys, tmp_path, s, g):
     assert code == 2 and "cannot resolve" in doc["error"]
 
 
+def test_verify_large_s_answers_within_tolerance_or_exits_2(capsys, tmp_path):
+    # s = 10^4 over Z + Z*sqrt(2) printed "max_residual": 3.24e-09 with exit 0:
+    # the guard sat at the exponent's ulp, not at the residual's error
+    for lat in (L1, lattice_golden()):
+        for s in range(1000, 10001, 250):
+            path = write_cocycle(tmp_path, "s.json", Cocycle(s, 1.0, ExponentPoly.zero(), lat))
+            code, doc = run(capsys, "verify", "--cocycle", path, "--samples", "1000", "--seed", "0")
+            assert (code == 2 and "cannot resolve" in doc["error"]) or (code == 0 and doc["max_residual"] <= 1e-9)
+
+
 def test_unresolvable_theta_check_is_exit_2(capsys, tmp_path, witness_file):
-    # |alpha * v| passes 1e-9 * 2^52: the phase of theta is rounding noise
+    # |alpha * v| passes 1e-9 * 2^52 / (2*pi): the phase of theta is rounding noise
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(json.dumps({"amplitude": [1.0, 0.0], "alpha": [1e8, 0.0], "unit_exponent": []}))
     code, doc = run(capsys, "theta-check", "--cocycle", witness_file, "--theta", str(theta_path), "--samples", "50")

@@ -282,7 +282,7 @@ class TestNonFinite:
 
 class TestPrecisionGuard:
     """Each of these cocycles satisfies the identity by construction, yet its
-    exponents pass abs_eps * 2^52, where a double no longer resolves them mod 1:
+    exponents pass abs_eps * 2^52 / (2*pi), where a double no longer resolves them mod 1:
     the sampled residual would be rounding noise (1.99, 0.05, 7.7e-4 and 5.1e-8
     here, against abs_eps = 1e-9)."""
 
@@ -299,10 +299,10 @@ class TestPrecisionGuard:
         assert verify_cocycle_identity(Cocycle(10**3, 1.0, ExponentPoly.zero(), l1), samples=1000) < 1e-9
 
     def test_limit_follows_the_tolerance(self, l1, monkeypatch):
-        assert resolvable_exponent() == 1e-9 * 2.0**52
+        assert resolvable_exponent() == 1e-9 * 2.0**52 / (2 * math.pi)
         a = Cocycle(10**5, 1.0, ExponentPoly.zero(), l1)
         monkeypatch.setenv("QTLINE_TOLERANCE", "1e-6")
-        assert resolvable_exponent() == 1e-6 * 2.0**52
+        assert resolvable_exponent() == 1e-6 * 2.0**52 / (2 * math.pi)
         assert verify_cocycle_identity(a, samples=1000) < 1e-6
 
     def test_kernel_checks_both_exponents(self):

@@ -214,6 +214,36 @@ class TestGroupLaw:
                 assert comm.point == LambdaPoint(0, 0, abs(s))
                 assert approx_eq(comm.scalar, commutator_pairing(a, x1, x2))
 
+    def test_large_s_commutator_agrees_or_is_refused(self, l1, l2):
+        # the group-law commutator drifted up to 7.3e-8 from the closed form at
+        # s = 10^7 over Z + Z*sqrt(2), with no error raised
+        s = 10**7
+        rng = random.Random(s)
+        for lat in (l1, l2):
+            a = section(lat, s)
+            for _ in range(100):
+                x1 = LambdaPoint(rng.randrange(s), rng.randrange(s), s)
+                x2 = LambdaPoint(rng.randrange(s), rng.randrange(s), s)
+                g1, g2 = membership_multiplier(a, x1), membership_multiplier(a, x2)
+                try:
+                    comm = heisenberg_multiply(
+                        heisenberg_multiply(heisenberg_multiply(g1, g2, a), heisenberg_inverse(g1, a), a),
+                        heisenberg_inverse(g2, a),
+                        a,
+                    )
+                except PrecisionError as exc:
+                    assert "kappa" in str(exc)
+                    continue
+                assert abs(comm.scalar - closed_form_pairing(a, x1, x2)) <= 2e-9
+
+    def test_unresolvable_group_law_phase_is_precision_error(self, l1):
+        a = section(l1, 10**7)
+        g = membership_multiplier(a, LambdaPoint(8514075, 6540822, 10**7))
+        with pytest.raises(PrecisionError, match="kappa = 6540822 "):
+            heisenberg_inverse(g, a)
+        with pytest.raises(PrecisionError, match="kappa = 6540822 "):
+            heisenberg_multiply(g, g, a)
+
 
 def _central(a, scalar, lattice_shift=(0, 0)):
     from qtline import HeisenbergElement

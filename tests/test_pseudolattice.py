@@ -5,7 +5,16 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qtline import DomainError, LatticeVector, PreconditionError, Pseudolattice, QuadReal, RangeError
+from qtline import (
+    DomainError,
+    LatticeVector,
+    PreconditionError,
+    Pseudolattice,
+    QuadReal,
+    RangeError,
+    lattice_golden,
+    lattice_sqrt2,
+)
 from qtline.numeric import surd_floor, surd_form
 
 mp.mp.dps = 60
@@ -306,3 +315,83 @@ class TestIntegerRecurrence:
     def test_every_reader_needs_positive_n(self, l2, method, n):
         with pytest.raises(PreconditionError, match="need n >= 1"):
             getattr(l2, method)(n)
+
+
+def is_square_free(n):
+    return all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+
+
+def quadreal_route(omega1, omega2, n):
+    """The former constructor: theta = omega2/omega1 divided in Q(sqrt(D)), then
+    (theta, omega1_float, omega2_float, cf_terms(n)) through surd_form and float(),
+    or the message of the DomainError it raised first.  Test oracle only."""
+    if omega1.d != omega2.d:
+        return "omega1 and omega2 must live in the same quadratic field"
+    if not omega1:
+        return "omega1 must be nonzero"
+    theta = omega2 / omega1
+    if theta.b == 0:
+        return "omega2/omega1 is rational; the subgroup is not dense in R"
+    p, big_n, q = surd_form(theta)
+    terms = []
+    for _ in range(n):
+        k = surd_floor(p, math.isqrt(big_n), q)
+        terms.append(k)
+        p = k * q - p
+        q = (big_n - p * p) // q
+    return float(theta), float(omega1), float(omega2), terms
+
+
+def integer_route(omega1, omega2, n):
+    try:
+        lat = Pseudolattice(omega1, omega2)
+    except DomainError as exc:
+        return str(exc)
+    assert lat.theta_exact == omega2 / omega1
+    return lat.theta, lat.omega1_float, lat.omega2_float, lat.cf_terms(n)
+
+
+class TestIntegerConstruction:
+    """Pseudolattice builds theta's Perron form from the omegas' integer
+    coefficients; the former QuadReal division is the oracle."""
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(
+        coefficients,
+        st.one_of(st.just(Fraction(0)), coefficients),
+        coefficients,
+        coefficients,
+        st.one_of(radicands, st.integers(2, 10**9).filter(is_square_free)),
+        st.booleans(),
+        st.sampled_from([None, "zero", "rational", "other field", "zero, other field", "rational, other field"]),
+        nonzero_coefficients,
+    )
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, False, None, Fraction(1))  # Z + Z*sqrt(2)
+    @example(Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(1, 3), 7, False, None, Fraction(1))
+    @example(Fraction(-3, 7), Fraction(2, 5), Fraction(1, 9), Fraction(-4, 3), 999999937, False, None, Fraction(1))
+    def test_matches_quadreal_route(self, a1, b1, a2, b2, d, negate, broken, r):
+        omega1 = QuadReal(a1, b1, d)
+        omega2 = QuadReal(a2, -b2 if negate else b2, d)
+        if broken and "zero" in broken:
+            omega1 = QuadReal(0, 0, d)
+        if broken and "rational" in broken:
+            omega2 = omega1 * r
+        if broken and "other field" in broken:
+            omega2 = QuadReal(omega2.a, omega2.b, 3 if d == 2 else 2)
+        # == on these doubles is bit for bit: none is NaN or zero
+        assert integer_route(omega1, omega2, 40) == quadreal_route(omega1, omega2, 40)
+
+
+def test_construction_and_walk_use_no_quadreal_arithmetic(monkeypatch):
+    """Construction, the walk, approximate_real and theta stay on integers."""
+    lattices = (lattice_sqrt2(), lattice_golden())
+    want = [(lat.convergents(100), lat.approximate_real(2.345, 1e-9), lat.theta) for lat in lattices]
+
+    def refuse(*args):
+        raise AssertionError("QuadReal arithmetic on the Pseudolattice hot path")
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "reciprocal",
+                 "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__float__", "__floor__"):
+        monkeypatch.setattr(QuadReal, name, refuse)
+    fresh = (lattice_sqrt2(), lattice_golden())
+    assert [(lat.convergents(100), lat.approximate_real(2.345, 1e-9), lat.theta) for lat in fresh] == want
