@@ -6,8 +6,8 @@ presented by nonvanishing-holomorphic cocycles A_l(v); this package stores a
 finite normal form (s, c, g) for them and computes:
 
 * the Chern class (an integer s), by two independent routes;
-* the reduction of Chern-trivial classes to constant cocycles and the
-  resulting Picard invariant in C^x, with bounded triviality certificates;
+* the Picard invariant in C^x of a Chern-trivial class (the constant cocycle
+  it reduces to, in closed form), with bounded triviality certificates;
 * the Appell-Humbert style classifying pair (semicharacter, alternating form);
 * the translation-stabilizer group K, the Heisenberg central extension and
   its commutator pairing with closed form e^{2*pi*i*(ad-bc)/s};
@@ -56,13 +56,10 @@ from .heisenberg import (
 from .numeric import QuadReal, Tolerance, approx_eq, default_tolerance
 from .picard import (
     AHData,
-    Character,
     TrivialityVerdict,
     ah_group_law,
     ah_normal_form,
-    character_cocycle,
     pic0_invariant,
-    reduce_to_constant,
     triviality_test,
 )
 from .pseudolattice import (
@@ -87,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AHData",
     "AltForm",
-    "Character",
     "Cocycle",
     "ConsistencyError",
     "Convergent",
@@ -114,7 +110,6 @@ __all__ = [
     "ah_normal_form",
     "alt_eval",
     "approx_eq",
-    "character_cocycle",
     "chern_numeric",
     "chern_symbolic",
     "closed_form_pairing",
@@ -136,7 +131,6 @@ __all__ = [
     "multiplier_residual",
     "multiplier_value",
     "pic0_invariant",
-    "reduce_to_constant",
     "sigma_section",
     "solve_theta",
     "theta_residual",

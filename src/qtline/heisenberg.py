@@ -18,8 +18,9 @@ normalized so h(0) = 1; the leftover constant is the C^x component of a
 
     (x1, h1) . (x2, h2) = (x1 + x2, h2(v + x1~) * h1(v)),
 
-a central extension of K by C^x.  Its commutator descends to the alternating
-pairing
+a central extension of K by C^x; its carried phase h2(x1~) =
+e^{2*pi*i*kappa2*(alpha1 + beta1*theta)/s} is reduced mod 1 on integers, exact
+at any s.  Its commutator descends to the alternating pairing
 
     e(x1, x2) = H_v(x1~, x2~) / H_v(x2~, x1~),   H_v(x~, y~) = h_y(v + x~)/h_y(v),
 
@@ -138,28 +139,15 @@ def _kappa(a: Cocycle, x: LambdaPoint) -> int:
     return x.beta if a.s > 0 else -x.beta
 
 
-def _phase(a: Cocycle, kappa: int, x: complex) -> complex:
-    """Unit part e^{(2*pi*i/omega1)*kappa*x} of a multiplier, through exp_2pi_i's guard."""
-    return exp_2pi_i(kappa * x / a.lattice.omega1_float, "multiplier", x)
-
-
-def _require_resolvable_phase(
-    a: Cocycle, kappas: tuple[int, ...], reach: float, tol: Tolerance, kind: str, target: str
-) -> None:
-    """PrecisionError where the error bound 2*pi*sum|kappa|*ulp(reach)/|omega1| of the
-    phases e^{(2*pi*i/omega1)*kappa*x}, |x| <= reach, passes abs_eps + rel_eps:
-    x is kept only to its ulp, and kappa multiplies that error."""
-    bound = 2 * math.pi * sum(map(abs, kappas)) * math.ulp(reach) / abs(a.lattice.omega1_float)
-    if bound > tol.abs_eps + tol.rel_eps:
-        raise PrecisionError(
-            f"{kind} phase error bound {bound:.3g} passes the tolerance: "
-            f"kappa = {', '.join(map(str, kappas))} is too large for a double to resolve {target}"
-        )
+def _carried_phase(a: Cocycle, kappa: int, x: LambdaPoint) -> complex:
+    """e^{(2*pi*i/omega1)*kappa*x~} = e^{2*pi*i*kappa*(alpha + beta*theta)/s}, its
+    phase reduced mod 1 on integers, so it is exact to rounding at every kappa."""
+    return cmath.exp(_TWO_PI_I * a.lattice.frac_combination(kappa * x.alpha, kappa * x.beta, x.s))
 
 
 def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex:
-    """Value of the full multiplier h at v (scalar times the unit part)."""
-    return elem.scalar * _phase(a, _kappa(a, elem.point), v)
+    """Value of the full multiplier h at v: scalar times e^{(2*pi*i/omega1)*kappa*v}."""
+    return elem.scalar * exp_2pi_i(_kappa(a, elem.point) * v / a.lattice.omega1_float, "multiplier", v)
 
 
 def membership_multiplier(a: Cocycle, x: LambdaPoint) -> HeisenbergElement:
@@ -194,12 +182,8 @@ def heisenberg_multiply(g1: HeisenbergElement, g2: HeisenbergElement, a: Cocycle
     _require_normal_form(a)
     _check_point(a, g1.point)
     _check_point(a, g2.point)
-    point = g1.point + g2.point
-    kappa2 = _kappa(a, g2.point)
-    x1val = g1.point.real_value(a.lattice)
-    _require_resolvable_phase(a, (kappa2,), abs(x1val), default_tolerance(), "multiplier", "h2(x1~)")
-    carried = 1.0 + 0j if kappa2 == 0 else _phase(a, kappa2, x1val)
-    return HeisenbergElement(point=point, scalar=g1.scalar * g2.scalar * carried)
+    carried = _carried_phase(a, _kappa(a, g2.point), g1.point)
+    return HeisenbergElement(point=g1.point + g2.point, scalar=g1.scalar * g2.scalar * carried)
 
 
 def heisenberg_identity(a: Cocycle) -> HeisenbergElement:
@@ -210,10 +194,7 @@ def heisenberg_inverse(g: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
     """Inverse (-x, h(v - x~)^{-1}) in the normalized representation."""
     _require_normal_form(a)
     _check_point(a, g.point)
-    kappa = _kappa(a, g.point)
-    xval = g.point.real_value(a.lattice)
-    _require_resolvable_phase(a, (kappa,), abs(xval), default_tolerance(), "multiplier", "h(x~)")
-    return HeisenbergElement(point=-g.point, scalar=_phase(a, kappa, xval) / g.scalar)
+    return HeisenbergElement(point=-g.point, scalar=_carried_phase(a, _kappa(a, g.point), g.point) / g.scalar)
 
 
 def closed_form_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
@@ -245,7 +226,9 @@ def commutator_pairing(
     (v + x~) - v keeps x~ only to the ulp of v + x~, and kappa multiplies that
     error: PrecisionError where the phase error bound
     2*pi*(|kappa1| + |kappa2|)*ulp(|Re v| + max|x~|)/|omega1| passes the
-    tolerance abs_eps + rel_eps that the two probes are compared with.
+    tolerance abs_eps + rel_eps that the two probes are compared with.  It is
+    the module's one float phase guard, kept on purpose: reduced exactly, the
+    H_v ratio would be the closed form itself, and the two routes check each other.
     """
     if tol is None:
         tol = default_tolerance()
@@ -262,7 +245,12 @@ def commutator_pairing(
     w1 = a.lattice.omega1_float
     # Re(_V_PROBE_2) is the larger of the two probes' real parts.
     reach = abs(_V_PROBE_2.real) + max(abs(x1val), abs(x2val))
-    _require_resolvable_phase(a, (k1, k2), reach, tol, "pairing", "the H_v ratio")
+    bound = 2 * math.pi * (abs(k1) + abs(k2)) * math.ulp(reach) / abs(w1)
+    if bound > tol.abs_eps + tol.rel_eps:
+        raise PrecisionError(
+            f"pairing phase error bound {bound:.3g} passes the tolerance: "
+            f"kappa = {k1}, {k2} is too large for a double to resolve the H_v ratio"
+        )
 
     def pairing_at(v: complex) -> complex:
         return exp_2pi_i((k2 * ((v + x1val) - v) - k1 * ((v + x2val) - v)) / w1, "pairing", v)

@@ -5,7 +5,6 @@ Every cocycle in the normal-form family with s = 0 is cohomologous to a
 *constant* cocycle, i.e. to a homomorphism L -> C^x: dividing out the
 coboundary of e^{2*pi*i*g_{>=2}(v)} strips the nonlinear exponent part, while
 the linear part g_1*v survives as the character l -> e^{2*pi*i*g_1*l}.
-``reduce_to_constant`` returns that character on the basis.
 
 A character phi is a coboundary exactly when phi(l) = k^l for one complex k.
 After normalizing phi(omega1) to 1 (multiply by k^l for k = phi(omega1)^{-1},
@@ -16,10 +15,11 @@ factors cancel in closed form: with m0 the principal fold of Re(g_1)*omega1
 
     phihat(omega2) = c * e^{2*pi*i*m0*theta},
 
-so Im(g_1) never reaches an exponential.  The normalized character is a
-coboundary iff phihat(omega2) = e^{2*pi*i*m*theta} for some integer m;
-``triviality_test`` searches |m| <= bound and returns a three-valued verdict,
-since unit-circle membership in the dense subgroup {e^{2*pi*i*m*theta}} cannot
+so Im(g_1) never reaches an exponential, and m0*theta is reduced mod 1 on
+integers, exact at every m0.  The normalized character is a coboundary iff
+phihat(omega2) = e^{2*pi*i*m*theta} for some integer m; ``triviality_test``
+searches |m| <= bound (in floats) and returns a three-valued verdict, since
+unit-circle membership in the dense subgroup {e^{2*pi*i*m*theta}} cannot
 be decided numerically without a bound.
 
 Branch caveat, by design: a different branch of log phi(omega1) shifts the
@@ -45,28 +45,12 @@ import cmath
 import math
 
 from .chern import AltForm, chern_symbolic
-from .cocycle import _TWO_PI_I, Cocycle, ExponentPoly
+from .cocycle import _TWO_PI_I, Cocycle
 from .errors import DomainError, PreconditionError, RangeError
 from .numeric import Tolerance, _Frozen, default_tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 DEFAULT_WITNESS_BOUND = 10_000
-
-
-class Character(_Frozen):
-    """Homomorphism L -> C^x, stored by its values on the basis."""
-
-    _fields = ("phi_omega1", "phi_omega2", "lattice")
-
-    def __init__(self, phi_omega1: complex, phi_omega2: complex, lattice: Pseudolattice) -> None:
-        if phi_omega1 == 0 or phi_omega2 == 0:
-            raise DomainError("character values must be nonzero")
-        object.__setattr__(self, "phi_omega1", phi_omega1)
-        object.__setattr__(self, "phi_omega2", phi_omega2)
-        object.__setattr__(self, "lattice", lattice)
-
-    def __call__(self, l: LatticeVector) -> complex:
-        return self.phi_omega1**l.a * self.phi_omega2**l.b
 
 
 class TrivialityVerdict(_Frozen):
@@ -117,51 +101,20 @@ REASON_NONZERO_CHERN = "nonzero Chern class"
 REASON_MODULUS = "character modulus off the unit circle"
 
 
-def reduce_to_constant(a: Cocycle) -> Character:
-    """Constant cocycle cohomologous to a (requires Chern class zero).
-
-    The nonlinear part of g is stripped as a coboundary; the linear
-    coefficient g_1 folds into the character values on the basis:
-    phi(omega1) = e^{2*pi*i*g_1*omega1}, phi(omega2) = c * e^{2*pi*i*g_1*omega2}.
-    """
-    if chern_symbolic(a).s != 0:
-        raise PreconditionError("reduce_to_constant needs a cocycle with zero Chern class")
-    lat = a.lattice
-    g1 = a.g.linear_coefficient
-    phi1 = cmath.exp(_TWO_PI_I * g1 * lat.omega1_float)
-    phi2 = a.c * cmath.exp(_TWO_PI_I * g1 * lat.omega2_float)
-    return Character(phi1, phi2, lat)
-
-
-def character_cocycle(phi: Character) -> Cocycle:
-    """Lift a character back to a normal-form cocycle with the same values.
-
-    phi(omega1)^a enters through the linear exponent coefficient
-    log(phi(omega1)) / (2*pi*i*omega1); the residue goes into the c slot so
-    that evaluation reproduces phi(omega1)^a * phi(omega2)^b exactly.
-    """
-    lat = phi.lattice
-    log1 = cmath.log(phi.phi_omega1)
-    if log1 == 0:
-        return Cocycle(0, phi.phi_omega2, ExponentPoly.zero(), lat)
-    slope = log1 / (_TWO_PI_I * lat.omega1_float)
-    c = phi.phi_omega2 * cmath.exp(-lat.theta * log1)
-    return Cocycle(0, c, ExponentPoly.linear(slope), lat)
-
-
 def principal_fold(a: Cocycle) -> int:
     """m0 = ceil(Re(g_1)*omega1 - 1/2), the integer with Re(g_1)*omega1 - m0 in
-    (-1/2, 1/2]; RangeError when the exponent 2*pi*m0*theta leaves the double range."""
+    (-1/2, 1/2], of any size; RangeError where the double Re(g_1)*omega1 itself
+    overflows, which math.ceil cannot take."""
     x = a.g.linear_coefficient.real * a.lattice.omega1_float
-    # Where this can overflow, |x| >= 2^53 and m0 == x: it tests the Pic^0 exponent itself.
-    if not math.isfinite(2 * math.pi * (x * a.lattice.theta)):
+    if not math.isfinite(x):
         raise RangeError(f"Pic^0 phase of Re(g1)*omega1 = {x:.6g} is beyond the double range")
     return math.ceil(x - 0.5)
 
 
 def _pic0_value(a: Cocycle) -> complex:
-    """c * e^{2*pi*i*m0*theta}: the Pic^0 invariant of a's (c, g) part; s does not enter."""
-    return a.c * cmath.exp(_TWO_PI_I * (principal_fold(a) * a.lattice.theta))
+    """c * e^{2*pi*i*frac(m0*theta)}: the Pic^0 invariant of a's (c, g) part; s does not enter."""
+    m0 = principal_fold(a)
+    return a.c * cmath.exp(_TWO_PI_I * a.lattice.frac_combination(0, m0)) if m0 else a.c
 
 
 def pic0_invariant(a: Cocycle) -> complex:

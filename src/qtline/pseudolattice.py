@@ -24,7 +24,8 @@ integers with no QuadReal division.  The walk starts from that triple, the
 double theta rounds it once, and the exact theta_exact is built on demand.
 The double of a lattice value p*omega1 + q*omega2 is one integer combination
 rounded by :func:`qtline.numeric.quad_float`: correctly rounded however small
-the value is against p and q.
+the value is against p and q.  A phase frac((a + b*theta)/den) is reduced on
+the same integers by Pseudolattice.frac_combination.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float
+from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
 
 # object.__setattr__ looked up once: LatticeVector and Convergent are built per
 # continued-fraction term, LatticeVector per residual sample, and a
@@ -142,6 +143,22 @@ class Pseudolattice(_Frozen):
         so it keeps full precision where a*omega1 and b*omega2 nearly cancel."""
         a1, b1, a2, b2, scale = self._scaled
         return quad_float(a * a1 + b * a2, a * b1 + b * b2, self.d, scale * den)
+
+    def frac_combination(self, a: int, b: int, den: int = 1) -> float:
+        """frac(x), x = (a + b*theta)/den for integers and den > 0, within 2^-64 + 2^-54
+        (half an ulp at 1) of the exact value in [0, 1) at every size, so it may
+        round to 1.0: floor(x*2^64) is exact from x = (a*Q + b*P + b*sqrt(N))/(den*Q),
+        and its residue mod 2^64, over 2^64, is rounded once."""
+        if den <= 0:
+            raise PreconditionError("need den > 0")
+        if not b:
+            fl = (a << 64) // den
+        else:
+            p, n, q = self._perron
+            # Negated for b < 0, so that isqrt(b^2*N*2^128) carries b*sqrt(N)*2^64.
+            sgn = 1 if b > 0 else -1
+            fl = surd_floor(sgn * (a * q + b * p) << 64, math.isqrt(b * b * n << 128), sgn * den * q)
+        return fl % 2**64 / 2**64
 
     def rounded_value(self, l: LatticeVector) -> float:
         """real_value(l) rounded once to the nearest double."""

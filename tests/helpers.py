@@ -1,4 +1,5 @@
-"""Shared random generators for the test suite.
+"""Shared random generators for the test suite, and the character route to
+the Pic^0 invariant that serves as an oracle for the closed form.
 
 All samplers take an explicit random.Random so every test is seed-pinned.
 Cocycle coefficients are kept small (degree <= 3, |coeffs| <= 1) so that the
@@ -11,11 +12,40 @@ from __future__ import annotations
 import cmath
 import random
 
-from qtline import Cocycle, ExponentPoly, LatticeVector, Pseudolattice
+import mpmath as mp
+
+from qtline import (
+    Cocycle,
+    DomainError,
+    ExponentPoly,
+    LatticeVector,
+    PreconditionError,
+    Pseudolattice,
+    QuadReal,
+    chern_symbolic,
+)
+from qtline.numeric import _Frozen
+
+TWO_PI_I = 2j * cmath.pi
 
 # Keep |Re g_1| below 1/(4*omega1) so arg(phi(omega1)) stays in (-pi/2, pi/2)
 # and principal-branch logs add exactly when two such cocycles are multiplied.
 BRANCH_SAFE_SLOPE = 0.2
+
+
+def exact_frac(theta: QuadReal, a: int, b: int, den: int = 1) -> mp.mpf:
+    """frac((a + b*theta)/den) from mpmath, with digits to spare beyond a's and b's."""
+    with mp.workdps(max(len(str(abs(a))), len(str(abs(b)))) + 40):
+        t = mp.mpf(theta.a.numerator) / theta.a.denominator
+        t += mp.mpf(theta.b.numerator) / theta.b.denominator * mp.sqrt(theta.d)
+        x = (a + b * t) / den
+        return x - mp.floor(x)
+
+
+def exact_phase(theta: QuadReal, a: int, b: int, den: int = 1) -> complex:
+    """e^{2*pi*i*(a + b*theta)/den} from mpmath, its phase reduced mod 1 exactly."""
+    with mp.workdps(30):
+        return complex(mp.expjpi(2 * exact_frac(theta, a, b, den)))
 
 
 def random_vector(rng: random.Random, bound: int = 10) -> LatticeVector:
@@ -68,3 +98,51 @@ def random_chern_trivial(rng: random.Random, lattice: Pseudolattice, branch_safe
         )
         poly = ExponentPoly(tuple(coeffs))
     return Cocycle(0, random_nonzero(rng), poly, lattice)
+
+
+class Character(_Frozen):
+    """Homomorphism L -> C^x, stored by its values on the basis."""
+
+    _fields = ("phi_omega1", "phi_omega2", "lattice")
+
+    def __init__(self, phi_omega1: complex, phi_omega2: complex, lattice: Pseudolattice) -> None:
+        if phi_omega1 == 0 or phi_omega2 == 0:
+            raise DomainError("character values must be nonzero")
+        object.__setattr__(self, "phi_omega1", phi_omega1)
+        object.__setattr__(self, "phi_omega2", phi_omega2)
+        object.__setattr__(self, "lattice", lattice)
+
+    def __call__(self, l: LatticeVector) -> complex:
+        return self.phi_omega1**l.a * self.phi_omega2**l.b
+
+
+def reduce_to_constant(a: Cocycle) -> Character:
+    """Constant cocycle cohomologous to a (requires Chern class zero).
+
+    The nonlinear part of g is stripped as a coboundary; the linear
+    coefficient g_1 folds into the character values on the basis:
+    phi(omega1) = e^{2*pi*i*g_1*omega1}, phi(omega2) = c * e^{2*pi*i*g_1*omega2}.
+    """
+    if chern_symbolic(a).s != 0:
+        raise PreconditionError("reduce_to_constant needs a cocycle with zero Chern class")
+    lat = a.lattice
+    g1 = a.g.linear_coefficient
+    phi1 = cmath.exp(TWO_PI_I * g1 * lat.omega1_float)
+    phi2 = a.c * cmath.exp(TWO_PI_I * g1 * lat.omega2_float)
+    return Character(phi1, phi2, lat)
+
+
+def character_cocycle(phi: Character) -> Cocycle:
+    """Lift a character back to a normal-form cocycle with the same values.
+
+    phi(omega1)^a enters through the linear exponent coefficient
+    log(phi(omega1)) / (2*pi*i*omega1); the residue goes into the c slot so
+    that evaluation reproduces phi(omega1)^a * phi(omega2)^b exactly.
+    """
+    lat = phi.lattice
+    log1 = cmath.log(phi.phi_omega1)
+    if log1 == 0:
+        return Cocycle(0, phi.phi_omega2, ExponentPoly.zero(), lat)
+    slope = log1 / (TWO_PI_I * lat.omega1_float)
+    c = phi.phi_omega2 * cmath.exp(-lat.theta * log1)
+    return Cocycle(0, c, ExponentPoly.linear(slope), lat)

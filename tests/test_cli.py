@@ -6,14 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtline import Cocycle, ExponentPoly, lattice_golden, lattice_sqrt2
+from qtline import Cocycle, ExponentPoly, Pseudolattice, QuadReal, lattice_golden, lattice_sqrt2
 from qtline.cli import main
 from qtline.jsonio import cocycle_to_json
+from helpers import exact_phase
 
 L1 = lattice_sqrt2()
 TWO_PI_I = 2j * math.pi
@@ -325,6 +327,27 @@ def test_imaginary_slope_is_trivial(capsys, tmp_path, im):
     theta_path.write_text(json.dumps(doc["theta"]))
     code, doc = run(capsys, "theta-check", "--cocycle", path, "--theta", str(theta_path), "--samples", "300")
     assert code == 0 and doc["max_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("command", ["normal-form", "trivial", "theta-solve"])
+def test_overflowing_fold_is_exit_2(capsys, tmp_path, command):
+    # Re(g1)*omega1 = 1.5e308 * 3/2 is beyond the double range: a JSON error, not
+    # an OverflowError traceback from math.ceil(inf)
+    lat = Pseudolattice(QuadReal.rational(Fraction(3, 2), 7), QuadReal(Fraction(-1, 2), Fraction(1, 3), 7))
+    path = write_cocycle(tmp_path, "wide.json", Cocycle(0, 1.0, ExponentPoly((0, 1.5e308)), lat))
+    code = main([command, "--cocycle", path])
+    captured = capsys.readouterr()
+    assert code == 2 and "double range" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_normal_form_exact_at_huge_fold(capsys, tmp_path):
+    # over Z + Z*sqrt(2) the invariant is e^{2*pi*i*frac(1e10*sqrt(2))}; the float
+    # product 1e10*theta put it 2.9e-6 off
+    path = write_cocycle(tmp_path, "g1e10.json", Cocycle(0, 1.0, ExponentPoly((0, 1e10)), L1))
+    code, doc = run(capsys, "normal-form", "--cocycle", path)
+    want = exact_phase(L1.theta_exact, 0, 10**10)
+    assert code == 0 and abs(complex(*doc["c"]) - want) <= 1e-14
 
 
 @pytest.mark.parametrize("x1", ["1,200", "1,1000"])

@@ -33,7 +33,7 @@ from qtline import (
     multiplier_value,
     trivial_cocycle,
 )
-from helpers import random_chern_trivial
+from helpers import exact_phase, random_chern_trivial
 
 TWO_PI_I = 2j * math.pi
 
@@ -236,13 +236,36 @@ class TestGroupLaw:
                     continue
                 assert abs(comm.scalar - closed_form_pairing(a, x1, x2)) <= 2e-9
 
-    def test_unresolvable_group_law_phase_is_precision_error(self, l1):
-        a = section(l1, 10**7)
-        g = membership_multiplier(a, LambdaPoint(8514075, 6540822, 10**7))
-        with pytest.raises(PrecisionError, match="kappa = 6540822 "):
-            heisenberg_inverse(g, a)
-        with pytest.raises(PrecisionError, match="kappa = 6540822 "):
-            heisenberg_multiply(g, g, a)
+    def test_group_law_phase_is_exact_at_large_kappa(self, l1):
+        # both raised PrecisionError here: the float phase kappa*x~/omega1 could
+        # not be resolved; it is now reduced mod 1 on integers
+        s, alpha, beta = 10**7, 8514075, 6540822
+        a = section(l1, s)
+        g = membership_multiplier(a, LambdaPoint(alpha, beta, s))
+        want = exact_phase(l1.theta_exact, beta * alpha, beta * beta, s)
+        assert abs(heisenberg_inverse(g, a).scalar - want) <= 1e-14
+        assert abs(heisenberg_multiply(g, g, a).scalar - want) <= 1e-14
+
+    @pytest.mark.parametrize("s", [10**5, 10**6, 10**7, 10**9, 10**12, -(10**12)])
+    def test_large_s_commutator_is_never_refused(self, l1, l2, s):
+        # the group law used to refuse large kappa with PrecisionError, and drift
+        # up to 3.58e-9 from the closed form below its guard
+        rng = random.Random(s)
+        n = abs(s)
+        for lat in (l1, l2):
+            a = section(lat, s)
+            for i in range(60):
+                beta_range = (0, n) if i % 2 else (-1000, 1000)
+                x1 = LambdaPoint(rng.randrange(n), rng.randrange(*beta_range), n)
+                x2 = LambdaPoint(rng.randrange(n), rng.randrange(*beta_range), n)
+                g1, g2 = membership_multiplier(a, x1), membership_multiplier(a, x2)
+                comm = heisenberg_multiply(
+                    heisenberg_multiply(heisenberg_multiply(g1, g2, a), heisenberg_inverse(g1, a), a),
+                    heisenberg_inverse(g2, a),
+                    a,
+                )
+                assert comm.point == LambdaPoint(0, 0, n)
+                assert abs(comm.scalar - closed_form_pairing(a, x1, x2)) <= 1e-13
 
 
 def _central(a, scalar, lattice_shift=(0, 0)):

@@ -1,28 +1,28 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from qtline import (
     AltForm,
-    Character,
     Cocycle,
     ExponentPoly,
     LatticeVector,
     PreconditionError,
+    Pseudolattice,
+    QuadReal,
     RangeError,
     ah_group_law,
     ah_normal_form,
     alt_eval,
     approx_eq,
-    character_cocycle,
     coboundary,
     existence_cocycle,
     lattice_golden,
     lattice_sqrt2,
     pic0_invariant,
-    reduce_to_constant,
     sigma_section,
     solve_theta,
     theta_residual,
@@ -30,7 +30,16 @@ from qtline import (
     trivial_cocycle,
 )
 from qtline.picard import principal_fold
-from helpers import random_chern_trivial, random_nonzero, random_v, random_vector
+from helpers import (
+    Character,
+    character_cocycle,
+    exact_phase,
+    random_chern_trivial,
+    random_nonzero,
+    random_v,
+    random_vector,
+    reduce_to_constant,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -174,7 +183,7 @@ class TestPic0Invariant:
         a = coboundary(ExponentPoly.zero(), slope, l1)
         assert l1.omega1_float == 1.0
         assert principal_fold(a) == m0
-        assert pic0_invariant(a) == cmath.exp(TWO_PI_I * (m0 * l1.theta))
+        assert abs(pic0_invariant(a) - exact_phase(l1.theta_exact, 0, m0)) <= 4e-16
         assert triviality_test(a).witness == m0
 
     @pytest.mark.parametrize("im", [-200.0, 200.0])
@@ -186,12 +195,25 @@ class TestPic0Invariant:
         assert triviality_test(a).witness == 0
         assert ah_normal_form(a).chi_omega2 == 1 + 0j
 
-    def test_phase_beyond_double_range(self, l1):
-        a = coboundary(ExponentPoly.zero(), 1e308, l1)
+    def test_phase_beyond_double_range(self):
+        # Re(g1)*omega1 = 1.5 * 1.5e308 overflows a double: no fold to take
+        lat = Pseudolattice(QuadReal.rational(Fraction(3, 2), 7), QuadReal(Fraction(-1, 2), Fraction(1, 3), 7))
+        a = coboundary(ExponentPoly.zero(), 1.5e308, lat)
         with pytest.raises(RangeError):
             pic0_invariant(a)
         with pytest.raises(RangeError):
             ah_normal_form(a)
+
+    @pytest.mark.parametrize("slope", [1e8, 1e10, 1e15, 1e308])
+    def test_huge_fold_gives_the_exact_invariant(self, l1, slope):
+        # m0*theta was a float product: 2.9e-6 off at 1e10, 0.50 off at 1e15,
+        # and a RangeError at 1e308
+        a = coboundary(ExponentPoly.zero(), slope, l1)
+        m0 = principal_fold(a)
+        assert m0 == int(slope)
+        want = exact_phase(l1.theta_exact, 0, m0)
+        assert abs(pic0_invariant(a) - want) <= 7e-16
+        assert abs(ah_normal_form(a).chi_omega2 - want) <= 7e-16
 
     def test_requires_zero_chern(self, l1):
         with pytest.raises(PreconditionError):

@@ -30,10 +30,10 @@ from qtline import (
     lattice_golden,
     lattice_sqrt2,
     modulus_obstruction_demo,
-    reduce_to_constant,
     solve_theta,
     trivial_cocycle,
 )
+from helpers import reduce_to_constant
 
 # Each factory builds a fresh, equal object on every call, with the name of one
 # of its fields.
