@@ -37,7 +37,15 @@ import math
 import random
 
 from .chern import chern_symbolic
-from .cocycle import _TWO_PI_I, Cocycle, draw_sample, exp_2pi_i, max_residual
+from .cocycle import (
+    _TWO_PI_I,
+    Cocycle,
+    draw_sample,
+    exp_2pi_i,
+    exponent_residual,
+    max_residual,
+    resolvable_exponent,
+)
 from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError
 from .numeric import Tolerance, _Frozen, approx_eq, default_tolerance
 from .pseudolattice import Pseudolattice
@@ -162,18 +170,22 @@ def membership_multiplier(a: Cocycle, x: LambdaPoint) -> HeisenbergElement:
 
 
 def multiplier_residual(a: Cocycle, elem: HeisenbergElement, samples: int = 50, seed: int = 0) -> float:
-    """Max residual of A_l(v+x~)/A_l(v) = h(v+l)/h(v) over seeded samples."""
+    """Max residual of A_l(v+x~)/A_l(v) = h(v+l)/h(v) over seeded samples, both ratios
+    formed as exponents: a(l, v+x~) - a(l, v) against kappa*l/omega1, so neither side
+    leaves the float exp range however large the cocycle's values are at v."""
     if samples < 1:
         raise PreconditionError("need samples >= 1")
     rng = random.Random(seed)
     lat = a.lattice
     xval = elem.point.real_value(lat)
+    kappa = _kappa(a, elem.point)
+    limit = resolvable_exponent()
     residuals = []
     for _ in range(samples):
         l, v = draw_sample(rng, 1, 5, 2.0)
-        lhs = a.evaluate(l, v + xval) / a.evaluate(l, v)
-        rhs = multiplier_value(a, elem, v + lat.float_value(l)) / multiplier_value(a, elem, v)
-        residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+        x = a.exponent(l, v + xval) - a.exponent(l, v)
+        y = kappa * lat.float_value(l) / lat.omega1_float
+        residuals.append(exponent_residual(x, y, limit))
     return max_residual(residuals)
 
 

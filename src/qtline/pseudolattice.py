@@ -16,8 +16,10 @@ a = floor((P + isqrt(N))/Q), P' = aQ - P, Q' = (N - P'^2)/Q (Perron), so no
 partial quotient, on which every later convergent depends, meets a float.
 One lazy walk, Pseudolattice._expansion, yields each partial quotient with its
 convergent p_k/q_k in turn; cf_terms, convergents, small_vectors and
-approximate_real all read it, and approximate_real stops reading once it is
-within eps of its target.
+approximate_real all read it.  convergents turns each step into a Convergent, a
+tuple row, with no constructor call; approximate_real stops reading once its
+float gap is within eps of its target, then decides exactly, on integers, that
+its vector is (PrecisionError otherwise).
 A Pseudolattice is built on integers: it keeps omega1, omega2 over one integer
 denominator and theta as its Perron triple (P, N, Q), formed once from those
 integers with no QuadReal division.  The walk starts from that triple, the
@@ -31,17 +33,19 @@ the same integers by Pseudolattice.frac_combination.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PrecisionError, PreconditionError
 from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
 
-# object.__setattr__ looked up once: LatticeVector and Convergent are built per
-# continued-fraction term, LatticeVector per residual sample, and a
-# Pseudolattice per request.
+# object.__setattr__ looked up once: LatticeVector is built per small vector and
+# per residual sample, and a Pseudolattice per request.
 _set = object.__setattr__
+# tuple.__new__ looked up once: convergents builds one Convergent row per term with it.
+_row = tuple.__new__
 
 
 class LatticeVector(_Frozen):
@@ -63,20 +67,35 @@ class LatticeVector(_Frozen):
         return LatticeVector(-self.a, -self.b)
 
 
-class Convergent(_Frozen):
+class Convergent(_Frozen, namedtuple("_ConvergentRow", ("p", "q", "index"))):
     """Continued-fraction convergent p/q of theta, in lowest terms.
 
     Denominators are nondecreasing and strictly increasing from index 1 on
     (q_0 = q_1 = 1 happens when the first partial quotient is 1, e.g. for the
     golden ratio).
+
+    A Convergent is a tuple row (p, q, index), so that
+    :meth:`Pseudolattice.convergents` builds each one with ``tuple.__new__``
+    straight from the walk, running no Python-level constructor per term, and
+    its fields are read by namedtuple's C accessors.  It keeps the value
+    semantics of the other value classes: it equals only another Convergent
+    (never a plain tuple), hashes as its field values, and refuses assignment
+    and deletion.
     """
 
+    __slots__ = ()
     _fields = ("p", "q", "index")
 
-    def __init__(self, p: int, q: int, index: int) -> None:
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "index", index)
+    # _Frozen's __eq__ answers NotImplemented to a plain tuple, whose reflected
+    # comparison would then find them equal, and __ne__ would resolve to tuple's.
+    # Defining __eq__ also clears the inherited hash.
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
 
 class Pseudolattice(_Frozen):
@@ -192,7 +211,7 @@ class Pseudolattice(_Frozen):
 
     def convergents(self, n: int) -> list[Convergent]:
         """First n convergents p_k/q_k of theta (k = 0 .. n-1)."""
-        return [Convergent(p, q, k) for k, (_, p, q) in enumerate(self._expansion(n))]
+        return [_row(Convergent, (p, q, k)) for k, (_, p, q) in enumerate(self._expansion(n))]
 
     def small_vectors(self, n: int) -> list[LatticeVector]:
         """Vectors (p_k, -q_k) whose real values p_k*omega1 - q_k*omega2
@@ -205,10 +224,13 @@ class Pseudolattice(_Frozen):
         Greedy descent on the small vectors (p_k, -q_k), k < max_terms:
         repeatedly subtract the largest one not exceeding the remaining gap.
         It walks the expansion lazily and stops once the gap is at most eps.
-        Density of L guarantees termination for any eps > 0.
+        Density of L guarantees termination for any eps > 0.  The gap is kept
+        in doubles, so the answer is then decided exactly on integers: a
+        PrecisionError where a double could not resolve eps against the target
+        (on Z + Z*sqrt(2) at eps = 1e-3, for some targets from about 1e13 on).
         """
-        if eps <= 0:
-            raise PreconditionError("need eps > 0")
+        if not (0.0 < eps < math.inf and math.isfinite(target)):
+            raise PreconditionError("need a finite target and a finite eps > 0")
         acc_a = acc_b = 0
         remaining = target
         for _, p, q in self._expansion(max_terms):
@@ -226,6 +248,26 @@ class Pseudolattice(_Frozen):
         if abs(remaining) > eps:
             raise PreconditionError(
                 f"could not reach {target} within {eps} using {max_terms} convergents"
+            )
+        # Exact check on integers.  With target = t/t_den, eps = e/e_den and
+        # omega_i = (a_i + b_i*sqrt(d))/den, the vector's distance to the target
+        # times den*t_den*e_den is |y*sqrt(d) - gap|, to be at most bound.  With
+        # y >= 0 (both negated otherwise) that is gap - bound <= y*sqrt(d) <=
+        # gap + bound, decided on squares.
+        a1, b1, a2, b2, den = self._scaled
+        t, t_den = target.as_integer_ratio()
+        e, e_den = eps.as_integer_ratio()
+        gap = (t * den - (acc_a * a1 + acc_b * a2) * t_den) * e_den
+        y = (acc_a * b1 + acc_b * b2) * t_den * e_den
+        if y < 0:
+            gap, y = -gap, -y
+        bound = e * t_den * den
+        hi, lo = gap + bound, gap - bound
+        n = self.omega1.d * y * y
+        if hi < 0 or n > hi * hi or lo > 0 and n < lo * lo:
+            raise PrecisionError(
+                f"the vector found for {target} is not within {eps} of it: "
+                "a double cannot resolve the remaining distance"
             )
         return LatticeVector(acc_a, acc_b)
 

@@ -91,6 +91,15 @@ class TestMembership:
             elem = membership_multiplier(a, LambdaPoint(alpha, beta, 3))
             assert multiplier_residual(a, elem, samples=20, seed=4) < 1e-9
 
+    @pytest.mark.parametrize("fix", ["l1", "l2"])
+    @pytest.mark.parametrize("s", [20, 60, 150, -40])
+    def test_residual_at_large_s(self, fix, s, request):
+        # A_l(v + x~)/A_l(v) as a value leaves the float exp range from s = 20 on,
+        # although the identity holds by construction; as an exponent it does not.
+        a = section(request.getfixturevalue(fix), s)
+        elem = membership_multiplier(a, LambdaPoint(1, 1, abs(s)))
+        assert multiplier_residual(a, elem, samples=50, seed=0) < 1e-11
+
     @pytest.mark.parametrize("args", [(True, 1, 2), (1, False, 2), (0, 1, True)], ids=["alpha", "beta", "s"])
     def test_boolean_coordinates_rejected(self, args):
         with pytest.raises(DomainError):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qtline import (
+    Convergent,
     DomainError,
     LatticeVector,
+    PrecisionError,
     PreconditionError,
     Pseudolattice,
     QuadReal,
@@ -184,6 +186,7 @@ class TestDensity:
     @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 0.3, 1e-3, 60)  # reached with 8 terms
     @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 0.3, 1e-3, 5)  # out of terms
     @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 0.0005, 1e-3, 1)  # reached with no term
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 1e300, 1e-3, 60)  # not resolvable in doubles
     def test_approximate_real_matches_exact_values(self, a1, b1, a2, b2, d, target, eps, max_terms):
         omega1, omega2 = QuadReal(a1, b1, d), QuadReal(a2, b2, d)
         assume((omega2 / omega1).b != 0)
@@ -192,8 +195,44 @@ class TestDensity:
         values = [float(lat.real_value(v)) for v in vectors]
         assert [lat.rounded_value(v) for v in vectors] == values
         assert outcome(lambda: lat.approximate_real(target, eps, max_terms)) == outcome(
-            lambda: greedy_descent(vectors, values, target, eps)
+            lambda: exactly_within(lat, greedy_descent(vectors, values, target, eps), target, eps)
         )
+
+    @pytest.mark.parametrize(
+        "target, eps",
+        [(math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3), (0.5, math.nan), (0.5, math.inf), (0.5, -1e-3)],
+    )
+    def test_non_finite_input_is_a_precondition_error(self, l1, target, eps):
+        # inf used to raise OverflowError, nan ValueError, and eps = nan returned a vector
+        with pytest.raises(PreconditionError, match="finite"):
+            l1.approximate_real(target, eps)
+
+    @pytest.mark.parametrize("fix", ["l1", "l2"])
+    @pytest.mark.parametrize("target", [1e12, 1e15, -1e15, 1e16, 1e20, 1e300])
+    def test_large_targets_are_right_or_flagged(self, fix, target, request):
+        lat = request.getfixturevalue(fix)
+        try:
+            vec = lat.approximate_real(target, eps=1e-3)
+        except PrecisionError:
+            return
+        assert (abs(lat.real_value(vec) - Fraction(target)) - Fraction(1e-3)).sign() <= 0
+
+    @pytest.mark.parametrize(
+        "fix, target, missed_by",
+        [
+            ("l1", 1e16, 626.0),
+            ("l1", 1e20, 1.97e6),
+            ("l1", 1e300, 1.9e286),
+            ("l1", -14704234440005.0, 1.30),
+            ("l1", 11770998519450.0, 1.22),
+            ("l2", -25300789913140.0, 1.009),
+            ("l2", -10282050111588.0, 1.066),
+        ],
+    )
+    def test_unresolvable_target_is_flagged(self, fix, target, missed_by, request):
+        # the vector found used to be returned, missed_by times eps from the target
+        with pytest.raises(PrecisionError, match="cannot resolve"):
+            request.getfixturevalue(fix).approximate_real(target, eps=1e-3)
 
     @pytest.mark.parametrize("target", [0.0, 0.5])
     def test_no_terms_is_a_precondition_error(self, l1, target):
@@ -203,11 +242,22 @@ class TestDensity:
 
 
 def outcome(call):
-    """The value of call(), or the message of the PreconditionError it raises."""
+    """The value of call(), the message of the PreconditionError it raises, or
+    "PrecisionError" if it raises one."""
     try:
         return call()
     except PreconditionError as exc:
         return f"PreconditionError: {exc}"
+    except PrecisionError:
+        return "PrecisionError"
+
+
+def exactly_within(lat, vec, target, eps):
+    """vec if |real_value(vec) - target| <= eps in exact QuadReal arithmetic, else a
+    PrecisionError: the float gap of greedy_descent may not resolve eps.  Test oracle only."""
+    if (abs(lat.real_value(vec) - Fraction(target)) - Fraction(eps)).sign() > 0:
+        raise PrecisionError("not within eps")
+    return vec
 
 
 def greedy_descent(vectors, values, target, eps):
@@ -396,6 +446,20 @@ def test_construction_and_walk_use_no_quadreal_arithmetic(monkeypatch):
         monkeypatch.setattr(QuadReal, name, refuse)
     fresh = (lattice_sqrt2(), lattice_golden())
     assert [(lat.convergents(100), lat.approximate_real(2.345, 1e-9), lat.theta) for lat in fresh] == want
+
+
+def test_convergents_build_rows_without_the_constructor(monkeypatch):
+    """convergents builds each row straight from the walk, not through Convergent(...)."""
+    lattices = (lattice_sqrt2(), lattice_golden())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Convergent constructor on the convergents hot path")
+
+    monkeypatch.setattr(Convergent, "__new__", refuse)
+    for lat in lattices:
+        got = lat.convergents(640)
+        assert all(type(c) is Convergent for c in got)
+        assert [(c.p, c.q, c.index) for c in got] == [(p, q, k) for k, (p, q) in enumerate(eager_convergents(lat, 640))]
 
 
 # The four lattices of perfbench/certify.py: sqrt(2), the golden ratio, a

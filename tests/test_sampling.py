@@ -70,18 +70,27 @@ def old_theta_loop(a, t, samples, seed):
 
 
 def old_multiplier_loop(a, elem, samples, seed):
+    """The multiplier loop, with each residual formed in exponent space as in the
+    two loops above: a(l, v + x~) - a(l, v) against kappa*l/omega1.  It also
+    returns the worst residual of the value ratios A_l(v + x~)/A_l(v) and
+    h(v + l)/h(v) that the verifier formed before, as a cross-check."""
     rng = random.Random(seed)
     w1, w2 = a.lattice.omega1_float, a.lattice.omega2_float
     xval = elem.point.real_value(a.lattice)
-    draws, worst = [], 0.0
+    kappa = elem.point.beta if a.s > 0 else -elem.point.beta
+    draws, out, value_worst = [], [], 0.0
     for _ in range(samples):
         l = LatticeVector(rng.randint(-5, 5), rng.randint(-5, 5))
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         draws.append((l, v))
+        x = a.exponent(l, v + xval) - a.exponent(l, v)
+        y = kappa * (l.a * w1 + l.b * w2) / w1
+        scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
+        out.append(min(1.0, scale) * abs(1.0 - cmath.exp(TWO_PI_I * (y - x))))
         lhs = a.evaluate(l, v + xval) / a.evaluate(l, v)
         rhs = multiplier_value(a, elem, v + (l.a * w1 + l.b * w2)) / multiplier_value(a, elem, v)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return draws, worst
+        value_worst = max(value_worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return draws, max(out), value_worst
 
 
 def old_dichotomy_draws(samples, seed):
@@ -118,10 +127,12 @@ def test_theta_samples_and_residuals(seed):
 def test_multiplier_samples_and_residual(seed):
     a = Cocycle(3, 1.0, ExponentPoly.zero(), L1)
     elem = membership_multiplier(a, LambdaPoint(1, 2, 3))
-    draws, worst = old_multiplier_loop(a, elem, SAMPLES, seed)
+    draws, worst, value_worst = old_multiplier_loop(a, elem, SAMPLES, seed)
     rng = random.Random(seed)
     assert [draw_sample(rng, 1, 5, 2.0) for _ in range(SAMPLES)] == draws
     assert multiplier_residual(a, elem, samples=SAMPLES, seed=seed) == worst
+    # Both routes see the same identity, which holds by construction.
+    assert 0.0 < worst < 1e-12 and value_worst < 1e-12
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -100,6 +100,10 @@ def test_objects_of_other_classes_are_unequal():
     assert AltForm(3) != 3
     assert Tolerance() != (1e-9, 1e-9)
     assert LambdaPoint(1, 2, 3) != Convergent(1, 2, 3)
+    # A Convergent is a tuple row, yet never equals the plain tuple of its fields.
+    assert Convergent(7, 5, 3) != (7, 5, 3)
+    assert (7, 5, 3) != Convergent(7, 5, 3)
+    assert not Convergent(7, 5, 3) == (7, 5, 3) and not (7, 5, 3) == Convergent(7, 5, 3)
 
     class Shifted(LatticeVector):
         pass
@@ -181,4 +185,5 @@ def test_keyword_construction_and_defaults():
     assert TrivialityVerdict("unknown", bound=5) == TrivialityVerdict.unknown(5)
     assert KGroupDescription(finite=False) == KGroupDescription.full_torus()
     assert LatticeVector(b=2, a=1) == LatticeVector(1, 2)
+    assert Convergent(q=5, p=7, index=3) == Convergent(7, 5, 3)
     assert ExponentPoly(coeffs=(1,)) == ExponentPoly((1,))
