@@ -51,9 +51,8 @@ from .heisenberg import (
     k_group,
     membership_multiplier,
     multiplier_residual,
-    multiplier_value,
 )
-from .numeric import QuadReal, Tolerance, approx_eq, default_tolerance
+from .numeric import QuadReal, approx_eq, tolerance
 from .picard import (
     AHData,
     TrivialityVerdict,
@@ -104,7 +103,6 @@ __all__ = [
     "RangeError",
     "ThetaCandidate",
     "ThetaSolveResult",
-    "Tolerance",
     "TrivialityVerdict",
     "ah_group_law",
     "ah_normal_form",
@@ -117,7 +115,6 @@ __all__ = [
     "cocycle_defect",
     "cocycle_identity_residuals",
     "commutator_pairing",
-    "default_tolerance",
     "dichotomy_check",
     "existence_cocycle",
     "heisenberg_identity",
@@ -129,12 +126,12 @@ __all__ = [
     "membership_multiplier",
     "modulus_obstruction_demo",
     "multiplier_residual",
-    "multiplier_value",
     "pic0_invariant",
     "sigma_section",
     "solve_theta",
     "theta_residual",
     "theta_residuals",
+    "tolerance",
     "triviality_test",
     "trivial_cocycle",
     "verify_cocycle_identity",

@@ -30,7 +30,7 @@ import cmath
 
 from .cocycle import Cocycle, ExponentPoly
 from .errors import ConsistencyError, RangeError
-from .numeric import Tolerance, _Frozen, default_tolerance
+from .numeric import _Frozen, tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 # A rounded four-term sum farther than this from an integer means a malformed
@@ -62,16 +62,9 @@ def chern_symbolic(a: Cocycle) -> AltForm:
     return AltForm(a.s)
 
 
-def chern_numeric(
-    a: Cocycle,
-    l1: LatticeVector,
-    l2: LatticeVector,
-    v: complex,
-    tol: Tolerance | None = None,
-) -> int:
+def chern_numeric(a: Cocycle, l1: LatticeVector, l2: LatticeVector, v: complex) -> int:
     """Chern class via the four-term exponent sum at the sample point v."""
-    if tol is None:
-        tol = default_tolerance()
+    eps = tolerance()
     lat = a.lattice
     try:
         terms = (
@@ -89,7 +82,7 @@ def chern_numeric(
     largest = max(abs(t) for t in terms)
     if largest * 2.0**-50 > _INTEGER_SLACK:
         raise RangeError(f"four-term sum of terms up to {largest:.3g} cannot resolve an integer")
-    if abs(total.imag) > tol.abs_eps:
+    if abs(total.imag) > eps:
         raise ConsistencyError(f"four-term sum has imaginary part {total.imag:.3g}")
     nearest = round(total.real)
     if abs(total.real - nearest) > _INTEGER_SLACK:

@@ -20,7 +20,7 @@ from .chern import chern_numeric, chern_symbolic
 from .cocycle import cocycle_identity_residuals, max_residual
 from .errors import DomainError, FormatError, QTLineError, RangeError
 from .heisenberg import LambdaPoint, closed_form_pairing, commutator_pairing, k_group
-from .numeric import QuadReal, approx_eq, default_tolerance
+from .numeric import QuadReal, approx_eq
 from .picard import DEFAULT_WITNESS_BOUND, ah_normal_form, triviality_test
 from .pseudolattice import LatticeVector, Pseudolattice
 from .theta import solve_theta, theta_residuals
@@ -189,7 +189,7 @@ def _cmd_pairing(args: argparse.Namespace) -> Any:
     return {
         "value": jsonio.complex_to_json(value),
         "closed_form": jsonio.complex_to_json(closed),
-        "agree": approx_eq(value, closed, default_tolerance()),
+        "agree": approx_eq(value, closed),
     }
 
 

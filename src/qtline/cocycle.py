@@ -33,7 +33,7 @@ import math
 import random
 
 from .errors import DomainError, PrecisionError, PreconditionError, RangeError
-from .numeric import _Frozen, default_tolerance
+from .numeric import _Frozen, tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 # Hard cap on exponent-polynomial degree: keeps |exponents| small enough that
@@ -62,10 +62,10 @@ def exp_2pi_i(exponent: complex, kind: str, v: complex, l: LatticeVector | None 
 
 
 def resolvable_exponent() -> float:
-    """abs_eps * 2^52 / (2*pi) for the default tolerance: past this magnitude
-    2*pi times an exponent's ulp, the residual's rounding error, exceeds abs_eps,
-    so a double no longer resolves the exponent mod 1 to the tolerance."""
-    return default_tolerance().abs_eps * 2.0**52 / (2.0 * math.pi)
+    """eps * 2^52 / (2*pi) for the tolerance eps: past this magnitude 2*pi times
+    an exponent's ulp, the residual's rounding error, exceeds eps, so a double
+    no longer resolves the exponent mod 1 to the tolerance."""
+    return tolerance() * 2.0**52 / (2.0 * math.pi)
 
 
 def exponent_residual(x: complex, y: complex, limit: float) -> float:

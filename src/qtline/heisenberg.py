@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 from .chern import chern_symbolic
 from .cocycle import (
@@ -47,7 +48,7 @@ from .cocycle import (
     resolvable_exponent,
 )
 from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError
-from .numeric import Tolerance, _Frozen, approx_eq, default_tolerance
+from .numeric import _Frozen, approx_eq, tolerance
 from .pseudolattice import Pseudolattice
 
 # Fixed base points for the v-independence cross-check.
@@ -153,11 +154,6 @@ def _carried_phase(a: Cocycle, kappa: int, x: LambdaPoint) -> complex:
     return cmath.exp(_TWO_PI_I * a.lattice.frac_combination(kappa * x.alpha, kappa * x.beta, x.s))
 
 
-def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex:
-    """Value of the full multiplier h at v: scalar times e^{(2*pi*i/omega1)*kappa*v}."""
-    return elem.scalar * exp_2pi_i(_kappa(a, elem.point) * v / a.lattice.omega1_float, "multiplier", v)
-
-
 def membership_multiplier(a: Cocycle, x: LambdaPoint) -> HeisenbergElement:
     """The normalized multiplier witnessing that x stabilizes the class of a.
 
@@ -222,12 +218,7 @@ def closed_form_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex
     return cmath.exp(_TWO_PI_I * ((residue if cross >= 0 else -residue) * 0.125) / (a.s * 0.125))
 
 
-def commutator_pairing(
-    a: Cocycle,
-    x1: LambdaPoint,
-    x2: LambdaPoint,
-    tol: Tolerance | None = None,
-) -> complex:
+def commutator_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
     """The pairing via H_v ratios, cross-checked at two base points.
 
     Works on any cocycle with s != 0: characters and coboundaries cancel in
@@ -237,13 +228,13 @@ def commutator_pairing(
     imaginary part is exactly 0, so it never leaves the float range.
     (v + x~) - v keeps x~ only to the ulp of v + x~, and kappa multiplies that
     error: PrecisionError where the phase error bound
-    2*pi*(|kappa1| + |kappa2|)*ulp(|Re v| + max|x~|)/|omega1| passes the
-    tolerance abs_eps + rel_eps that the two probes are compared with.  It is
+    2*pi*(|kappa1| + |kappa2|)*ulp(|Re v| + max|x~|)/|omega1| passes 2*eps,
+    the tolerance the two probes are compared with at |value| = 1; a kappa sum
+    past the double range counts as an infinite bound.  It is
     the module's one float phase guard, kept on purpose: reduced exactly, the
     H_v ratio would be the closed form itself, and the two routes check each other.
     """
-    if tol is None:
-        tol = default_tolerance()
+    eps = tolerance()
     if a.s == 0:
         raise PreconditionError("commutator pairing needs a nonzero Chern class")
     _check_point(a, x1)
@@ -257,8 +248,11 @@ def commutator_pairing(
     w1 = a.lattice.omega1_float
     # Re(_V_PROBE_2) is the larger of the two probes' real parts.
     reach = abs(_V_PROBE_2.real) + max(abs(x1val), abs(x2val))
-    bound = 2 * math.pi * (abs(k1) + abs(k2)) * math.ulp(reach) / abs(w1)
-    if bound > tol.abs_eps + tol.rel_eps:
+    kappas = abs(k1) + abs(k2)
+    if kappas > sys.float_info.max:  # no double holds it: the bound is infinite
+        kappas = math.inf
+    bound = 2 * math.pi * kappas * math.ulp(reach) / abs(w1)
+    if bound > eps + eps:
         raise PrecisionError(
             f"pairing phase error bound {bound:.3g} passes the tolerance: "
             f"kappa = {k1}, {k2} is too large for a double to resolve the H_v ratio"
@@ -269,7 +263,7 @@ def commutator_pairing(
 
     first = pairing_at(_V_PROBE_1)
     second = pairing_at(_V_PROBE_2)
-    if not approx_eq(first, second, tol):
+    if not approx_eq(first, second):
         raise ConsistencyError(
             f"commutator pairing depends on the base point: {first} vs {second}"
         )
@@ -321,7 +315,7 @@ class DichotomyReport(_Frozen):
         object.__setattr__(self, "max_pairing_deviation", max_pairing_deviation)
 
 
-def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0, tol: Tolerance | None = None) -> DichotomyReport:
+def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyReport:
     """Exhibit whichever side of the finite/full-torus dichotomy applies.
 
     Nonzero Chern class: K is finite of order s^2 and the lift pair
@@ -331,19 +325,17 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0, tol: Toleranc
     computed numerically by :func:`commutator_pairing`; the flag
     ``witness_differs_from_one`` is decided exactly from the Chern integer
     (e^{2*pi*i/s} != 1 exactly when |s| >= 2), so it holds for every |s| >= 2
-    however close the float value lies to 1 and whatever ``tol`` is.
+    however close the float value lies to 1 and whatever the tolerance is.
 
     Zero Chern class: K is the full torus and the pairing is identically 1;
     the report carries the max deviation from 1 over sampled lift pairs.
     """
-    if tol is None:
-        tol = default_tolerance()
     s = chern_symbolic(a).s
     group = k_group(a)
     if s != 0:
         x1 = LambdaPoint(1, 0, abs(s))
         x2 = LambdaPoint(0, 1, abs(s))
-        value = commutator_pairing(a, x1, x2, tol=tol)
+        value = commutator_pairing(a, x1, x2)
         return DichotomyReport(
             chern_s=s,
             k_group=group,

@@ -5,7 +5,7 @@ of the field Q(sqrt(D)) with rational ``a, b`` and square-free ``D >= 2``.
 Exactness matters because every irrationality/sign decision downstream (floors
 for continued fractions, density arguments) must never be made in floating
 point.  Analytic values (cocycle and theta evaluations) are ordinary ``complex``
-floats compared through a single :class:`Tolerance` policy.
+floats compared against a single tolerance ``eps`` (:func:`tolerance`).
 
 Signs of quadratic irrationals are decided by the conjugate trick: for mixed
 signs of ``a`` and ``b``, ``a + b*sqrt(D)`` has the sign of ``a^2 - D*b^2``
@@ -68,40 +68,27 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Tolerance(_Frozen):
-    """Absolute/relative tolerance pair used by every approximate comparison."""
-
-    _fields = ("abs_eps", "rel_eps")
-
-    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9) -> None:
-        # An infinite epsilon would make every approximate comparison pass.
-        if not (0.0 < abs_eps < math.inf and 0.0 < rel_eps < math.inf):
-            raise DomainError("tolerances must be finite and strictly positive")
-        object.__setattr__(self, "abs_eps", abs_eps)
-        object.__setattr__(self, "rel_eps", rel_eps)
-
-
-def default_tolerance() -> Tolerance:
-    """The library-wide default, overridable via the QTLINE_TOLERANCE env var.
-
-    When set, the variable is parsed as a float and used for both the absolute
-    and the relative epsilon; it must be a finite positive number.
-    """
+def tolerance() -> float:
+    """The library-wide ``eps``: 1e-9, or the QTLINE_TOLERANCE env var parsed as
+    a float, which must be finite and positive.  Every approximate comparison
+    uses it as both its absolute and its relative epsilon."""
     raw = os.environ.get(TOLERANCE_ENV_VAR)
     if raw is None:
-        return Tolerance()
+        return 1e-9
     try:
         eps = float(raw)
     except ValueError as exc:
         raise FormatError(f"{TOLERANCE_ENV_VAR} must be a float, got {raw!r}") from exc
-    return Tolerance(abs_eps=eps, rel_eps=eps)
+    # An infinite epsilon would make every approximate comparison pass.
+    if not 0.0 < eps < math.inf:
+        raise DomainError("tolerances must be finite and strictly positive")
+    return eps
 
 
-def approx_eq(x: complex, y: complex, tol: Tolerance | None = None) -> bool:
-    """True iff ``|x - y| <= abs_eps + rel_eps * max(|x|, |y|)``."""
-    if tol is None:
-        tol = default_tolerance()
-    return abs(x - y) <= tol.abs_eps + tol.rel_eps * max(abs(x), abs(y))
+def approx_eq(x: complex, y: complex) -> bool:
+    """True iff ``|x - y| <= eps + eps * max(|x|, |y|)``."""
+    eps = tolerance()
+    return abs(x - y) <= eps + eps * max(abs(x), abs(y))
 
 
 # Memoized: every QuadReal result re-checks its operands' radicand.  Bounded, so a

@@ -47,7 +47,7 @@ import math
 from .chern import AltForm, chern_symbolic
 from .cocycle import _TWO_PI_I, Cocycle
 from .errors import DomainError, PreconditionError, RangeError
-from .numeric import Tolerance, _Frozen, default_tolerance
+from .numeric import _Frozen, tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 DEFAULT_WITNESS_BOUND = 10_000
@@ -128,11 +128,7 @@ def pic0_invariant(a: Cocycle) -> complex:
     return _pic0_value(a)
 
 
-def triviality_test(
-    a: Cocycle,
-    bound: int = DEFAULT_WITNESS_BOUND,
-    tol: Tolerance | None = None,
-) -> TrivialityVerdict:
+def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> TrivialityVerdict:
     """Decide cohomological triviality of a, up to the witness search bound.
 
     Certified nontrivial when the Chern class is nonzero or the normalized
@@ -142,17 +138,16 @@ def triviality_test(
     """
     if bound < 1:
         raise PreconditionError("need bound >= 1")
-    if tol is None:
-        tol = default_tolerance()
+    eps = tolerance()
     if chern_symbolic(a).s != 0:
         return TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
     w = _pic0_value(a)
-    if abs(abs(w) - 1.0) > tol.abs_eps:
+    if abs(abs(w) - 1.0) > eps:
         return TrivialityVerdict.nontrivial(REASON_MODULUS)
     theta = a.lattice.theta
     for m in range(0, bound + 1):
         for candidate in ((m,) if m == 0 else (m, -m)):
-            if abs(w - cmath.exp(_TWO_PI_I * candidate * theta)) <= tol.abs_eps:
+            if abs(w - cmath.exp(_TWO_PI_I * candidate * theta)) <= eps:
                 return TrivialityVerdict.trivial(candidate)
     return TrivialityVerdict.unknown(bound)
 

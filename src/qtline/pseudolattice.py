@@ -152,8 +152,8 @@ class Pseudolattice(_Frozen):
 
     def real_value(self, l: LatticeVector) -> QuadReal:
         """a*omega1 + b*omega2 as an exact field element.  The float routes
-        (rounded_value, float_value) never build it; it is kept for exact sign
-        tests on lattice values, such as the certified bound
+        (rounded_combination, float_value) never build it; it is kept for exact
+        sign tests on lattice values, such as the certified bound
         |p_k*omega1 - q_k*omega2| < |omega1|/q_k, and as their reference."""
         return self.omega1 * l.a + self.omega2 * l.b
 
@@ -178,10 +178,6 @@ class Pseudolattice(_Frozen):
             sgn = 1 if b > 0 else -1
             fl = surd_floor(sgn * (a * q + b * p) << 64, math.isqrt(b * b * n << 128), sgn * den * q)
         return fl % 2**64 / 2**64
-
-    def rounded_value(self, l: LatticeVector) -> float:
-        """real_value(l) rounded once to the nearest double."""
-        return self.rounded_combination(l.a, l.b)
 
     def float_value(self, l: LatticeVector) -> float:
         """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""

@@ -40,7 +40,7 @@ from .cocycle import (
     resolvable_exponent,
 )
 from .errors import DomainError, PreconditionError
-from .numeric import Tolerance, _Frozen, default_tolerance
+from .numeric import _Frozen, tolerance
 from .picard import DEFAULT_WITNESS_BOUND, TrivialityVerdict, principal_fold, triviality_test
 from .pseudolattice import LatticeVector
 
@@ -106,14 +106,14 @@ class ThetaSolveResult(_Frozen):
         return self.candidate is not None
 
 
-def solve_theta(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND, tol: Tolerance | None = None) -> ThetaSolveResult:
+def solve_theta(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> ThetaSolveResult:
     """Solve the functional equation for a, or certify there is no solution.
 
     Delegates solvability to the bounded triviality test; a trivial verdict
     with witness m is turned into the explicit exponential solution.  An
     unknown verdict is returned as-is (candidate None, status "unknown").
     """
-    verdict = triviality_test(a, bound=bound, tol=tol)
+    verdict = triviality_test(a, bound=bound)
     if not verdict.is_trivial:
         return ThetaSolveResult(candidate=None, verdict=verdict)
     alpha = (verdict.witness - principal_fold(a)) / a.lattice.omega1_float
@@ -132,7 +132,7 @@ class ObstructionWitness(_Frozen):
         object.__setattr__(self, "modulus", modulus)
 
 
-def modulus_obstruction_demo(a: Cocycle, terms: int = 6, tol: Tolerance | None = None) -> ObstructionWitness:
+def modulus_obstruction_demo(a: Cocycle, terms: int = 6) -> ObstructionWitness:
     """Quantitative no-solution witness for s = 0, |c| != 1.
 
     Returns small vectors l_n = (p_n, -q_n) together with the factors
@@ -141,12 +141,11 @@ def modulus_obstruction_demo(a: Cocycle, terms: int = 6, tol: Tolerance | None =
     golden-ratio start q_0 = q_1) are skipped so the factors are strictly
     increasing; terms whose factor would overflow a double are dropped.
     """
-    if tol is None:
-        tol = default_tolerance()
+    eps = tolerance()
     if a.s != 0:
         raise PreconditionError("modulus obstruction applies to zero Chern class only")
     modulus = abs(a.c)
-    if abs(modulus - 1.0) <= tol.abs_eps:
+    if abs(modulus - 1.0) <= eps:
         raise PreconditionError("|c| = 1: the modulus argument yields no obstruction")
     growth = abs(math.log(modulus))
     vectors: list[LatticeVector] = []

@@ -1,5 +1,6 @@
-"""Shared random generators for the test suite, and the character route to
-the Pic^0 invariant that serves as an oracle for the closed form.
+"""Shared random generators for the test suite, the character route to the
+Pic^0 invariant that serves as an oracle for the closed form, and the value of
+a Heisenberg multiplier that cross-checks its exponent-space residual.
 
 All samplers take an explicit random.Random so every test is seed-pinned.
 Cocycle coefficients are kept small (degree <= 3, |coeffs| <= 1) so that the
@@ -18,12 +19,14 @@ from qtline import (
     Cocycle,
     DomainError,
     ExponentPoly,
+    HeisenbergElement,
     LatticeVector,
     PreconditionError,
     Pseudolattice,
     QuadReal,
     chern_symbolic,
 )
+from qtline.cocycle import exp_2pi_i
 from qtline.numeric import _Frozen
 
 TWO_PI_I = 2j * cmath.pi
@@ -146,3 +149,9 @@ def character_cocycle(phi: Character) -> Cocycle:
     slope = log1 / (TWO_PI_I * lat.omega1_float)
     c = phi.phi_omega2 * cmath.exp(-lat.theta * log1)
     return Cocycle(0, c, ExponentPoly.linear(slope), lat)
+
+
+def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex:
+    """Value of the full multiplier h at v: scalar times e^{(2*pi*i/omega1)*kappa*v}."""
+    kappa = elem.point.beta if a.s > 0 else -elem.point.beta
+    return elem.scalar * exp_2pi_i(kappa * v / a.lattice.omega1_float, "multiplier", v)

@@ -10,7 +10,6 @@ from qtline import (
     ExponentPoly,
     LatticeVector,
     RangeError,
-    Tolerance,
     alt_eval,
     chern_numeric,
     chern_symbolic,
@@ -18,6 +17,7 @@ from qtline import (
     sigma_section,
     trivial_cocycle,
 )
+from qtline.numeric import TOLERANCE_ENV_VAR
 from helpers import random_cocycle, random_v, random_vector
 
 L1 = lattice_sqrt2()
@@ -86,14 +86,14 @@ class TestChernMap:
                 assert chern_numeric(a, x, y, v1) == want
                 assert chern_numeric(a, x, y, v2) == want
 
-    def test_consistency_error_on_impossible_tolerance(self, l1):
+    def test_consistency_error_on_impossible_tolerance(self, l1, monkeypatch):
         # shrinking the tolerance below float dust trips the cross-check
         a = Cocycle(2, 1.3 + 0.7j, ExponentPoly((0j, 0.3 + 0.1j, 0.2 - 0.4j)), l1)
-        tiny = Tolerance(abs_eps=1e-300, rel_eps=1e-300)
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-300")
         with pytest.raises(ConsistencyError):
             for _ in range(200):
                 rng = random.Random(1)
-                chern_numeric(a, random_vector(rng), random_vector(rng), random_v(rng), tol=tiny)
+                chern_numeric(a, random_vector(rng), random_vector(rng), random_v(rng))
 
     @pytest.mark.parametrize("v", [1e9, 1e16])
     def test_unresolvable_sum_is_range_error(self, l1, v):

@@ -282,9 +282,9 @@ class TestNonFinite:
 
 class TestPrecisionGuard:
     """Each of these cocycles satisfies the identity by construction, yet its
-    exponents pass abs_eps * 2^52 / (2*pi), where a double no longer resolves them mod 1:
+    exponents pass eps * 2^52 / (2*pi), where a double no longer resolves them mod 1:
     the sampled residual would be rounding noise (1.99, 0.05, 7.7e-4 and 5.1e-8
-    here, against abs_eps = 1e-9)."""
+    here, against eps = 1e-9)."""
 
     @pytest.mark.parametrize(
         "s, g",

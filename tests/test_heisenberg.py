@@ -18,7 +18,6 @@ from qtline import (
     PreconditionError,
     Pseudolattice,
     QuadReal,
-    Tolerance,
     approx_eq,
     closed_form_pairing,
     coboundary,
@@ -30,10 +29,10 @@ from qtline import (
     k_group,
     membership_multiplier,
     multiplier_residual,
-    multiplier_value,
     trivial_cocycle,
 )
-from helpers import exact_phase, random_chern_trivial
+from qtline.numeric import TOLERANCE_ENV_VAR
+from helpers import exact_phase, multiplier_value, random_chern_trivial
 
 TWO_PI_I = 2j * math.pi
 
@@ -392,6 +391,12 @@ class TestPairing:
         with pytest.raises(PrecisionError, match="kappa = 6540822, 5606644"):
             commutator_pairing(a, x1, x2)
 
+    def test_kappa_beyond_double_range_is_precision_error(self, l1):
+        # the bound's kappa sum used to leak a bare OverflowError here
+        n = 10**400
+        with pytest.raises(PrecisionError, match="bound inf"):
+            commutator_pairing(section(l1, n), LambdaPoint(1, n - 1, n), LambdaPoint(0, 1, n))
+
     @pytest.mark.parametrize("s", [10**6, 10**7, -(10**7)])
     def test_large_s_lifts_agree_or_are_refused(self, l1, l2, s):
         # at s = 10^7, 166 of 300 such lifts raised a ConsistencyError and
@@ -441,15 +446,15 @@ class TestDichotomy:
 
     @pytest.mark.parametrize("s", [10**10, -(10**10)])
     def test_witness_flag_exact_for_large_s(self, l1, s):
-        # e^{2 pi i/s} lies within ~6e-10 of 1 here, below the default abs_eps
+        # e^{2 pi i/s} lies within ~6e-10 of 1 here, below the default eps
         report = dichotomy_check(section(l1, s))
         assert report.k_group.order == s * s
         assert report.witness_differs_from_one
 
-    def test_witness_flag_ignores_tolerance(self, l1):
-        # |e^{2 pi i/7} - 1| ~ 0.87 is below this abs_eps, yet the value is not 1
-        loose = Tolerance(abs_eps=0.9, rel_eps=1e-9)
-        report = dichotomy_check(section(l1, 7), tol=loose)
+    def test_witness_flag_ignores_tolerance(self, l1, monkeypatch):
+        # |e^{2 pi i/7} - 1| ~ 0.87 is below this eps, yet the value is not 1
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, "0.9")
+        report = dichotomy_check(section(l1, 7))
         assert report.witness_value == pytest.approx(cmath.exp(TWO_PI_I / 7))
         assert report.witness_differs_from_one
 

@@ -1,3 +1,5 @@
+import cmath
+import inspect
 import math
 from fractions import Fraction
 
@@ -5,16 +7,27 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, strategies as st
 
+import qtline
 from qtline import (
+    Cocycle,
     DomainError,
+    ExponentPoly,
     FormatError,
+    LambdaPoint,
     LatticeVector,
     Pseudolattice,
+    QTLineError,
     QuadReal,
     RangeError,
-    Tolerance,
     approx_eq,
-    default_tolerance,
+    chern_numeric,
+    commutator_pairing,
+    dichotomy_check,
+    lattice_sqrt2,
+    modulus_obstruction_demo,
+    solve_theta,
+    tolerance,
+    triviality_test,
 )
 from qtline import numeric
 from qtline.numeric import MAX_RADICAND, TOLERANCE_ENV_VAR
@@ -224,32 +237,29 @@ class TestFloatAgainstEnclosure:
 
 class TestTolerance:
     def test_approx_eq_cases(self):
-        tol = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
-        assert approx_eq(1 + 0j, 1 + 1e-12j, tol)
-        assert not approx_eq(1 + 0j, 1.1 + 0j, tol)
-        assert approx_eq(0j, 0j, tol)
+        assert approx_eq(1 + 0j, 1 + 1e-12j)
+        assert not approx_eq(1 + 0j, 1.1 + 0j)
+        assert approx_eq(0j, 0j)
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Tolerance(abs_eps=0.0, rel_eps=1e-9)
-        with pytest.raises(DomainError):
-            Tolerance(abs_eps=1e-9, rel_eps=-1.0)
+    def test_validation(self, monkeypatch):
+        for raw in ("0", "-0.0", "1e-400"):  # the last underflows to 0.0
+            monkeypatch.setenv(TOLERANCE_ENV_VAR, raw)
+            with pytest.raises(DomainError, match="finite and strictly positive"):
+                tolerance()
 
     def test_default(self):
-        tol = default_tolerance()
-        assert tol.abs_eps == 1e-9 and tol.rel_eps == 1e-9
+        assert tolerance() == 1e-9
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-3")
-        tol = default_tolerance()
-        assert tol.abs_eps == 1e-3 and tol.rel_eps == 1e-3
+        assert tolerance() == 1e-3
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
-    def test_non_finite_rejected(self, eps):
-        with pytest.raises(DomainError):
-            Tolerance(abs_eps=eps, rel_eps=1e-9)
-        with pytest.raises(DomainError):
-            Tolerance(abs_eps=1e-9, rel_eps=eps)
+    def test_non_finite_rejected(self, monkeypatch, eps):
+        for raw in (str(eps), f"-{eps}"):
+            monkeypatch.setenv(TOLERANCE_ENV_VAR, raw)
+            with pytest.raises(DomainError):
+                tolerance()
 
     @pytest.mark.parametrize(
         "raw, error",
@@ -258,4 +268,70 @@ class TestTolerance:
     def test_env_override_rejects_bad_values(self, monkeypatch, raw, error):
         monkeypatch.setenv(TOLERANCE_ENV_VAR, raw)
         with pytest.raises(error):
-            default_tolerance()
+            tolerance()
+
+
+def _outcome(call):
+    """The name of the QTLineError that call raises, or "ok"."""
+    try:
+        call()
+    except QTLineError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+_S2 = lattice_sqrt2()
+# Pic^0 invariant 1e-4 from e^{2*pi*i*0*theta}, and a modulus 1e-4 off the unit circle.
+_NEAR_WITNESS = Cocycle(0, cmath.exp(1e-4j), ExponentPoly.zero(), _S2)
+_NEAR_UNIT = Cocycle(0, 1.0001, ExponentPoly.zero(), _S2)
+# Its four-term sum has imaginary part 8.9e-16 at this sample point.
+_CHERN_2 = Cocycle(2, 1.3 + 0.7j, ExponentPoly((0j, 0.3 + 0.1j, 0.2 - 0.4j)), _S2)
+
+# consumer: (QTLINE_TOLERANCE, probe, result at the default 1e-9, result at that value)
+TOLERANCE_CONSUMERS = {
+    "approx_eq": ("1e-3", lambda: approx_eq(1.0, 1.0001), False, True),
+    "triviality_test": ("1e-3", lambda: triviality_test(_NEAR_WITNESS, bound=10).witness, None, 0),
+    "solve_theta": ("1e-3", lambda: solve_theta(_NEAR_WITNESS, bound=10).solved, False, True),
+    "modulus_obstruction_demo": (
+        "1e-3",
+        lambda: _outcome(lambda: modulus_obstruction_demo(_NEAR_UNIT)),
+        "ok",
+        "PreconditionError",
+    ),
+    "chern_numeric": (
+        "1e-300",
+        lambda: _outcome(lambda: chern_numeric(_CHERN_2, LatticeVector(1, 0), LatticeVector(0, 1), 1.1 - 0.4j)),
+        "ok",
+        "ConsistencyError",
+    ),
+    "commutator_pairing": (
+        "1e-300",
+        lambda: _outcome(lambda: commutator_pairing(_CHERN_2, LambdaPoint(1, 0, 2), LambdaPoint(0, 1, 2))),
+        "ok",
+        "PrecisionError",
+    ),
+    "dichotomy_check": ("1e-300", lambda: _outcome(lambda: dichotomy_check(_CHERN_2)), "ok", "PrecisionError"),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(TOLERANCE_CONSUMERS))
+def test_tolerance_env_reaches_every_consumer(monkeypatch, consumer):
+    raw, probe, at_default, at_raw = TOLERANCE_CONSUMERS[consumer]
+    assert probe() == at_default
+    monkeypatch.setenv(TOLERANCE_ENV_VAR, raw)
+    assert probe() == at_raw
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # QTLINE_TOLERANCE is the one knob: no function or method takes a per-call tol.
+    takers = []
+    for name in qtline.__all__:
+        obj = getattr(qtline, name)
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", member) for attr, member in vars(obj).items()]
+        for label, member in members:
+            func = getattr(member, "__func__", member)  # unwrap static and class methods
+            if inspect.isfunction(func) and "tol" in inspect.signature(func).parameters:
+                takers.append(label)
+    assert takers == []

@@ -193,7 +193,7 @@ class TestDensity:
         lat = Pseudolattice(omega1, omega2)
         vectors = [LatticeVector(p, -q) for p, q in eager_convergents(lat, max_terms)]
         values = [float(lat.real_value(v)) for v in vectors]
-        assert [lat.rounded_value(v) for v in vectors] == values
+        assert [lat.rounded_combination(v.a, v.b) for v in vectors] == values
         assert outcome(lambda: lat.approximate_real(target, eps, max_terms)) == outcome(
             lambda: exactly_within(lat, greedy_descent(vectors, values, target, eps), target, eps)
         )

@@ -22,10 +22,10 @@ from qtline import (
     lattice_sqrt2,
     membership_multiplier,
     multiplier_residual,
-    multiplier_value,
     theta_residuals,
 )
 from qtline.cocycle import draw_sample
+from helpers import multiplier_value
 
 L1 = lattice_sqrt2()
 TWO_PI_I = 2j * math.pi

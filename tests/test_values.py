@@ -22,7 +22,6 @@ from qtline import (
     LatticeVector,
     Pseudolattice,
     QuadReal,
-    Tolerance,
     TrivialityVerdict,
     ah_normal_form,
     dichotomy_check,
@@ -38,7 +37,6 @@ from helpers import reduce_to_constant
 # Each factory builds a fresh, equal object on every call, with the name of one
 # of its fields.
 FACTORIES = {
-    "Tolerance": (lambda: Tolerance(1e-6, 2e-7), "abs_eps"),
     "QuadReal": (lambda: QuadReal(Fraction(1, 2), 3, 5), "a"),
     "LatticeVector": (lambda: LatticeVector(3, -4), "a"),
     "Convergent": (lambda: Convergent(7, 5, 3), "q"),
@@ -98,7 +96,6 @@ def test_pickle_round_trip(factory):
 def test_objects_of_other_classes_are_unequal():
     assert LatticeVector(1, 2) != (1, 2)
     assert AltForm(3) != 3
-    assert Tolerance() != (1e-9, 1e-9)
     assert LambdaPoint(1, 2, 3) != Convergent(1, 2, 3)
     # A Convergent is a tuple row, yet never equals the plain tuple of its fields.
     assert Convergent(7, 5, 3) != (7, 5, 3)
@@ -181,7 +178,6 @@ def test_repr_text(value, text):
 
 
 def test_keyword_construction_and_defaults():
-    assert Tolerance() == Tolerance(abs_eps=1e-9, rel_eps=1e-9)
     assert TrivialityVerdict("unknown", bound=5) == TrivialityVerdict.unknown(5)
     assert KGroupDescription(finite=False) == KGroupDescription.full_torus()
     assert LatticeVector(b=2, a=1) == LatticeVector(1, 2)
