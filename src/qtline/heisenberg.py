@@ -47,7 +47,7 @@ from .cocycle import (
     max_residual,
     resolvable_exponent,
 )
-from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError
+from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError, RangeError
 from .numeric import _Frozen, approx_eq, tolerance
 from .pseudolattice import Pseudolattice
 
@@ -207,11 +207,14 @@ def heisenberg_inverse(g: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
 
 def closed_form_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
     """e^{2*pi*i*(alpha1*beta2 - alpha2*beta1)/s} with the signed s of the cocycle;
-    the cross term is reduced mod s on integers, keeping its sign."""
+    the cross term is reduced mod s on integers, keeping its sign.  RangeError
+    for an |s| past the double range, which the float quotient cannot take."""
     if a.s == 0:
         raise PreconditionError("closed form needs a nonzero Chern class")
     _check_point(a, x1)
     _check_point(a, x2)
+    if abs(a.s) > sys.float_info.max:
+        raise RangeError(f"closed-form pairing needs |s| in the double range; s has {a.s.bit_length()} bits")
     cross = x1.alpha * x2.beta - x2.alpha * x1.beta
     residue = abs(cross) % abs(a.s)
     # Both scaled by 1/8, which is exact, so 2*pi*residue stays finite at any |s|.

@@ -18,9 +18,12 @@ factors cancel in closed form: with m0 the principal fold of Re(g_1)*omega1
 so Im(g_1) never reaches an exponential, and m0*theta is reduced mod 1 on
 integers, exact at every m0.  The normalized character is a coboundary iff
 phihat(omega2) = e^{2*pi*i*m*theta} for some integer m; ``triviality_test``
-searches |m| <= bound (in floats) and returns a three-valued verdict, since
-unit-circle membership in the dense subgroup {e^{2*pi*i*m*theta}} cannot
-be decided numerically without a bound.
+scans |m| <= bound, smallest |m| first, and returns a three-valued verdict,
+since unit-circle membership in the dense subgroup {e^{2*pi*i*m*theta}} cannot
+be decided numerically without a bound.  Each candidate's float phase
+frac(m*theta) is first tested against a window around arg(w)/(2*pi), proven
+to hold every candidate the float acceptance test can accept; only those in
+it reach the exponential.
 
 Branch caveat, by design: a different branch of log phi(omega1) shifts the
 invariant by a factor e^{2*pi*i*m*theta}.  The library always computes the
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .chern import AltForm, chern_symbolic
 from .cocycle import _TWO_PI_I, Cocycle
@@ -128,13 +132,66 @@ def pic0_invariant(a: Cocycle) -> complex:
     return _pic0_value(a)
 
 
+# Unit roundoff of a double, and the largest finite double.
+_U = 2.0**-53
+_FLOAT_MAX = sys.float_info.max
+
+
+def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[float, float, float]:
+    """(lo, lo_neg, width): candidate m can pass ``triviality_test``'s float
+    acceptance test |w - e^{2*pi*i*m*theta}| <= eps only if
+    (frac(m*theta) - lo) % 1 <= width; candidate -m only if the same holds
+    with lo_neg.  Both tests read f = (m * theta) % 1.0, computed once per m.
+
+    Derivation, in the standard model fl(x op y) = (x op y)(1 + d), |d| <= u =
+    2^-53, with libm's cos, sin and hypot within 1 ulp and atan2 within 2.
+    Write rho = |w|, phi = arg(w), N = bound, and y = fl(fl(2*pi*m)*theta)
+    for the exponent the acceptance test forms (2*pi rounded, two products).
+
+    * Acceptance.  cmath.exp(i*y) is (cos y, sin y) to 2u in modulus; the
+      subtraction and hypot lose at most a factor (1 - 3u).  So a computed
+      |w - e_c| <= eps gives |w - e^{iy}| <= eps/(1 - 3u) + 2u, below
+      E = eps/(1 - 4u) + 4u.
+    * Phase gap.  |w - e^{iy}|^2 = (rho - 1)^2 + 4*rho*sin^2((phi - y)/2), and
+      |sin(pi*d)| >= 2d for the distance d in [0, 1/2] from (phi - y)/(2*pi)
+      to the nearest integer.  So d <= E/(4*sqrt(rho)) turns.
+    * Rounding of the phases.  y/(2*pi) is within 3.4u*|m*theta| of m*theta,
+      and fl(m*theta) within 2u*|m*theta|; the reductions mod 1 of f, of lo
+      and of f - lo, and t = phase(w)/(2*pi) itself, add at most 4.2u, and
+      forming half at most 2u more.  With |m| <= N all of it stays under
+      the margin 8u*(N*|theta| + 1).
+
+    Hence half = E/(4*sqrt(rho)) + 8u*(N*|theta| + 1), centred on
+    t = arg(w)/(2*pi) for m and on -t for -m (frac(-m*theta) = -f), and
+    width = min(2*half, 1).  Width 1 (a tolerance of about 2 or more) lets
+    every candidate reach the acceptance test; where E >= 4*sqrt(rho), rho = 0
+    among them, half is taken as 1 without dividing.  A bound past the double
+    range enters the margin as the largest double: no candidate beyond it can
+    be formed as a float.
+    """
+    big_e = eps / (1.0 - 4.0 * _U) + 4.0 * _U
+    root = 4.0 * math.sqrt(abs(w))
+    margin = 8.0 * _U * ((bound if bound < _FLOAT_MAX else _FLOAT_MAX) * abs(theta) + 1.0)
+    half = (big_e / root if big_e < root else 1.0) + margin
+    t = cmath.phase(w) / (2.0 * math.pi)
+    return (t - half) % 1.0, (-t - half) % 1.0, 2.0 * half if half < 0.5 else 1.0
+
+
 def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> TrivialityVerdict:
     """Decide cohomological triviality of a, up to the witness search bound.
 
     Certified nontrivial when the Chern class is nonzero or the normalized
     invariant leaves the unit circle; trivial with witness m when the
-    invariant matches e^{2*pi*i*m*theta} within tolerance, scanning
-    m = 0, 1, -1, 2, -2, ... so the minimal |m| wins.
+    invariant w matches e^{2*pi*i*m*theta} within tolerance, scanning
+    m = 0, 1, -1, 2, -2, ... so the minimal |m| wins; unknown when no
+    |m| <= bound matches.
+
+    Every candidate first passes the phase window of :func:`_phase_window`,
+    a proven superset of the candidates the acceptance test
+    |w - e^{2*pi*i*m*theta}| <= eps can accept, so the verdict is the one a
+    scan evaluating every candidate would give; the exponential is formed
+    only inside the window (for m = 0 the window test may pass twice, as 0
+    and as -0, with the same answer).
     """
     if bound < 1:
         raise PreconditionError("need bound >= 1")
@@ -145,10 +202,13 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     if abs(abs(w) - 1.0) > eps:
         return TrivialityVerdict.nontrivial(REASON_MODULUS)
     theta = a.lattice.theta
+    lo, lo_neg, width = _phase_window(w, theta, bound, eps)
     for m in range(0, bound + 1):
-        for candidate in ((m,) if m == 0 else (m, -m)):
-            if abs(w - cmath.exp(_TWO_PI_I * candidate * theta)) <= eps:
-                return TrivialityVerdict.trivial(candidate)
+        f = (m * theta) % 1.0
+        if (f - lo) % 1.0 <= width and abs(w - cmath.exp(_TWO_PI_I * m * theta)) <= eps:
+            return TrivialityVerdict.trivial(m)
+        if (f - lo_neg) % 1.0 <= width and abs(w - cmath.exp(_TWO_PI_I * -m * theta)) <= eps:
+            return TrivialityVerdict.trivial(-m)
     return TrivialityVerdict.unknown(bound)
 
 

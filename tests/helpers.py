@@ -1,6 +1,7 @@
 """Shared random generators for the test suite, the character route to the
-Pic^0 invariant that serves as an oracle for the closed form, and the value of
-a Heisenberg multiplier that cross-checks its exponent-space residual.
+Pic^0 invariant that serves as an oracle for the closed form, the value of
+a Heisenberg multiplier that cross-checks its exponent-space residual, and the
+unwindowed witness scan that serves as an oracle for ``triviality_test``.
 
 All samplers take an explicit random.Random so every test is seed-pinned.
 Cocycle coefficients are kept small (degree <= 3, |coeffs| <= 1) so that the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import random
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -26,14 +28,24 @@ from qtline import (
     QuadReal,
     chern_symbolic,
 )
-from qtline.cocycle import exp_2pi_i
-from qtline.numeric import _Frozen
+from qtline.cocycle import _TWO_PI_I, exp_2pi_i
+from qtline.numeric import _Frozen, tolerance
+from qtline.picard import REASON_MODULUS, REASON_NONZERO_CHERN, TrivialityVerdict, _pic0_value
 
 TWO_PI_I = 2j * cmath.pi
 
 # Keep |Re g_1| below 1/(4*omega1) so arg(phi(omega1)) stays in (-pi/2, pi/2)
 # and principal-branch logs add exactly when two such cocycles are multiplied.
 BRANCH_SAFE_SLOPE = 0.2
+
+# The four lattices of perfbench/certify.py: sqrt(2), the golden ratio, a
+# non-unit omega1, and a negative sqrt(D) coefficient (theta < 0).
+CERTIFY_LATTICES = [
+    Pseudolattice(QuadReal.rational(1, 2), QuadReal.sqrt(2)),
+    Pseudolattice(QuadReal.rational(1, 5), QuadReal(Fraction(1, 2), Fraction(1, 2), 5)),
+    Pseudolattice(QuadReal.rational(Fraction(3, 2), 7), QuadReal(Fraction(-1, 2), Fraction(1, 3), 7)),
+    Pseudolattice(QuadReal.rational(1, 3), QuadReal(Fraction(1, 2), Fraction(-1, 2), 3)),
+]
 
 
 def exact_frac(theta: QuadReal, a: int, b: int, den: int = 1) -> mp.mpf:
@@ -155,3 +167,23 @@ def multiplier_value(a: Cocycle, elem: HeisenbergElement, v: complex) -> complex
     """Value of the full multiplier h at v: scalar times e^{(2*pi*i/omega1)*kappa*v}."""
     kappa = elem.point.beta if a.s > 0 else -elem.point.beta
     return elem.scalar * exp_2pi_i(kappa * v / a.lattice.omega1_float, "multiplier", v)
+
+
+def linear_triviality_test(a: Cocycle, bound: int) -> TrivialityVerdict:
+    """``triviality_test`` without its phase window: every candidate
+    m = 0, 1, -1, 2, -2, ... runs the acceptance test, so it costs one
+    exponential per candidate."""
+    if bound < 1:
+        raise PreconditionError("need bound >= 1")
+    eps = tolerance()
+    if chern_symbolic(a).s != 0:
+        return TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
+    w = _pic0_value(a)
+    if abs(abs(w) - 1.0) > eps:
+        return TrivialityVerdict.nontrivial(REASON_MODULUS)
+    theta = a.lattice.theta
+    for m in range(0, bound + 1):
+        for candidate in ((m,) if m == 0 else (m, -m)):
+            if abs(w - cmath.exp(_TWO_PI_I * candidate * theta)) <= eps:
+                return TrivialityVerdict.trivial(candidate)
+    return TrivialityVerdict.unknown(bound)

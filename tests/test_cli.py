@@ -1,3 +1,4 @@
+import ast
 import cmath
 import contextlib
 import io
@@ -305,6 +306,29 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_every_module_the_startup_breakdown_times():
+    # perfbench/cli_oneshot.py reads each of its MODULES from `-X importtime`
+    # of `import qtline.cli`; a module that import leaves out has no sample,
+    # and `run.py --trace 1` dies on an empty median
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "cli_oneshot.py").read_text())
+    modules = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "MODULES" for t in node.targets)
+    )
+    assert "qtline.cli" in modules
+    probe = f"import qtline.cli, sys; print(sorted(set({modules!r}) - set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True,
         text=True,
         check=True,

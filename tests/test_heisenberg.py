@@ -18,6 +18,7 @@ from qtline import (
     PreconditionError,
     Pseudolattice,
     QuadReal,
+    RangeError,
     approx_eq,
     closed_form_pairing,
     coboundary,
@@ -360,6 +361,12 @@ class TestPairing:
         x1, x2 = LambdaPoint(n - 1, 0, n), LambdaPoint(0, 1, n)
         assert abs(closed_form_pairing(a, x1, x2) - 1.0) < 1e-12
         assert approx_eq(commutator_pairing(a, x1, x2), closed_form_pairing(a, x1, x2))
+
+    def test_closed_form_s_beyond_double_range_is_range_error(self, l1):
+        # the float quotient by s used to leak a bare OverflowError here
+        n = 10**400
+        with pytest.raises(RangeError, match="double range"):
+            closed_form_pairing(section(l1, n), LambdaPoint(1, n - 1, n), LambdaPoint(0, 1, n))
 
     def test_closed_form_bit_identical_below_s(self, l1):
         # with |cross| < |s| the reduction is the identity: the old expression exactly

@@ -29,17 +29,22 @@ from qtline import (
     triviality_test,
     trivial_cocycle,
 )
-from qtline.picard import principal_fold
+from qtline.picard import _phase_window, principal_fold
 from helpers import (
+    CERTIFY_LATTICES,
     Character,
     character_cocycle,
     exact_phase,
+    linear_triviality_test,
     random_chern_trivial,
     random_nonzero,
     random_v,
     random_vector,
     reduce_to_constant,
 )
+
+EPS = 1e-9
+LATTICE_IDS = ["sqrt2", "golden", "omega1_3_2", "negative_theta"]
 
 TWO_PI_I = 2j * math.pi
 
@@ -130,6 +135,114 @@ class TestTrivialityTest:
     def test_bound_validation(self, l1):
         with pytest.raises(PreconditionError):
             triviality_test(trivial_cocycle(l1), bound=0)
+
+
+def planted(lattice, m, offset, rng):
+    """Pure character whose invariant sits offset away, in a random direction,
+    from the value e^{2*pi*i*m*theta} the acceptance test forms for m."""
+    target = cmath.exp(TWO_PI_I * m * lattice.theta)
+    return Cocycle(0, target + offset * cmath.exp(1j * rng.uniform(-math.pi, math.pi)), ExponentPoly.zero(), lattice)
+
+
+def in_window(m, theta, window):
+    """The scan's window test for candidate m, as triviality_test forms it."""
+    lo, lo_neg, width = window
+    f = (abs(m) * theta) % 1.0
+    return (f - (lo if m >= 0 else lo_neg)) % 1.0 <= width
+
+
+class CountingCmath:
+    """Stands in for picard's cmath: exp is counted, phase passes through."""
+
+    phase = staticmethod(cmath.phase)
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def exp(self, z):
+        self.exp_calls += 1
+        return cmath.exp(z)
+
+
+class TestWitnessWindow:
+    @pytest.mark.parametrize("lattice", CERTIFY_LATTICES, ids=LATTICE_IDS)
+    def test_same_verdict_as_linear_scan(self, lattice):
+        # w planted just inside, on and just outside the tolerance of a witness
+        # m with |m| <= 2*10^4, at bounds that stop on m, just past it, and far past
+        rng = random.Random(f"window:{lattice.theta!r}")
+        signs = [rng.choice([-1, 1]) for _ in range(3)]
+        witnesses = [
+            0,
+            signs[0] * rng.randint(1, 20),
+            signs[1] * int(10 ** rng.uniform(2, 4)),
+            signs[2] * rng.randint(15_000, 20_000),
+        ]
+        offsets = [EPS * (1 + k) for k in (-1e-6, 1e-6, -1e-9, 1e-9)] + [0.5 * EPS, 1.5 * EPS]
+        statuses = []
+        for m in witnesses:
+            for offset in offsets:
+                a = planted(lattice, m, offset, rng)
+                for bound in (max(abs(m), 1), abs(m) + 3, 2 * abs(m) + 5):
+                    want = linear_triviality_test(a, bound)
+                    assert triviality_test(a, bound) == want, (m, offset, bound)
+                    statuses.append(want.status)
+        assert {"trivial", "unknown"} <= set(statuses)
+
+    @pytest.mark.parametrize("lattice", CERTIFY_LATTICES, ids=LATTICE_IDS)
+    def test_window_holds_every_accepted_candidate(self, lattice):
+        # the window is a superset of the acceptance test's hits: 4000 planted
+        # near-boundary candidates per lattice, up to |m| = 10^6, the CLI's bound
+        rng = random.Random(f"superset:{lattice.theta!r}")
+        theta = lattice.theta
+        accepted = 0
+        for _ in range(4000):
+            bound = rng.choice([10**4, 10**5, 10**6])
+            m = rng.choice([-1, 1]) * rng.randint(0, bound)
+            w = planted(lattice, m, EPS * rng.uniform(0.99, 1.0), rng).c
+            if abs(w - cmath.exp(TWO_PI_I * m * theta)) <= EPS:
+                accepted += 1
+                assert in_window(m, theta, _phase_window(w, theta, bound, EPS)), (m, w, bound)
+        assert accepted > 2000
+
+    @pytest.mark.parametrize("lattice", CERTIFY_LATTICES, ids=LATTICE_IDS)
+    def test_unknown_scan_skips_the_exponential(self, monkeypatch, lattice):
+        # a phase at least 1e-8 from every m*theta, |m| <= 10^5: the linear
+        # scan forms 2*10^5 + 1 exponentials, the windowed one almost none
+        rng = random.Random(f"unknown:{lattice.theta!r}")
+        theta = lattice.theta
+        while True:
+            t = rng.random()
+            if min(abs((m * theta - t + 0.5) % 1.0 - 0.5) for m in range(-(10**5), 10**5 + 1)) >= 1e-8:
+                break
+        a = Cocycle(0, cmath.exp(TWO_PI_I * t), ExponentPoly.zero(), lattice)
+        counting = CountingCmath()
+        monkeypatch.setattr("qtline.picard.cmath", counting)
+        verdict = triviality_test(a, 10**5)
+        assert verdict.status == "unknown" and verdict.bound == 10**5
+        assert counting.exp_calls <= 3
+
+    def test_wide_tolerance_same_verdicts(self, monkeypatch):
+        # eps = 0.3: the window is about 0.15 wide, so many candidates reach
+        # the acceptance test, which alone decides
+        monkeypatch.setenv("QTLINE_TOLERANCE", "0.3")
+        rng = random.Random(140)
+        for lattice in CERTIFY_LATTICES:
+            for _ in range(25):
+                m = rng.randint(-40, 40)
+                a = planted(lattice, m, rng.uniform(0.1, 0.6), rng)
+                bound = rng.randint(1, 60)
+                assert triviality_test(a, bound) == linear_triviality_test(a, bound)
+
+    @pytest.mark.parametrize("c", [1e-300, 1.0, cmath.exp(2j)])
+    def test_tolerance_two_opens_the_whole_circle(self, monkeypatch, l1, c):
+        # eps = 2 admits |w| ~ 0: the gap bound says nothing, the window is the
+        # whole circle, and no division by sqrt(|w|) happens
+        monkeypatch.setenv("QTLINE_TOLERANCE", "2")
+        a = Cocycle(0, c, ExponentPoly.zero(), l1)
+        assert _phase_window(a.c, l1.theta, 10, 2.0)[2] == 1.0
+        assert _phase_window(0j, l1.theta, 10, 2.0)[2] == 1.0
+        verdict = triviality_test(a, 10)
+        assert verdict == linear_triviality_test(a, 10) and verdict.witness == 0
 
 
 class TestPic0Invariant:

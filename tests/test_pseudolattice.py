@@ -18,7 +18,7 @@ from qtline import (
     lattice_sqrt2,
 )
 from qtline.numeric import surd_floor, surd_form
-from helpers import exact_frac
+from helpers import CERTIFY_LATTICES, exact_frac
 
 mp.mp.dps = 60
 
@@ -462,21 +462,13 @@ def test_convergents_build_rows_without_the_constructor(monkeypatch):
         assert [(c.p, c.q, c.index) for c in got] == [(p, q, k) for k, (p, q) in enumerate(eager_convergents(lat, 640))]
 
 
-# The four lattices of perfbench/certify.py: sqrt(2), the golden ratio, a
-# non-unit omega1, and a negative sqrt(D) coefficient.
-KERNEL_LATTICES = [
-    Pseudolattice(QuadReal.rational(1, 2), QuadReal.sqrt(2)),
-    Pseudolattice(QuadReal.rational(1, 5), QuadReal(Fraction(1, 2), Fraction(1, 2), 5)),
-    Pseudolattice(QuadReal.rational(Fraction(3, 2), 7), QuadReal(Fraction(-1, 2), Fraction(1, 3), 7)),
-    Pseudolattice(QuadReal.rational(1, 3), QuadReal(Fraction(1, 2), Fraction(-1, 2), 3)),
-]
 huge = st.integers(0, 300).flatmap(lambda k: st.integers(-(10**k), 10**k))
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(lat=st.sampled_from(KERNEL_LATTICES), a=huge, b=st.one_of(st.just(0), huge), den=st.integers(1, 10**12))
-@example(lat=KERNEL_LATTICES[0], a=0, b=10**10, den=1)
-@example(lat=KERNEL_LATTICES[3], a=-7, b=-(10**300), den=10**12)
+@given(lat=st.sampled_from(CERTIFY_LATTICES), a=huge, b=st.one_of(st.just(0), huge), den=st.integers(1, 10**12))
+@example(lat=CERTIFY_LATTICES[0], a=0, b=10**10, den=1)
+@example(lat=CERTIFY_LATTICES[3], a=-7, b=-(10**300), den=10**12)
 def test_frac_combination_matches_mpmath(lat, a, b, den):
     got = lat.frac_combination(a, b, den)
     assert 0.0 <= got <= 1.0
@@ -492,7 +484,7 @@ def test_frac_combination_needs_positive_den(den):
 def test_frac_combination_uses_no_quadreal_arithmetic(monkeypatch):
     """The kernel reads the Perron triple only: integers end to end."""
     args = [(0, 1, 1), (3, -10**30, 7), (10**40, 10**20, 10**12), (5, 0, 3)]
-    want = [[lat.frac_combination(*arg) for arg in args] for lat in KERNEL_LATTICES]
+    want = [[lat.frac_combination(*arg) for arg in args] for lat in CERTIFY_LATTICES]
 
     def refuse(*args):
         raise AssertionError("QuadReal arithmetic in frac_combination")
@@ -500,5 +492,5 @@ def test_frac_combination_uses_no_quadreal_arithmetic(monkeypatch):
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "reciprocal",
                  "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__float__", "__floor__"):
         monkeypatch.setattr(QuadReal, name, refuse)
-    fresh = [Pseudolattice(lat.omega1, lat.omega2) for lat in KERNEL_LATTICES]
+    fresh = [Pseudolattice(lat.omega1, lat.omega2) for lat in CERTIFY_LATTICES]
     assert [[lat.frac_combination(*arg) for arg in args] for lat in fresh] == want
