@@ -13,11 +13,11 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
 from . import jsonio
 from .chern import chern_numeric, chern_symbolic
-from .cocycle import cocycle_identity_residuals, max_residual
+from .cocycle import Cocycle, cocycle_identity_residuals, max_residual
 from .errors import DomainError, FormatError, QTLineError, RangeError
 from .heisenberg import LambdaPoint, closed_form_pairing, commutator_pairing, k_group
 from .numeric import QuadReal, approx_eq
@@ -34,22 +34,25 @@ MAX_BOUND = 10**6
 _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # malformed flags -> exit 1, not 2
-        raise _UsageError(message)
+    def error(self, message: str) -> NoReturn:  # malformed flags -> exit 1, not 2
+        raise FormatError(message)
 
 
 def _parse_quadreal(text: str, d: int) -> QuadReal:
-    """Parse expressions like "1", "-3/2", "sqrtD", "2*sqrtD", "(1+sqrtD)/2"."""
+    """Parse expressions like "1", "-3/2", "sqrtD", "2*sqrtD", "(1+sqrtD)/2".
+
+    One "*" may stand only between a coefficient and sqrtD.  A decimal exponent
+    (the 400 of "1e400") above the integer-literal digit limit
+    sys.get_int_max_str_digits() is refused before its power of ten is built."""
     s = text.replace(" ", "")
     den = 1
     m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>[0-9]+)", s)
     if m:
-        s, den = m.group("inner"), int(m.group("den"))
+        try:
+            s, den = m.group("inner"), int(m.group("den"))
+        except ValueError as exc:  # more digits than an integer literal may have
+            raise FormatError(f"cannot parse denominator in {text!r}: {exc}") from exc
         if den == 0:
             raise FormatError(f"zero denominator in {text!r}")
     terms = re.findall(r"[+-]?[^+-]+", s)
@@ -57,38 +60,32 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
         raise FormatError(f"cannot parse quadratic-real expression {text!r}")
     a = Fraction(0)
     b = Fraction(0)
+    limit = sys.get_int_max_str_digits()
     for term in terms:
         sign = -1 if term.startswith("-") else 1
         body = term.lstrip("+-")
+        surd = body.endswith("sqrtD")
+        coef = body[:-5].removesuffix("*") if surd else body
+        exponent = re.search(r"e([0-9_]+)$", coef, re.IGNORECASE)  # unsigned: a sign starts a term
         try:
-            if body.endswith("sqrtD"):
-                coef = body[:-5].rstrip("*")
-                b += sign * (Fraction(coef) if coef else Fraction(1))
-            else:
-                a += sign * Fraction(body)
+            if exponent and limit and int(exponent.group(1)) > limit:
+                raise ValueError(f"decimal exponent above {limit}")
+            value = sign * (Fraction(1) if body == "sqrtD" else Fraction(coef))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse term {term!r} in {text!r}: {exc}") from exc
+        a, b = (a, b + value) if surd else (a + value, b)
     return QuadReal(a / den, b / den, d)
 
 
-def _parse_int_pair(text: str, what: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise FormatError(f"{what} must be two comma-separated integers, got {text!r}")
+def _parse_pair(text: str, what: str, convert: Callable[[str], Any], form: str) -> tuple[Any, Any]:
     try:
-        return int(parts[0]), int(parts[1])
+        first, second = text.split(",")  # ValueError unless exactly two parts
+        return convert(first), convert(second)
     except ValueError as exc:
-        raise FormatError(f"{what} must be two comma-separated integers, got {text!r}") from exc
+        raise FormatError(f"{what} must be {form}, got {text!r}") from exc
 
 
-def _parse_complex(text: str, what: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise FormatError(f"{what} must be re,im, got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise FormatError(f"{what} must be re,im, got {text!r}") from exc
+_INT_PAIR = "two comma-separated integers"
 
 
 def _reject_constant(name: str) -> NoReturn:
@@ -105,11 +102,7 @@ def _load_json(path: str) -> Any:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_cocycle(path: str):
-    return jsonio.cocycle_from_json(_load_json(path))
-
-
-def _cmd_cf(args: argparse.Namespace) -> Any:
+def _cmd_cf(_: None, args: argparse.Namespace) -> Any:
     omega1 = _parse_quadreal(args.omega1, args.D)
     omega2 = _parse_quadreal(args.omega2, args.D)
     lat = Pseudolattice(omega1, omega2)
@@ -143,21 +136,19 @@ def _residual_report(residuals: list[float], args: argparse.Namespace) -> Any:
     return result
 
 
-def _cmd_verify(args: argparse.Namespace) -> Any:
-    a = _load_cocycle(args.cocycle)
+def _cmd_verify(a: Cocycle, args: argparse.Namespace) -> Any:
     return _residual_report(cocycle_identity_residuals(a, samples=args.samples, seed=args.seed), args)
 
 
-def _cmd_chern(args: argparse.Namespace) -> Any:
-    a = _load_cocycle(args.cocycle)
-    l1 = LatticeVector(*_parse_int_pair(args.l1, "--l1"))
-    l2 = LatticeVector(*_parse_int_pair(args.l2, "--l2"))
-    v = _parse_complex(args.v, "--v")
+def _cmd_chern(a: Cocycle, args: argparse.Namespace) -> Any:
+    l1 = LatticeVector(*_parse_pair(args.l1, "--l1", int, _INT_PAIR))
+    l2 = LatticeVector(*_parse_pair(args.l2, "--l2", int, _INT_PAIR))
+    v = complex(*_parse_pair(args.v, "--v", float, "re,im"))
     return {"s": chern_symbolic(a).s, "numeric_check": chern_numeric(a, l1, l2, v)}
 
 
-def _cmd_normal_form(args: argparse.Namespace) -> Any:
-    data = ah_normal_form(_load_cocycle(args.cocycle))
+def _cmd_normal_form(a: Cocycle, args: argparse.Namespace) -> Any:
+    data = ah_normal_form(a)
     return {
         "E": data.e_form.s,
         "c": jsonio.complex_to_json(data.chi_omega2),
@@ -169,8 +160,8 @@ def _cmd_normal_form(args: argparse.Namespace) -> Any:
     }
 
 
-def _cmd_trivial(args: argparse.Namespace) -> Any:
-    verdict = triviality_test(_load_cocycle(args.cocycle), bound=args.bound)
+def _cmd_trivial(a: Cocycle, args: argparse.Namespace) -> Any:
+    verdict = triviality_test(a, bound=args.bound)
     return {
         "status": verdict.status,
         "witness": verdict.witness,
@@ -179,11 +170,10 @@ def _cmd_trivial(args: argparse.Namespace) -> Any:
     }
 
 
-def _cmd_pairing(args: argparse.Namespace) -> Any:
-    a = _load_cocycle(args.cocycle)
+def _cmd_pairing(a: Cocycle, args: argparse.Namespace) -> Any:
     denom = abs(a.s) if a.s != 0 else 1
-    x1 = LambdaPoint(*_parse_int_pair(args.x1, "--x1"), denom)
-    x2 = LambdaPoint(*_parse_int_pair(args.x2, "--x2"), denom)
+    x1 = LambdaPoint(*_parse_pair(args.x1, "--x1", int, _INT_PAIR), denom)
+    x2 = LambdaPoint(*_parse_pair(args.x2, "--x2", int, _INT_PAIR), denom)
     value = commutator_pairing(a, x1, x2)
     closed = closed_form_pairing(a, x1, x2)
     return {
@@ -193,13 +183,13 @@ def _cmd_pairing(args: argparse.Namespace) -> Any:
     }
 
 
-def _cmd_k_group(args: argparse.Namespace) -> Any:
-    desc = k_group(_load_cocycle(args.cocycle))
+def _cmd_k_group(a: Cocycle, args: argparse.Namespace) -> Any:
+    desc = k_group(a)
     return {"finite": desc.finite, "modulus": desc.modulus, "order": desc.order}
 
 
-def _cmd_theta_solve(args: argparse.Namespace) -> Any:
-    result = solve_theta(_load_cocycle(args.cocycle), bound=args.bound)
+def _cmd_theta_solve(a: Cocycle, args: argparse.Namespace) -> Any:
+    result = solve_theta(a, bound=args.bound)
     if result.solved:
         return {
             "status": "solved",
@@ -211,10 +201,39 @@ def _cmd_theta_solve(args: argparse.Namespace) -> Any:
     return {"status": "unknown", "bound": args.bound}
 
 
-def _cmd_theta_check(args: argparse.Namespace) -> Any:
-    a = _load_cocycle(args.cocycle)
+def _cmd_theta_check(a: Cocycle, args: argparse.Namespace) -> Any:
     t = jsonio.theta_from_json(_load_json(args.theta))
     return _residual_report(theta_residuals(a, t, samples=args.samples, seed=args.seed), args)
+
+
+_SAMPLE_FLAGS = (
+    ("--samples", {"type": int, "default": 1000}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--emit-samples", {"action": "store_true", "help": "include per-sample residuals"}),
+)
+_BOUND_FLAGS = (("--bound", {"type": int, "default": DEFAULT_WITNESS_BOUND}),)
+# Every subcommand but cf: name, help, handler(cocycle, args), and its flags
+# after --cocycle, in --help order.
+_COCYCLE_COMMANDS = (
+    ("verify", "max residual of the cocycle identity at samples", _cmd_verify, _SAMPLE_FLAGS),
+    ("chern", "Chern integer, symbolic and numeric routes", _cmd_chern, (
+        ("--l1", {"default": "1,0", "help": "integer pair a,b"}),
+        ("--l2", {"default": "0,1", "help": "integer pair a,b"}),
+        ("--v", {"default": "0.3,0.2", "help": "complex sample point re,im"}),
+    )),
+    ("normal-form", "classifying pair (chi, E)", _cmd_normal_form, ()),
+    ("trivial", "bounded cohomological-triviality verdict", _cmd_trivial, _BOUND_FLAGS),
+    ("pairing", "commutator pairing on stabilizer lifts", _cmd_pairing, (
+        ("--x1", {"required": True, "help": "integer pair alpha,beta"}),
+        ("--x2", {"required": True, "help": "integer pair alpha,beta"}),
+    )),
+    ("k-group", "translation-stabilizer group description", _cmd_k_group, ()),
+    ("theta-solve", "solve the theta functional equation or certify", _cmd_theta_solve, _BOUND_FLAGS),
+    ("theta-check", "residual of a candidate theta function", _cmd_theta_check, (
+        ("--theta", {"required": True}),
+        *_SAMPLE_FLAGS,
+    )),
+)
 
 
 def _build_parser() -> _Parser:
@@ -228,51 +247,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=10)
     p.set_defaults(func=_cmd_cf)
 
-    p = sub.add_parser("verify", help="max residual of the cocycle identity at samples")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-samples", action="store_true", help="include per-sample residuals")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("chern", help="Chern integer, symbolic and numeric routes")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--l1", default="1,0", help="integer pair a,b")
-    p.add_argument("--l2", default="0,1", help="integer pair a,b")
-    p.add_argument("--v", default="0.3,0.2", help="complex sample point re,im")
-    p.set_defaults(func=_cmd_chern)
-
-    p = sub.add_parser("normal-form", help="classifying pair (chi, E)")
-    p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=_cmd_normal_form)
-
-    p = sub.add_parser("trivial", help="bounded cohomological-triviality verdict")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_WITNESS_BOUND)
-    p.set_defaults(func=_cmd_trivial)
-
-    p = sub.add_parser("pairing", help="commutator pairing on stabilizer lifts")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--x1", required=True, help="integer pair alpha,beta")
-    p.add_argument("--x2", required=True, help="integer pair alpha,beta")
-    p.set_defaults(func=_cmd_pairing)
-
-    p = sub.add_parser("k-group", help="translation-stabilizer group description")
-    p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=_cmd_k_group)
-
-    p = sub.add_parser("theta-solve", help="solve the theta functional equation or certify")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_WITNESS_BOUND)
-    p.set_defaults(func=_cmd_theta_solve)
-
-    p = sub.add_parser("theta-check", help="residual of a candidate theta function")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-samples", action="store_true", help="include per-sample residuals")
-    p.set_defaults(func=_cmd_theta_check)
+    for name, help_text, handler, flags in _COCYCLE_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--cocycle", required=True)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
 
     return parser
 
@@ -282,26 +262,20 @@ def _emit(document: Any) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _emit({"error": str(exc)})
-        return 1
-    try:
-        # every cap is checked before any document is read
+        args = _build_parser().parse_args(argv)
+        # every cap is checked before any document is read, and the cocycle
+        # before any other flag or document
         for flag, cap in _CAPS.items():
             value = getattr(args, flag, None)
             if value is not None and value > cap:
                 raise DomainError(f"--{flag} must be at most {cap}, got {value}")
-        _emit(args.func(args))
+        cocycle = jsonio.cocycle_from_json(_load_json(args.cocycle)) if "cocycle" in args else None
+        _emit(args.func(cocycle, args))
         return 0
-    except FormatError as exc:
-        _emit({"error": str(exc)})
-        return 1
     except QTLineError as exc:
         _emit({"error": str(exc)})
-        return 2
+        return 1 if isinstance(exc, FormatError) else 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,8 +104,69 @@ def test_count_flag_above_cap_is_exit_2(capsys, s1_file, argv):
 
 
 def test_cf_rejects_garbage(capsys):
-    code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "wibble+?")
-    assert code == 1 and "error" in doc
+    # one "*" at most, and only between a coefficient and sqrtD
+    for omega2 in ["wibble+?", "2**sqrtD", "*sqrtD", "1+*sqrtD"]:
+        code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", omega2)
+        assert code == 1 and "error" in doc, omega2
+
+
+@pytest.mark.parametrize(
+    "omega2, term",
+    [("1e1000000*sqrtD", "1e1000000*sqrtD"), ("1e4301", "1e4301"), ("1+1E1_000_000*sqrtD", "+1E1_000_000*sqrtD")],
+)
+def test_cf_decimal_exponent_above_digit_limit_is_exit_1(capsys, omega2, term):
+    # 1e1000000*sqrtD ran for about 18 s before its exit 2; the exponent now
+    # meets the integer-literal digit limit (4300) before 10**1000000 is built
+    start = time.perf_counter()
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", omega2)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and doc == {"error": f"cannot parse term {term!r} in {omega2!r}: decimal exponent above 4300"}
+
+
+def test_cf_decimal_exponent_at_digit_limit_is_parsed(capsys):
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "1e4300*sqrtD")
+    assert code == 2 and "double range" in doc["error"]
+
+
+def test_cf_overlong_denominator_is_exit_1(capsys):
+    # int() of a 5000-digit denominator raised ValueError through main
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "(1+sqrtD)/" + "9" * 5000)
+    assert code == 1 and doc["error"].startswith("cannot parse denominator")
+
+
+@pytest.mark.parametrize(
+    "flags, want_code, want_error",
+    [
+        (["verify", "--samples", "100001"], 2, "--samples must be at most 100000, got 100001"),
+        (["trivial", "--bound", "1000001"], 2, "--bound must be at most 1000000, got 1000001"),
+        (["chern", "--l1", "x"], 1, "cannot read ABSENT"),
+        (["pairing", "--x1", "x", "--x2", "0,1"], 1, "cannot read ABSENT"),
+        (["theta-check", "--theta", "absent-theta.json"], 1, "cannot read ABSENT"),
+    ],
+    ids=["cap-samples", "cap-bound", "chern-l1", "pairing-x1", "theta-check-theta"],
+)
+def test_error_order_caps_then_cocycle_then_other_flags(capsys, tmp_path, flags, want_code, want_error):
+    # a count cap answers before the cocycle is read; a missing cocycle answers
+    # before any other flag or document is looked at
+    absent = str(tmp_path / "absent-cocycle.json")
+    code, doc = run(capsys, *flags, "--cocycle", absent)
+    assert code == want_code and doc["error"].startswith(want_error.replace("ABSENT", absent))
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["chern", "--l1", "1,2,3"], "--l1 must be two comma-separated integers, got '1,2,3'"),
+        (["chern", "--l2", "1.5,2"], "--l2 must be two comma-separated integers, got '1.5,2'"),
+        (["chern", "--v", "a,b"], "--v must be re,im, got 'a,b'"),
+        (["chern", "--v", "1"], "--v must be re,im, got '1'"),
+        (["pairing", "--x1", "1", "--x2", "0,1"], "--x1 must be two comma-separated integers, got '1'"),
+        (["pairing", "--x1", "1,0", "--x2", ","], "--x2 must be two comma-separated integers, got ','"),
+    ],
+)
+def test_pair_flag_errors_name_the_flag_and_its_form(capsys, s2_file, argv, error):
+    code, doc = run(capsys, *argv, "--cocycle", s2_file)
+    assert code == 1 and doc == {"error": error}
 
 
 def test_verify(capsys, s2_file):
