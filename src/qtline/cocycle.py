@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections.abc import Callable
 
 from .errors import DomainError, PrecisionError, PreconditionError, RangeError
 from .numeric import _Frozen, tolerance
@@ -178,7 +179,8 @@ class Cocycle(_Frozen):
     _fields = ("s", "c", "g", "lattice")
 
     def __init__(self, s: int, c: complex, g: ExponentPoly, lattice: Pseudolattice) -> None:
-        if not isinstance(s, int):
+        # type(...) is int rather than isinstance: bool is an int subclass.
+        if type(s) is not int:
             raise DomainError("s must be an integer")
         c = complex(c)
         if c == 0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
@@ -255,22 +257,36 @@ def cocycle_defect(a: Cocycle, l1: LatticeVector, l2: LatticeVector) -> int:
     return -a.s * l1.b * l2.a
 
 
+def sampled_residuals(
+    pair: Callable[..., tuple[complex, complex]],
+    samples: int,
+    seed: int,
+    vectors: int,
+    coeff_bound: int = COEFF_BOUND,
+    v_bound: float = V_BOUND,
+) -> list[float]:
+    """The loop of every sampled verifier: :func:`exponent_residual` of the exponents
+    (x, y) = pair(l_1, ..., l_vectors, v) at each of samples seeded draws of
+    :func:`draw_sample`."""
+    if samples < 1:
+        raise PreconditionError("need samples >= 1")
+    limit = resolvable_exponent()
+    rng = random.Random(seed)
+    return [
+        exponent_residual(*pair(*draw_sample(rng, vectors, coeff_bound, v_bound)), limit) for _ in range(samples)
+    ]
+
+
 def cocycle_identity_residuals(a: Cocycle, samples: int = 100, seed: int = 0) -> list[float]:
     """Per-sample relative residuals of A_{l1+l2}(v) = A_{l1}(v+l2) * A_{l2}(v)
     at seeded samples with |coords| <= 10 and v in the square [-5, 5]^2,
     computed in exponent space by :func:`exponent_residual`.
     """
-    if samples < 1:
-        raise PreconditionError("need samples >= 1")
-    limit = resolvable_exponent()
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        l1, l2, v = draw_sample(rng, 2)
-        x = a.exponent(l1 + l2, v)
-        y = a.exponent(l1, v + a.lattice.float_value(l2)) + a.exponent(l2, v)
-        out.append(exponent_residual(x, y, limit))
-    return out
+
+    def pair(l1: LatticeVector, l2: LatticeVector, v: complex) -> tuple[complex, complex]:
+        return a.exponent(l1 + l2, v), a.exponent(l1, v + a.lattice.float_value(l2)) + a.exponent(l2, v)
+
+    return sampled_residuals(pair, samples, seed, 2)
 
 
 def verify_cocycle_identity(a: Cocycle, samples: int = 100, seed: int = 0) -> float:

@@ -43,13 +43,12 @@ from .cocycle import (
     Cocycle,
     draw_sample,
     exp_2pi_i,
-    exponent_residual,
     max_residual,
-    resolvable_exponent,
+    sampled_residuals,
 )
 from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError, RangeError
 from .numeric import _Frozen, approx_eq, tolerance
-from .pseudolattice import Pseudolattice
+from .pseudolattice import LatticeVector, Pseudolattice
 
 # Fixed base points for the v-independence cross-check.
 _V_PROBE_1 = 0.3 + 0.2j
@@ -169,20 +168,14 @@ def multiplier_residual(a: Cocycle, elem: HeisenbergElement, samples: int = 50, 
     """Max residual of A_l(v+x~)/A_l(v) = h(v+l)/h(v) over seeded samples, both ratios
     formed as exponents: a(l, v+x~) - a(l, v) against kappa*l/omega1, so neither side
     leaves the float exp range however large the cocycle's values are at v."""
-    if samples < 1:
-        raise PreconditionError("need samples >= 1")
-    rng = random.Random(seed)
     lat = a.lattice
     xval = elem.point.real_value(lat)
     kappa = _kappa(a, elem.point)
-    limit = resolvable_exponent()
-    residuals = []
-    for _ in range(samples):
-        l, v = draw_sample(rng, 1, 5, 2.0)
-        x = a.exponent(l, v + xval) - a.exponent(l, v)
-        y = kappa * lat.float_value(l) / lat.omega1_float
-        residuals.append(exponent_residual(x, y, limit))
-    return max_residual(residuals)
+
+    def pair(l: LatticeVector, v: complex) -> tuple[complex, complex]:
+        return a.exponent(l, v + xval) - a.exponent(l, v), kappa * lat.float_value(l) / lat.omega1_float
+
+    return max_residual(sampled_residuals(pair, samples, seed, 1, 5, 2.0))
 
 
 def heisenberg_multiply(g1: HeisenbergElement, g2: HeisenbergElement, a: Cocycle) -> HeisenbergElement:

@@ -1,19 +1,18 @@
-"""Exact arithmetic in real quadratic fields, plus the float tolerance policy.
+"""Exact real-quadratic input values and integer kernels, plus the float tolerance policy.
 
-Lattice data is kept exact: a :class:`QuadReal` is an element ``a + b*sqrt(D)``
-of the field Q(sqrt(D)) with rational ``a, b`` and square-free ``D >= 2``.
-Exactness matters because every irrationality/sign decision downstream (floors
-for continued fractions, density arguments) must never be made in floating
-point.  Analytic values (cocycle and theta evaluations) are ordinary ``complex``
-floats compared against a single tolerance ``eps`` (:func:`tolerance`).
-
-Signs of quadratic irrationals are decided by the conjugate trick: for mixed
-signs of ``a`` and ``b``, ``a + b*sqrt(D)`` has the sign of ``a^2 - D*b^2``
-relative to the dominant term, which is pure rational arithmetic.  Floors are
-integer arithmetic on the form ``(P + sqrt(N))/Q`` of :func:`surd_form`, and
-so is the conversion to a double: :func:`quad_float` takes ``floor(x*2^k)``
-with enough bits ``k`` that rounding it rounds ``x`` itself, so ``float(x)``
-is the double nearest ``x`` at every size, cancelling or not.
+Lattice data is kept exact: a :class:`QuadReal` is a validated record
+``a + b*sqrt(D)`` of the field Q(sqrt(D)) with rational ``a, b`` and
+square-free ``D >= 2``.  It carries no field arithmetic: every exact decision
+downstream (floors for continued fractions, density arguments, phases mod 1)
+runs on the integers of its coefficients over a common denominator
+(:func:`over_common_denominator`) and on the Perron form ``(P + sqrt(N))/Q``
+of :func:`perron_form`, never in floating point.  Floors are
+:func:`surd_floor`, and the conversion to a double is :func:`quad_float`,
+which takes ``floor(x*2^k)`` with enough bits ``k`` that rounding it rounds
+``x`` itself, so it is the double nearest ``x`` at every size, cancelling or
+not.  Analytic values (cocycle and theta evaluations) are ordinary
+``complex`` floats compared against a single tolerance ``eps``
+(:func:`tolerance`).
 
 The value classes of the package derive from :class:`_Frozen`, which gives
 them immutability, equality, hashing and ``repr`` over a per-class field list.
@@ -91,8 +90,8 @@ def approx_eq(x: complex, y: complex) -> bool:
     return abs(x - y) <= eps + eps * max(abs(x), abs(y))
 
 
-# Memoized: every QuadReal result re-checks its operands' radicand.  Bounded, so a
-# process that sweeps many fields keeps a fixed-size table.
+# Memoized: every QuadReal checks its radicand, and inputs of one field share it.
+# Bounded, so a process that sweeps many fields keeps a fixed-size table.
 @functools.lru_cache(maxsize=4096)
 def _is_square_free(n: int) -> bool:
     if n % 4 == 0:
@@ -114,14 +113,12 @@ def _as_fraction(x) -> Fraction:
 
 
 class QuadReal(_Frozen):
-    """Exact element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)).
+    """Exact element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)), as an input record.
 
     ``d`` must be square-free (which makes the representation unique, so
-    equality is componentwise) and in [2, MAX_RADICAND].  Arithmetic with a
-    plain ``int``/``Fraction`` is allowed; arithmetic between two QuadReals
-    requires equal ``d``.  No hot path does QuadReal arithmetic: it is the exact
-    value type of the API, for inputs, ``Pseudolattice.theta_exact`` (division)
-    and exact sign tests on ``Pseudolattice.real_value`` (``sign``, ``abs``).
+    equality is componentwise) and in [2, MAX_RADICAND].  It is the exact value
+    type of the API's inputs (``omega1``, ``omega2``) and has no arithmetic:
+    the library reads its coefficients as integers.  Truth is nonzero-ness.
     """
 
     _fields = ("a", "b", "d")
@@ -142,106 +139,8 @@ class QuadReal(_Frozen):
     def sqrt(cls, d: int) -> QuadReal:
         return cls(Fraction(0), Fraction(1), d)
 
-    def _coerce(self, other) -> QuadReal | None:
-        if isinstance(other, QuadReal):
-            if other.d != self.d:
-                raise DomainError(f"mismatched radicands: sqrt({self.d}) vs sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadReal.rational(other, self.d)
-        return None
-
-    def __add__(self, other) -> QuadReal:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadReal(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadReal:
-        return QuadReal(-self.a, -self.b, self.d)
-
-    def __sub__(self, other) -> QuadReal:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> QuadReal:
-        return (-self) + other
-
-    def __mul__(self, other) -> QuadReal:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadReal(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    @property
-    def norm(self) -> Fraction:
-        """Field norm a^2 - d*b^2 (the product with the conjugate)."""
-        return self.a * self.a - self.d * self.b * self.b
-
-    def reciprocal(self) -> QuadReal:
-        n = self.norm
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadReal(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other) -> QuadReal:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other) -> QuadReal:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}, decided by rational arithmetic only."""
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Mixed signs: |a| vs |b|*sqrt(d) via squares.  Equality would force
-        # sqrt(d) rational, impossible for square-free d >= 2.
-        rational_part, sqrt_part = a * a, self.d * b * b
-        if a > 0:
-            return 1 if rational_part > sqrt_part else -1
-        return 1 if sqrt_part > rational_part else -1
-
     def __bool__(self) -> bool:
         return not (self.a == 0 and self.b == 0)
-
-    def __abs__(self) -> QuadReal:
-        return -self if self.sign() < 0 else self
-
-    def __floor__(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        p, n, q = surd_form(self)
-        return surd_floor(p, math.isqrt(n), q)
-
-    def __float__(self) -> float:
-        (a, b), den = over_common_denominator(self.a, self.b)
-        return quad_float(a, b, self.d, den)
-
-    def __str__(self) -> str:
-        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}*sqrt({self.d})"
 
 
 def over_common_denominator(*xs: Fraction) -> tuple[list[int], int]:
@@ -259,12 +158,6 @@ def perron_form(a: int, b: int, d: int, den: int) -> tuple[int, int, int]:
     if (n - p * p) % q:
         p, n, q = p * den, n * den * den, q * den
     return p, n, q
-
-
-def surd_form(x: QuadReal) -> tuple[int, int, int]:
-    """Integers (P, N, Q) with x = (P + sqrt(N))/Q and Q | N - P^2, for irrational x."""
-    (a, b), den = over_common_denominator(x.a, x.b)
-    return perron_form(a, b, x.d, den)
 
 
 def surd_floor(p: int, r: int, q: int) -> int:

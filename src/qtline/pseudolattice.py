@@ -9,7 +9,7 @@ satisfies
 
     |p_n*omega1 - q_n*omega2| < |omega1| / q_n,
 
-which is checkable both in floats and by exact sign tests on QuadReal.
+which is checkable in floats and, exactly, on the integers of omega1, omega2.
 
 The continued fraction runs on integers, theta = (P + sqrt(N))/Q and then
 a = floor((P + isqrt(N))/Q), P' = aQ - P, Q' = (N - P'^2)/Q (Perron), so no
@@ -22,8 +22,8 @@ float gap is within eps of its target, then decides exactly, on integers, that
 its vector is (PrecisionError otherwise).
 A Pseudolattice is built on integers: it keeps omega1, omega2 over one integer
 denominator and theta as its Perron triple (P, N, Q), formed once from those
-integers with no QuadReal division.  The walk starts from that triple, the
-double theta rounds it once, and the exact theta_exact is built on demand.
+integers with no field division.  The walk starts from that triple and the
+double theta rounds it once.
 The double of a lattice value p*omega1 + q*omega2 is one integer combination
 rounded by :func:`qtline.numeric.quad_float`: correctly rounded however small
 the value is against p and q.  A phase frac((a + b*theta)/den) is reduced on
@@ -105,9 +105,8 @@ class Pseudolattice(_Frozen):
     omega2/omega1 is irrational (so L is dense in R rather than discrete).
     It keeps the coefficients of omega1, omega2 over one denominator, theta
     as the integer Perron triple (P + sqrt(N))/Q, and omega1, omega2 as
-    doubles; theta (the double) and theta_exact (the field element) are
-    cached on first use.  Only omega1 and omega2 take part in equality,
-    hashing and repr.
+    doubles; theta (the double) is cached on first use.  Only omega1 and
+    omega2 take part in equality, hashing and repr.
     """
 
     _fields = ("omega1", "omega2")
@@ -125,7 +124,7 @@ class Pseudolattice(_Frozen):
             raise DomainError("omega2/omega1 is rational; the subgroup is not dense in R")
         a, q = a1 * a2 - d * b1 * b2, a1 * a1 - d * b1 * b1
         # q != 0 as omega1 != 0 and sqrt(d) is irrational.  Dividing by +-gcd leaves
-        # q > 0 and a, b, q in lowest terms, so _perron is surd_form(theta_exact).
+        # q > 0 and a, b, q in lowest terms: theta over its least denominator.
         g = math.gcd(a, b, q) if q > 0 else -math.gcd(a, b, q)
         _set(self, "omega1", omega1)
         _set(self, "omega2", omega2)
@@ -144,18 +143,6 @@ class Pseudolattice(_Frozen):
         """theta as the nearest double, rounded once from its Perron form on first use."""
         p, n, q = self._perron
         return quad_float(p, 1, n, q)
-
-    @cached_property
-    def theta_exact(self) -> QuadReal:
-        """theta = omega2/omega1 as an exact field element, built on first use."""
-        return self.omega2 / self.omega1
-
-    def real_value(self, l: LatticeVector) -> QuadReal:
-        """a*omega1 + b*omega2 as an exact field element.  The float routes
-        (rounded_combination, float_value) never build it; it is kept for exact
-        sign tests on lattice values, such as the certified bound
-        |p_k*omega1 - q_k*omega2| < |omega1|/q_k, and as their reference."""
-        return self.omega1 * l.a + self.omega2 * l.b
 
     def rounded_combination(self, a: int, b: int, den: int = 1) -> float:
         """(a*omega1 + b*omega2)/den rounded once to the nearest double, on integers,

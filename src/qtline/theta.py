@@ -26,18 +26,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 
 from .cocycle import (
     _EXP_LIMIT,
     _TWO_PI_I,
     Cocycle,
     ExponentPoly,
-    draw_sample,
     exp_2pi_i,
-    exponent_residual,
     max_residual,
-    resolvable_exponent,
+    sampled_residuals,
 )
 from .errors import DomainError, PreconditionError
 from .numeric import _Frozen, tolerance
@@ -70,21 +67,15 @@ class ThetaCandidate(_Frozen):
 def theta_residuals(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int = 0) -> list[float]:
     """Per-sample relative residuals of theta(v+l) = A_l(v) theta(v).
 
-    Uses the cocycle verifier's exponent-space kernel :func:`exponent_residual`
+    Formed by the shared sampled loop :func:`qtline.cocycle.sampled_residuals`
     on the exponents x of theta(v+l) and y of A_l(v) theta(v), so huge |theta|
     cannot overflow.
     """
-    if samples < 1:
-        raise PreconditionError("need samples >= 1")
-    limit = resolvable_exponent()
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        l, v = draw_sample(rng, 1)
-        x = t.log_value(v + a.lattice.float_value(l))
-        y = a.exponent(l, v) + t.log_value(v)
-        out.append(exponent_residual(x, y, limit))
-    return out
+
+    def pair(l: LatticeVector, v: complex) -> tuple[complex, complex]:
+        return t.log_value(v + a.lattice.float_value(l)), a.exponent(l, v) + t.log_value(v)
+
+    return sampled_residuals(pair, samples, seed, 1)
 
 
 def theta_residual(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int = 0) -> float:

@@ -1,7 +1,9 @@
 """Shared random generators for the test suite, the character route to the
 Pic^0 invariant that serves as an oracle for the closed form, the value of
-a Heisenberg multiplier that cross-checks its exponent-space residual, and the
-unwindowed witness scan that serves as an oracle for ``triviality_test``.
+a Heisenberg multiplier that cross-checks its exponent-space residual, the
+unwindowed witness scan that serves as an oracle for ``triviality_test``, and
+the field arithmetic of Q(sqrt(D)) (:class:`ExactReal`) that serves as the
+exact oracle for the library's integer kernels.
 
 All samplers take an explicit random.Random so every test is seed-pinned.
 Cocycle coefficients are kept small (degree <= 3, |coeffs| <= 1) so that the
@@ -12,6 +14,8 @@ sampling domain.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +33,7 @@ from qtline import (
     chern_symbolic,
 )
 from qtline.cocycle import _TWO_PI_I, exp_2pi_i
-from qtline.numeric import _Frozen, tolerance
+from qtline.numeric import _Frozen, over_common_denominator, perron_form, quad_float, surd_floor, tolerance
 from qtline.picard import REASON_MODULUS, REASON_NONZERO_CHERN, TrivialityVerdict, _pic0_value
 
 TWO_PI_I = 2j * cmath.pi
@@ -46,6 +50,137 @@ CERTIFY_LATTICES = [
     Pseudolattice(QuadReal.rational(Fraction(3, 2), 7), QuadReal(Fraction(-1, 2), Fraction(1, 3), 7)),
     Pseudolattice(QuadReal.rational(1, 3), QuadReal(Fraction(1, 2), Fraction(-1, 2), 3)),
 ]
+
+
+class ExactReal(QuadReal):
+    """A QuadReal with the arithmetic of the field Q(sqrt(d)): ``+ - * /`` with
+    another QuadReal of the same d or an int/Fraction, ``norm``, ``reciprocal``,
+    an exact ``sign`` and ``abs``, ``math.floor`` and ``float``.  Test oracle only.
+
+    It equals (and hashes as) a plain QuadReal with the same fields, so its
+    results compare directly with the library's values.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadReal):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = QuadReal.__hash__
+
+    def _coerce(self, other) -> ExactReal | None:
+        if isinstance(other, QuadReal):
+            if other.d != self.d:
+                raise DomainError(f"mismatched radicands: sqrt({self.d}) vs sqrt({other.d})")
+            return exact(other)
+        if isinstance(other, (int, Fraction)):
+            return ExactReal.rational(other, self.d)
+        return None
+
+    def __add__(self, other) -> ExactReal:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ExactReal(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> ExactReal:
+        return ExactReal(-self.a, -self.b, self.d)
+
+    def __sub__(self, other) -> ExactReal:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> ExactReal:
+        return (-self) + other
+
+    def __mul__(self, other) -> ExactReal:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ExactReal(self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d)
+
+    __rmul__ = __mul__
+
+    @property
+    def norm(self) -> Fraction:
+        """Field norm a^2 - d*b^2 (the product with the conjugate)."""
+        return self.a * self.a - self.d * self.b * self.b
+
+    def reciprocal(self) -> ExactReal:
+        n = self.norm
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+        return ExactReal(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other) -> ExactReal:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.reciprocal()
+
+    def __rtruediv__(self, other) -> ExactReal:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.reciprocal()
+
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, 1}, decided by rational arithmetic only."""
+        a, b = self.a, self.b
+        if b == 0:
+            return -1 if a < 0 else (1 if a > 0 else 0)
+        if a == 0:
+            return -1 if b < 0 else 1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        # Mixed signs: |a| vs |b|*sqrt(d) via squares.  Equality would force
+        # sqrt(d) rational, impossible for square-free d >= 2.
+        rational_part, sqrt_part = a * a, self.d * b * b
+        if a > 0:
+            return 1 if rational_part > sqrt_part else -1
+        return 1 if sqrt_part > rational_part else -1
+
+    def __abs__(self) -> ExactReal:
+        return -self if self.sign() < 0 else self
+
+    def __floor__(self) -> int:
+        if self.b == 0:
+            return math.floor(self.a)
+        p, n, q = surd_form(self)
+        return surd_floor(p, math.isqrt(n), q)
+
+    def __float__(self) -> float:
+        (a, b), den = over_common_denominator(self.a, self.b)
+        return quad_float(a, b, self.d, den)
+
+
+def exact(x: QuadReal) -> ExactReal:
+    """x with the oracle's field arithmetic."""
+    return ExactReal(x.a, x.b, x.d)
+
+
+def surd_form(x: QuadReal) -> tuple[int, int, int]:
+    """Integers (P, N, Q) with x = (P + sqrt(N))/Q and Q | N - P^2, for irrational x."""
+    (a, b), den = over_common_denominator(x.a, x.b)
+    return perron_form(a, b, x.d, den)
+
+
+# Built once per lattice, so repeated reads return the same element.
+@functools.lru_cache(maxsize=256)
+def theta_exact(lat: Pseudolattice) -> ExactReal:
+    """theta = omega2/omega1, divided in Q(sqrt(d))."""
+    return exact(lat.omega2) / lat.omega1
+
+
+def real_value(lat: Pseudolattice, l: LatticeVector) -> ExactReal:
+    """a*omega1 + b*omega2 as an exact field element, for exact sign tests on lattice values."""
+    return exact(lat.omega1) * l.a + exact(lat.omega2) * l.b
 
 
 def exact_frac(theta: QuadReal, a: int, b: int, den: int = 1) -> mp.mpf:

@@ -42,7 +42,16 @@ from qtline import (
     verify_cocycle_identity,
 )
 from qtline.picard import ah_group_law, ah_normal_form
-from helpers import random_chern_trivial, random_cocycle, random_nonzero, random_poly, random_v, random_vector
+from helpers import (
+    exact,
+    random_chern_trivial,
+    random_cocycle,
+    random_nonzero,
+    random_poly,
+    random_v,
+    random_vector,
+    real_value,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -251,9 +260,9 @@ def test_criterion_09_diophantine_bound():
     in floats and by exact sign tests."""
     failures = []
     for lat_name, lat in LATTICES:
-        w1_abs = abs(lat.omega1)
+        w1_abs = abs(exact(lat.omega1))
         for conv in lat.convergents(20):
-            residual = lat.real_value(LatticeVector(conv.p, -conv.q))
+            residual = real_value(lat, LatticeVector(conv.p, -conv.q))
             if (w1_abs - abs(residual) * conv.q).sign() <= 0:
                 failures.append(f"{lat_name} k={conv.index}: exact bound fails")
             if not abs(float(residual)) < abs(lat.omega1_float) / conv.q:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qtline import Cocycle, ExponentPoly, Pseudolattice, QuadReal, lattice_golden, lattice_sqrt2
 from qtline.cli import main
 from qtline.jsonio import cocycle_to_json
-from helpers import exact_phase
+from helpers import exact_phase, theta_exact
 
 L1 = lattice_sqrt2()
 TWO_PI_I = 2j * math.pi
@@ -432,7 +432,7 @@ def test_normal_form_exact_at_huge_fold(capsys, tmp_path):
     # product 1e10*theta put it 2.9e-6 off
     path = write_cocycle(tmp_path, "g1e10.json", Cocycle(0, 1.0, ExponentPoly((0, 1e10)), L1))
     code, doc = run(capsys, "normal-form", "--cocycle", path)
-    want = exact_phase(L1.theta_exact, 0, 10**10)
+    want = exact_phase(theta_exact(L1), 0, 10**10)
     assert code == 0 and abs(complex(*doc["c"]) - want) <= 1e-14
 
 

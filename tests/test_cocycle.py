@@ -132,6 +132,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             Cocycle(0, 0.0, ExponentPoly.zero(), l1)
 
+    @pytest.mark.parametrize("s", [True, False])
+    def test_boolean_chern_integer_rejected(self, l1, s):
+        # bool is an int subclass; a bool s would be written as a JSON
+        # true/false that cocycle_from_json refuses.
+        with pytest.raises(DomainError):
+            Cocycle(s, 1.0, ExponentPoly.zero(), l1)
+
 
 class TestGroupStructure:
     @settings(max_examples=60)

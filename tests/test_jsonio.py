@@ -1,17 +1,23 @@
-"""Decoders reject JSON booleans and non-finite numbers with FormatError."""
+"""Decoders reject JSON booleans and non-finite numbers with FormatError, and
+read back what the encoders write."""
+
+import json
+import random
 
 import pytest
 
-from qtline import FormatError, lattice_sqrt2
+from qtline import FormatError, existence_cocycle, lattice_sqrt2
 from qtline.cli import _load_json
 from qtline.jsonio import (
     cocycle_from_json,
+    cocycle_to_json,
     complex_from_json,
     fraction_from_json,
     lattice_to_json,
     quadreal_from_json,
     theta_from_json,
 )
+from helpers import CERTIFY_LATTICES, random_cocycle
 
 LATTICE = lattice_to_json(lattice_sqrt2())
 INF = float("inf")
@@ -74,3 +80,13 @@ def test_load_json_rejects_non_finite_constants(tmp_path, text):
     path.write_text(text)
     with pytest.raises(FormatError):
         _load_json(str(path))
+
+
+@pytest.mark.parametrize("index", range(len(CERTIFY_LATTICES)))
+def test_cocycle_json_round_trip(index):
+    lat = CERTIFY_LATTICES[index]
+    rng = random.Random(index)
+    cocycles = [existence_cocycle(lat)] + [random_cocycle(rng, lat) for _ in range(20)]
+    for a in cocycles:
+        doc = json.loads(json.dumps(cocycle_to_json(a)))
+        assert cocycle_from_json(doc) == a

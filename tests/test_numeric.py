@@ -31,24 +31,25 @@ from qtline import (
 )
 from qtline import numeric
 from qtline.numeric import MAX_RADICAND, TOLERANCE_ENV_VAR
+from helpers import ExactReal, real_value
 
 mp.mp.dps = 50
 
 
 def sqrt2(a, b):
-    return QuadReal(Fraction(a), Fraction(b), 2)
+    return ExactReal(Fraction(a), Fraction(b), 2)
 
 
 def conjugate(x):
     """a - b*sqrt(d), the Galois conjugate of x = a + b*sqrt(d).  Test oracle only."""
-    return QuadReal(x.a, -x.b, x.d)
+    return ExactReal(x.a, -x.b, x.d)
 
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
 def quadreals(d=2):
-    return st.builds(lambda a, b: QuadReal(a, b, d), small_fractions, small_fractions)
+    return st.builds(lambda a, b: ExactReal(a, b, d), small_fractions, small_fractions)
 
 
 class TestArithmetic:
@@ -83,7 +84,7 @@ class TestArithmetic:
 
     def test_square_free_test_runs_once_per_radicand(self):
         numeric._is_square_free.cache_clear()
-        x = QuadReal(Fraction(1, 3), Fraction(2), 999983)
+        x = ExactReal(Fraction(1, 3), Fraction(2), 999983)
         for _ in range(4):
             x = x * conjugate(x) + x / 7 - x.reciprocal()
         Pseudolattice(QuadReal.rational(1, 999983), x).convergents(5)
@@ -115,13 +116,13 @@ class TestArithmetic:
 
 class TestFloatConversion:
     def test_sqrt2(self):
-        got = float(QuadReal.sqrt(2))
+        got = float(ExactReal.sqrt(2))
         assert abs(got - float(mp.sqrt(2))) < 1e-12
         assert abs(got - float(mp.sqrt(2))) <= 4 * math.ulp(got)
 
     def test_rational_exact(self):
         assert float(sqrt2(1, 0)) == 1.0
-        assert float(QuadReal(Fraction(7, 8), Fraction(0), 5)) == 0.875
+        assert float(ExactReal(Fraction(7, 8), Fraction(0), 5)) == 0.875
 
     def test_cancellation(self):
         # 3 - 2*sqrt(2): heavy cancellation, still correctly rounded
@@ -199,11 +200,11 @@ def sqrt_d_lattice(d):
 
 
 class TestFloatAgainstEnclosure:
-    """float(QuadReal) is the double nearest x, computed on integers."""
+    """float(x) is the double nearest x, computed on integers by quad_float."""
 
     @given(wide_fractions, wide_fractions, radicands)
     def test_random_elements_match_enclosure(self, a, b, d):
-        got, old = assert_nearest_double(QuadReal(a, b, d))
+        got, old = assert_nearest_double(ExactReal(a, b, d))
         # away from cancellation the 200-bit enclosure certifies itself, so
         # the two conversions are bit-identical
         if abs(b) < 2**60 and abs(got) > 2**-60:
@@ -215,13 +216,13 @@ class TestFloatAgainstEnclosure:
         # scale*(p - q*sqrt(d)) for a convergent p/q of sqrt(d) with q < 2^90,
         # of size about scale/q
         conv = [c for c in sqrt_d_lattice(d).convergents(index + 1) if c.q < 2**90][-1]
-        assert_nearest_double(QuadReal(scale * conv.p, -scale * conv.q, d))
+        assert_nearest_double(ExactReal(scale * conv.p, -scale * conv.q, d))
 
     def test_sqrt2_residuals_past_the_old_enclosure(self):
         # the old enclosure's error q*2^-200 passes half an ulp of the residual
         # ~1/q near index 59 (q ~ 2^75) and the residual itself near index 80
         lat = sqrt_d_lattice(2)
-        residuals = [lat.real_value(LatticeVector(c.p, -c.q)) for c in lat.convergents(200)]
+        residuals = [real_value(lat, LatticeVector(c.p, -c.q)) for c in lat.convergents(200)]
         uncertified = [k for k, x in enumerate(residuals) if enclosure_float(x) is None]
         assert uncertified[0] >= 55 and uncertified[-1] == 199
         for x in residuals:

@@ -32,7 +32,7 @@ from qtline import (
     solve_theta,
     trivial_cocycle,
 )
-from helpers import reduce_to_constant
+from helpers import reduce_to_constant, theta_exact
 
 # Each factory builds a fresh, equal object on every call, with the name of one
 # of its fields.
@@ -120,9 +120,9 @@ def test_pseudolattice_equality_ignores_cached_values():
     used.theta  # fills the lazily cached double
     assert "theta" in vars(used) and "theta" not in vars(fresh)
     assert used == fresh and hash(used) == hash(fresh)
-    # Same slope theta and cached theta_exact, other generators: a different lattice.
+    # Same slope theta, other generators: a different lattice.
     doubled = Pseudolattice(QuadReal.rational(2, 2), QuadReal(0, 2, 2))
-    assert doubled.theta_exact == used.theta_exact
+    assert theta_exact(doubled) == theta_exact(used)
     assert doubled != used
 
 
