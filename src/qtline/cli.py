@@ -32,6 +32,9 @@ MAX_SAMPLES = 10**5
 MAX_BOUND = 10**6
 # Each count flag's cap, keyed by the flag's argparse dest.
 _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
+# Largest decimal exponent of a cf coefficient (the 400 of "1e400"): Python's
+# default digit limit for an integer literal, whatever the interpreter sets.
+MAX_DECIMAL_EXPONENT = 4300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,8 +46,8 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
     """Parse expressions like "1", "-3/2", "sqrtD", "2*sqrtD", "(1+sqrtD)/2".
 
     One "*" may stand only between a coefficient and sqrtD.  A decimal exponent
-    (the 400 of "1e400") above the integer-literal digit limit
-    sys.get_int_max_str_digits() is refused before its power of ten is built."""
+    above MAX_DECIMAL_EXPONENT is refused before its power of ten is built, and
+    one with more digits than the cap before it reaches int()."""
     s = text.replace(" ", "")
     den = 1
     m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>[0-9]+)", s)
@@ -60,16 +63,16 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
         raise FormatError(f"cannot parse quadratic-real expression {text!r}")
     a = Fraction(0)
     b = Fraction(0)
-    limit = sys.get_int_max_str_digits()
     for term in terms:
         sign = -1 if term.startswith("-") else 1
         body = term.lstrip("+-")
         surd = body.endswith("sqrtD")
         coef = body[:-5].removesuffix("*") if surd else body
         exponent = re.search(r"e([0-9_]+)$", coef, re.IGNORECASE)  # unsigned: a sign starts a term
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
         try:
-            if exponent and limit and int(exponent.group(1)) > limit:
-                raise ValueError(f"decimal exponent above {limit}")
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
             value = sign * (Fraction(1) if body == "sqrtD" else Fraction(coef))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse term {term!r} in {text!r}: {exc}") from exc

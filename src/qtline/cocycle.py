@@ -258,23 +258,15 @@ def cocycle_defect(a: Cocycle, l1: LatticeVector, l2: LatticeVector) -> int:
 
 
 def sampled_residuals(
-    pair: Callable[..., tuple[complex, complex]],
-    samples: int,
-    seed: int,
-    vectors: int,
-    coeff_bound: int = COEFF_BOUND,
-    v_bound: float = V_BOUND,
+    pair: Callable[..., tuple[complex, complex]], samples: int, seed: int, draw: Callable[[random.Random], tuple]
 ) -> list[float]:
     """The loop of every sampled verifier: :func:`exponent_residual` of the exponents
-    (x, y) = pair(l_1, ..., l_vectors, v) at each of samples seeded draws of
-    :func:`draw_sample`."""
+    (x, y) = pair(*draw(rng)) at each of samples draws from one RNG seeded with seed."""
     if samples < 1:
         raise PreconditionError("need samples >= 1")
     limit = resolvable_exponent()
     rng = random.Random(seed)
-    return [
-        exponent_residual(*pair(*draw_sample(rng, vectors, coeff_bound, v_bound)), limit) for _ in range(samples)
-    ]
+    return [exponent_residual(*pair(*draw(rng)), limit) for _ in range(samples)]
 
 
 def cocycle_identity_residuals(a: Cocycle, samples: int = 100, seed: int = 0) -> list[float]:
@@ -286,7 +278,7 @@ def cocycle_identity_residuals(a: Cocycle, samples: int = 100, seed: int = 0) ->
     def pair(l1: LatticeVector, l2: LatticeVector, v: complex) -> tuple[complex, complex]:
         return a.exponent(l1 + l2, v), a.exponent(l1, v + a.lattice.float_value(l2)) + a.exponent(l2, v)
 
-    return sampled_residuals(pair, samples, seed, 2)
+    return sampled_residuals(pair, samples, seed, lambda rng: draw_sample(rng, 2))
 
 
 def verify_cocycle_identity(a: Cocycle, samples: int = 100, seed: int = 0) -> float:

@@ -223,8 +223,6 @@ class Pseudolattice(_Frozen):
             if val == 0.0 or abs(val) > abs(remaining):
                 continue
             count = int(remaining / val)
-            if count == 0:
-                continue
             acc_a += count * p
             acc_b -= count * q
             remaining -= count * val

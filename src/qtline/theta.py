@@ -32,6 +32,7 @@ from .cocycle import (
     _TWO_PI_I,
     Cocycle,
     ExponentPoly,
+    draw_sample,
     exp_2pi_i,
     max_residual,
     sampled_residuals,
@@ -40,6 +41,10 @@ from .errors import DomainError, PreconditionError
 from .numeric import _Frozen, tolerance
 from .picard import DEFAULT_WITNESS_BOUND, TrivialityVerdict, principal_fold, triviality_test
 from .pseudolattice import LatticeVector
+
+# q_k >= F_{k+1} and F_92 > 700 * 2^53 >= _EXP_LIMIT / growth for every double
+# modulus != 1, so no obstruction term past k = 91 is ever kept.
+_MAX_OBSTRUCTION_TERMS = 100
 
 
 class ThetaCandidate(_Frozen):
@@ -75,7 +80,7 @@ def theta_residuals(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int
     def pair(l: LatticeVector, v: complex) -> tuple[complex, complex]:
         return t.log_value(v + a.lattice.float_value(l)), a.exponent(l, v) + t.log_value(v)
 
-    return sampled_residuals(pair, samples, seed, 1)
+    return sampled_residuals(pair, samples, seed, lambda rng: draw_sample(rng, 1))
 
 
 def theta_residual(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int = 0) -> float:
@@ -133,6 +138,8 @@ def modulus_obstruction_demo(a: Cocycle, terms: int = 6) -> ObstructionWitness:
     increasing; terms whose factor would overflow a double are dropped.
     """
     eps = tolerance()
+    if terms < 1:
+        raise PreconditionError("need terms >= 1")
     if a.s != 0:
         raise PreconditionError("modulus obstruction applies to zero Chern class only")
     modulus = abs(a.c)
@@ -140,16 +147,12 @@ def modulus_obstruction_demo(a: Cocycle, terms: int = 6) -> ObstructionWitness:
         raise PreconditionError("|c| = 1: the modulus argument yields no obstruction")
     growth = abs(math.log(modulus))
     vectors: list[LatticeVector] = []
-    factors: list[float] = []
-    last_q = 0
-    for _, p, q in a.lattice._expansion(max(terms * 3, terms + 4)):
-        if q <= last_q:
-            continue
-        if q * growth > _EXP_LIMIT:
+    # Only q_0 = q_1 can repeat, so terms + 1 convergents hold terms distinct q.
+    for l in a.lattice.small_vectors(min(terms, _MAX_OBSTRUCTION_TERMS) + 1):
+        if -l.b * growth > _EXP_LIMIT:
             break
-        vectors.append(LatticeVector(p, -q))
-        factors.append(math.exp(q * growth))
-        last_q = q
-        if len(vectors) == terms:
-            break
-    return ObstructionWitness(vectors=tuple(vectors), factors=tuple(factors), modulus=modulus)
+        if not vectors or l.b != vectors[-1].b:
+            vectors.append(l)
+    del vectors[terms:]
+    factors = tuple(math.exp(-l.b * growth) for l in vectors)
+    return ObstructionWitness(vectors=tuple(vectors), factors=factors, modulus=modulus)

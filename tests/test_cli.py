@@ -123,9 +123,56 @@ def test_cf_decimal_exponent_above_digit_limit_is_exit_1(capsys, omega2, term):
     assert code == 1 and doc == {"error": f"cannot parse term {term!r} in {omega2!r}: decimal exponent above 4300"}
 
 
+def test_cf_decimal_exponent_cap_ignores_the_int_digit_limit(capsys):
+    # with the interpreter's digit limit off, the cap still holds at 4300
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "1e1000000*sqrtD", "--n", "2")
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 1 and doc["error"].endswith("decimal exponent above 4300")
+
+
 def test_cf_decimal_exponent_at_digit_limit_is_parsed(capsys):
     code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "1e4300*sqrtD")
     assert code == 2 and "double range" in doc["error"]
+
+
+@pytest.mark.parametrize("omega1", ["", "1+", "+"])
+def test_cf_unparsable_expression_is_exit_1(capsys, omega1):
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", omega1, "--omega2", "sqrtD")
+    assert code == 1 and doc == {"error": f"cannot parse quadratic-real expression {omega1!r}"}
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda d: d["lattice"]["omega1"].update(a=[1, 0]), "omega1.a denominator must be positive, got 0"),
+        (
+            lambda d: d["lattice"].update(omega1=[1, 0]),
+            'omega1 must be an object with keys "a", "b", "D", got [1, 0]',
+        ),
+        (
+            lambda d: d.update(lattice="L1"),
+            "lattice must be an object with keys \"omega1\", \"omega2\", got 'L1'",
+        ),
+        (
+            lambda d: d.update(g={"0": [1, 0]}),
+            "cocycle g must be a list of [re, im] coefficients, got {'0': [1, 0]}",
+        ),
+    ],
+    ids=["denominator-0", "omega1-list", "lattice-string", "g-object"],
+)
+def test_malformed_cocycle_document_is_exit_1(capsys, tmp_path, edit, error):
+    doc = cocycle_to_json(Cocycle(1, 1.0, ExponentPoly.zero(), L1))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", "--cocycle", str(path))
+    assert code == 1 and out == {"error": error}
 
 
 def test_cf_overlong_denominator_is_exit_1(capsys):

@@ -1,7 +1,8 @@
 """Pins the seeded sample order of the numerical verifiers.
 
 The oracles below are the draw loops as each verifier wrote them before they
-shared :func:`qtline.cocycle.draw_sample`, kept here as the reference: for a
+shared :func:`qtline.cocycle.draw_sample` and
+:func:`qtline.cocycle.sampled_residuals`, kept here as the reference: for a
 fixed seed the shared routine must yield the same (l..., v) tuples, and the
 residual lists must come out bit-for-bit the same.
 """
@@ -19,6 +20,7 @@ from qtline import (
     LatticeVector,
     ThetaCandidate,
     cocycle_identity_residuals,
+    dichotomy_check,
     lattice_sqrt2,
     membership_multiplier,
     multiplier_residual,
@@ -105,6 +107,22 @@ def old_dichotomy_draws(samples, seed):
     return draws
 
 
+def old_dichotomy_loop(a, samples, seed):
+    """The zero-Chern side of dichotomy_check: at each drawn lift pair, the pairing
+    value e^{2*pi*i*E} of the symmetric H_v exponent E and its distance from 1."""
+    lat, g = a.lattice, a.g
+    out = []
+    for p1, p2, v in old_dichotomy_draws(samples, seed):
+        x1, x2 = p1.real_value(lat), p2.real_value(lat)
+
+        def log_h_v(first, second):
+            return g(v + first + second) + g(v) - g(v + first) - g(v + second)
+
+        value = cmath.exp(TWO_PI_I * (log_h_v(x1, x2) - log_h_v(x2, x1)))
+        out.append(abs(value - 1.0))
+    return max(out)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cocycle_samples_and_residuals(seed):
     draws, residuals = old_cocycle_loop(COCYCLE, SAMPLES, seed)
@@ -144,3 +162,10 @@ def test_dichotomy_samples(seed):
         l1, l2, v = draw_sample(rng, 2, 5, 2.0)
         drawn.append((LambdaPoint(l1.a, l1.b, den), LambdaPoint(l2.a, l2.b, den), v))
     assert drawn == old_dichotomy_draws(SAMPLES, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dichotomy_pairing_deviation(seed):
+    deviation = old_dichotomy_loop(THETA_COCYCLE, SAMPLES, seed)
+    assert dichotomy_check(THETA_COCYCLE, samples=SAMPLES, seed=seed).max_pairing_deviation == deviation
+    assert deviation > 0.0

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from qtline import (
     trivial_cocycle,
 )
 from qtline.chern import AltForm
+from qtline.numeric import TOLERANCE_ENV_VAR
 from helpers import random_poly
 
 TWO_PI_I = 2j * math.pi
@@ -67,6 +69,17 @@ class TestResidual:
     def test_amplitude_must_be_nonzero(self):
         with pytest.raises(DomainError):
             ThetaCandidate(amplitude=0.0, alpha=0.0, unit_exponent=ExponentPoly.zero())
+
+    def test_evaluate(self):
+        # 2 * e^{2*pi*i*(0.1 + 0.25*v)} at v = 0.6: phase 2*pi*0.25 = pi/2
+        t = ThetaCandidate(amplitude=2.0, alpha=0.25, unit_exponent=ExponentPoly((0.1,)))
+        assert t.evaluate(0.6) == pytest.approx(2j, abs=1e-12)
+
+    def test_evaluate_past_the_exp_range_raises_range_error(self):
+        # 2*pi*i * (-200i) = 400*pi > 700
+        t = ThetaCandidate(amplitude=1.0, alpha=-200j, unit_exponent=ExponentPoly.zero())
+        with pytest.raises(RangeError, match="theta exponent"):
+            t.evaluate(1.0)
 
 
 class TestSolve:
@@ -153,6 +166,22 @@ class TestModulusObstruction:
     def test_nonzero_chern_rejected(self, l1):
         with pytest.raises(PreconditionError):
             modulus_obstruction_demo(sigma_section(AltForm(1), l1))
+
+    @pytest.mark.parametrize("terms", [0, -2])
+    def test_needs_a_term(self, l1, terms):
+        with pytest.raises(PreconditionError, match="need terms >= 1"):
+            modulus_obstruction_demo(Cocycle(0, 2.0, ExponentPoly.zero(), l1), terms=terms)
+
+    def test_terms_past_the_exp_limit_add_nothing(self, l1, monkeypatch):
+        # modulus 1 + 2^-52 is about the slowest growth a double allows; q_n passes
+        # the exp limit within the first 100 convergents, so a huge terms is cheap
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-300")
+        a = Cocycle(0, 1.0 + 2.0**-52, ExponentPoly.zero(), l1)
+        start = time.perf_counter()
+        witness = modulus_obstruction_demo(a, terms=10**9)
+        assert time.perf_counter() - start < 1.0
+        assert witness == modulus_obstruction_demo(a, terms=100)
+        assert 40 < len(witness.vectors) < 100
 
     def test_overflow_guard_truncates(self, l1):
         witness = modulus_obstruction_demo(Cocycle(0, 1e6, ExponentPoly.zero(), l1), terms=10)
