@@ -32,8 +32,8 @@ MAX_SAMPLES = 10**5
 MAX_BOUND = 10**6
 # Each count flag's cap, keyed by the flag's argparse dest.
 _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
-# Largest decimal exponent of a cf coefficient (the 400 of "1e400"): Python's
-# default digit limit for an integer literal, whatever the interpreter sets.
+# Largest decimal exponent of a cf coefficient (the 400 of "1e400") and most digits
+# in one of its numbers: Python's default digit limit for an integer literal.
 MAX_DECIMAL_EXPONENT = 4300
 
 
@@ -46,15 +46,18 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
     """Parse expressions like "1", "-3/2", "sqrtD", "2*sqrtD", "(1+sqrtD)/2".
 
     One "*" may stand only between a coefficient and sqrtD.  A decimal exponent
-    above MAX_DECIMAL_EXPONENT is refused before its power of ten is built, and
-    one with more digits than the cap before it reaches int()."""
+    above MAX_DECIMAL_EXPONENT is refused before its power of ten is built, and a
+    number with more digits than that before int() or Fraction() reads it."""
     s = text.replace(" ", "")
     den = 1
+    too_long = f"more than {MAX_DECIMAL_EXPONENT} digits in one number"
     m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>[0-9]+)", s)
     if m:
         try:
+            if len(m.group("den")) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(too_long)
             s, den = m.group("inner"), int(m.group("den"))
-        except ValueError as exc:  # more digits than an integer literal may have
+        except ValueError as exc:  # also an interpreter digit limit set below the cap
             raise FormatError(f"cannot parse denominator in {text!r}: {exc}") from exc
         if den == 0:
             raise FormatError(f"zero denominator in {text!r}")
@@ -73,6 +76,9 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
         try:
             if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
                 raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
+            # Fraction() reads each digit run (underscores aside) with int().
+            if any(len(run) - run.count("_") > MAX_DECIMAL_EXPONENT for run in re.findall(r"[0-9_]+", coef)):
+                raise ValueError(too_long)
             value = sign * (Fraction(1) if body == "sqrtD" else Fraction(coef))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse term {term!r} in {text!r}: {exc}") from exc

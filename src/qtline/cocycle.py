@@ -69,6 +69,15 @@ def resolvable_exponent() -> float:
     return tolerance() * 2.0**52 / (2.0 * math.pi)
 
 
+def require_resolvable(magnitude: float, limit: float) -> None:
+    """PrecisionError where an exponent of this magnitude passes limit (:func:`resolvable_exponent`)."""
+    if magnitude > limit:
+        raise PrecisionError(
+            f"exponent of magnitude {magnitude:.6g} passes {limit:.6g}: "
+            "a double cannot resolve it mod 1 to the tolerance"
+        )
+
+
 def exponent_residual(x: complex, y: complex, limit: float) -> float:
     """Relative residual |A - B| / max(1, |A|) of A = e^{2*pi*i*x}, B = e^{2*pi*i*y}, as
     min(1, |A|) * |1 - e^{2*pi*i(y-x)}|: finite even where |A| overflows a double.
@@ -79,11 +88,7 @@ def exponent_residual(x: complex, y: complex, limit: float) -> float:
     z = _TWO_PI_I * (y - x)
     if not (z.real <= _EXP_LIMIT and cmath.isfinite(z)):
         raise RangeError(f"residual exponent {z:.6g} out of float exp range")
-    if abs(x) > limit or abs(y) > limit:
-        raise PrecisionError(
-            f"exponent of magnitude {max(abs(x), abs(y)):.6g} passes {limit:.6g}: "
-            "a double cannot resolve it mod 1 to the tolerance"
-        )
+    require_resolvable(max(abs(x), abs(y)), limit)
     scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
     return min(1.0, scale) * abs(1.0 - cmath.exp(z))
 

@@ -43,6 +43,8 @@ from .cocycle import (
     draw_sample,
     exp_2pi_i,
     max_residual,
+    require_resolvable,
+    resolvable_exponent,
     sampled_residuals,
 )
 from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError, RangeError
@@ -267,22 +269,6 @@ def commutator_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
     return first
 
 
-def _pairing_trivial_chern(a: Cocycle, x1val: float, x2val: float, v: complex) -> complex:
-    """Exponent of the pairing for s = 0 through the symmetric H_v expression
-    h(v+x1~+x2~)h(v) / (h(v+x1~)h(v+x2~)) with h the cocycle's own unit.
-
-    Formed in exponent space (the individual h values can leave the float
-    range); the two argument orders are genuinely different float expressions,
-    so this remains a nonvacuous numerical check of the symmetry.
-    """
-    g = a.g
-
-    def log_h_v(first: float, second: float) -> complex:
-        return g(v + first + second) + g(v) - g(v + first) - g(v + second)
-
-    return log_h_v(x1val, x2val) - log_h_v(x2val, x1val)
-
-
 class DichotomyReport(_Frozen):
     """One-branch summary tying the Chern class, K, and the pairing together."""
 
@@ -342,9 +328,19 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyR
             max_pairing_deviation=None,
         )
 
+    g, lat, limit = a.g, a.lattice, resolvable_exponent()
+
     def pair(den: int, l1: LatticeVector, l2: LatticeVector, v: complex) -> tuple[complex, complex]:
-        x1, x2 = LambdaPoint(l1.a, l1.b, den), LambdaPoint(l2.a, l2.b, den)
-        return 0j, _pairing_trivial_chern(a, x1.real_value(a.lattice), x2.real_value(a.lattice), v)
+        # The pairing's exponent through the symmetric H_v expression
+        # h(v+x1~+x2~)h(v) / (h(v+x1~)h(v+x2~)), h the cocycle's own unit, formed in
+        # exponent space (the h values can leave the float range).  The two
+        # argument orders are different float expressions, so this is a nonvacuous
+        # check of the symmetry.  The g values must meet limit themselves, or
+        # their difference is rounding noise.
+        x1, x2 = LambdaPoint(l1.a, l1.b, den).real_value(lat), LambdaPoint(l2.a, l2.b, den).real_value(lat)
+        g12, g21, g0, g1, g2 = g(v + x1 + x2), g(v + x2 + x1), g(v), g(v + x1), g(v + x2)
+        require_resolvable(max(abs(g12), abs(g21), abs(g0), abs(g1), abs(g2)), limit)
+        return 0j, (g12 + g0 - g1 - g2) - (g21 + g0 - g2 - g1)
 
     deviations = sampled_residuals(
         pair, samples, seed, lambda rng: (rng.randint(1, 6), *draw_sample(rng, 2, *_LIFT_DOMAIN))

@@ -17,9 +17,8 @@ partial quotient, on which every later convergent depends, meets a float.
 One lazy walk, Pseudolattice._expansion, yields each partial quotient with its
 convergent p_k/q_k in turn; cf_terms, convergents, small_vectors and
 approximate_real all read it.  convergents turns each step into a Convergent, a
-tuple row, with no constructor call; approximate_real stops reading once its
-float gap is within eps of its target, then decides exactly, on integers, that
-its vector is (PrecisionError otherwise).
+tuple row, with no constructor call; approximate_real keeps its gap to the target
+on integers and stops reading once that gap is within eps.
 A Pseudolattice is built on integers: it keeps omega1, omega2 over one integer
 denominator and theta as its Perron triple (P, N, Q), formed once from those
 integers with no field division.  The walk starts from that triple and the
@@ -38,7 +37,7 @@ from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
 
 # object.__setattr__ looked up once: LatticeVector is built per small vector and
@@ -204,53 +203,46 @@ class Pseudolattice(_Frozen):
     def approximate_real(self, target: float, eps: float = 1e-3, max_terms: int = 60) -> LatticeVector:
         """A lattice vector whose real value is within eps of target.
 
-        Greedy descent on the small vectors (p_k, -q_k), k < max_terms:
-        repeatedly subtract the largest one not exceeding the remaining gap.
-        It walks the expansion lazily and stops once the gap is at most eps.
-        Density of L guarantees termination for any eps > 0.  The gap is kept
-        in doubles, so the answer is then decided exactly on integers: a
-        PrecisionError where a double could not resolve eps against the target
-        (on Z + Z*sqrt(2) at eps = 1e-3, for some targets from about 1e13 on).
+        Greedy descent on the small vectors (p_k, -q_k), k < max_terms, read
+        lazily: subtract each trunc(gap/vector) times until the gap, kept exactly
+        on integers, is at most eps.  It answers at every finite target: after the
+        first vector that fits, the gap is below the vectors, which shrink to zero.
         """
         if not (0.0 < eps < math.inf and math.isfinite(target)):
             raise PreconditionError("need a finite target and a finite eps > 0")
+        # With omega_i = (a_i + b_i*sqrt(d))/den, target = t/t_den, eps = e/e_den
+        # and s = t_den*e_den, the gap target - (acc_a*omega1 + acc_b*omega2) is
+        # (g + y*sqrt(d))/(den*s), within eps when |g + y*sqrt(d)| <= bound.
+        (a1, b1, a2, b2, den), d = self._scaled, self.omega1.d
+        (t, t_den), (e, e_den) = target.as_integer_ratio(), eps.as_integer_ratio()
+        s = t_den * e_den
+        g, y, bound = t * den * e_den, 0, e * den * t_den
         acc_a = acc_b = 0
-        remaining = target
         for _, p, q in self._expansion(max_terms):
-            if abs(remaining) <= eps:
+            if _within(g, y, d, bound):
                 break
-            val = self.rounded_combination(p, -q)
-            if val == 0.0 or abs(val) > abs(remaining):
-                continue
-            count = int(remaining / val)
-            acc_a += count * p
-            acc_b -= count * q
-            remaining -= count * val
-        if abs(remaining) > eps:
-            raise PreconditionError(
-                f"could not reach {target} within {eps} using {max_terms} convergents"
-            )
-        # Exact check on integers.  With target = t/t_den, eps = e/e_den and
-        # omega_i = (a_i + b_i*sqrt(d))/den, the vector's distance to the target
-        # times den*t_den*e_den is |y*sqrt(d) - gap|, to be at most bound.  With
-        # y >= 0 (both negated otherwise) that is gap - bound <= y*sqrt(d) <=
-        # gap + bound, decided on squares.
-        a1, b1, a2, b2, den = self._scaled
-        t, t_den = target.as_integer_ratio()
-        e, e_den = eps.as_integer_ratio()
-        gap = (t * den - (acc_a * a1 + acc_b * a2) * t_den) * e_den
-        y = (acc_a * b1 + acc_b * b2) * t_den * e_den
-        if y < 0:
-            gap, y = -gap, -y
-        bound = e * t_den * den
-        hi, lo = gap + bound, gap - bound
-        n = self.omega1.d * y * y
-        if hi < 0 or n > hi * hi or lo > 0 and n < lo * lo:
-            raise PrecisionError(
-                f"the vector found for {target} is not within {eps} of it: "
-                "a double cannot resolve the remaining distance"
-            )
+            # The vector times den is x + z*sqrt(d), and gap/vector =
+            # (g + y*sqrt(d))(x - z*sqrt(d))/((x^2 - d*z^2)*s) = (u + w*sqrt(d))/c.
+            x, z = p * a1 - q * a2, p * b1 - q * b2
+            u, w, c = g * x - d * y * z, y * x - g * z, (x * x - d * z * z) * s
+            if w:
+                sgn = 1 if w > 0 else -1
+                count = surd_floor(sgn * u, math.isqrt(w * w * d), sgn * c)
+                count += count < 0  # the quotient is irrational: trunc = floor + 1 below 0
+            else:
+                count = int(Fraction(u, c))  # a rational quotient, e.g. of a rational vector
+            acc_a, acc_b = acc_a + count * p, acc_b - count * q
+            g, y = g - count * x * s, y - count * z * s
+        if not _within(g, y, d, bound):
+            raise PreconditionError(f"could not reach {target} within {eps} using {max_terms} convergents")
         return LatticeVector(acc_a, acc_b)
+
+
+def _within(g: int, y: int, d: int, bound: int) -> bool:
+    """|g + y*sqrt(d)| <= bound, decided on squares: -bound - g <= y*sqrt(d) <= bound - g."""
+    g, y = (-g, -y) if y < 0 else (g, y)
+    hi, lo, n = bound - g, -bound - g, d * y * y
+    return hi >= 0 and n <= hi * hi and (lo <= 0 or n >= lo * lo)
 
 
 def lattice_sqrt2() -> Pseudolattice:

@@ -181,6 +181,29 @@ def test_cf_overlong_denominator_is_exit_1(capsys):
     assert code == 1 and doc["error"].startswith("cannot parse denominator")
 
 
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+@pytest.mark.parametrize(
+    "omega2, error",
+    [
+        ("1" * 20000 + "*sqrtD", "cannot parse term"),
+        ("(1+sqrtD)/" + "7" * 5000, "cannot parse denominator"),
+    ],
+    ids=["mantissa", "denominator"],
+)
+def test_cf_overlong_number_ignores_the_int_digit_limit(capsys, limit, omega2, error):
+    # these exited 1 at the default digit limit and 2 with it off; the cap on
+    # digits now refuses them before int() or Fraction() reads them
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", omega2)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 1 and doc["error"].startswith(error)
+    assert doc["error"].endswith(": more than 4300 digits in one number")
+
+
 @pytest.mark.parametrize(
     "flags, want_code, want_error",
     [

@@ -470,6 +470,14 @@ class TestDichotomy:
         with pytest.raises(PreconditionError):
             dichotomy_check(trivial_cocycle(l1), samples=samples)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e12])
+    def test_zero_chern_unresolvable_g_is_precision_error(self, l1, scale):
+        # the pairing is exactly 1, but g values past resolvable_exponent() were
+        # subtracted unguarded: the deviation read 4.4e-9 (> eps) at 1e3, 2.30 at 1e12
+        a = Cocycle(0, 1.0, ExponentPoly((0j, 0j, 0j, complex(scale))), l1)
+        with pytest.raises(PrecisionError, match="passes"):
+            dichotomy_check(a, samples=50)
+
     def test_zero_chern_sampled_pairing(self, l1, l2):
         rng = random.Random(44)
         for lat in (l1, l2):
