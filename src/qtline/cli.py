@@ -33,8 +33,10 @@ MAX_BOUND = 10**6
 # Each count flag's cap, keyed by the flag's argparse dest.
 _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
 # Largest decimal exponent of a cf coefficient (the 400 of "1e400") and most digits
-# in one of its numbers: Python's default digit limit for an integer literal.
+# in one of its numbers or in a JSON integer: Python's default digit limit for an
+# integer literal, applied whatever limit the interpreter is set to.
 MAX_DECIMAL_EXPONENT = 4300
+_TOO_LONG = f"more than {MAX_DECIMAL_EXPONENT} digits in one number"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,12 +52,11 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
     number with more digits than that before int() or Fraction() reads it."""
     s = text.replace(" ", "")
     den = 1
-    too_long = f"more than {MAX_DECIMAL_EXPONENT} digits in one number"
     m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>[0-9]+)", s)
     if m:
         try:
             if len(m.group("den")) > MAX_DECIMAL_EXPONENT:
-                raise ValueError(too_long)
+                raise ValueError(_TOO_LONG)
             s, den = m.group("inner"), int(m.group("den"))
         except ValueError as exc:  # also an interpreter digit limit set below the cap
             raise FormatError(f"cannot parse denominator in {text!r}: {exc}") from exc
@@ -78,7 +79,7 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
                 raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
             # Fraction() reads each digit run (underscores aside) with int().
             if any(len(run) - run.count("_") > MAX_DECIMAL_EXPONENT for run in re.findall(r"[0-9_]+", coef)):
-                raise ValueError(too_long)
+                raise ValueError(_TOO_LONG)
             value = sign * (Fraction(1) if body == "sqrtD" else Fraction(coef))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse term {term!r} in {text!r}: {exc}") from exc
@@ -101,10 +102,16 @@ def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"non-finite number {name}")
 
 
+def _parse_json_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(_TOO_LONG)
+    return int(literal)
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_int=_parse_json_int, parse_constant=_reject_constant)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, NaN/Infinity, nesting

@@ -22,8 +22,8 @@ equals the integer -s * b1 * a2 identically (characters and coboundaries
 contribute zero).  ``cocycle_defect`` returns that closed form and the
 numerical verifier checks it at samples.
 
-Branch convention: log(c) is taken once, on the principal branch, at
-construction time, so repeated evaluation is branch-stable.
+Branch convention: log(c) is taken once, on the principal branch, when the
+cocycle is first evaluated, so repeated evaluation is branch-stable.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import cmath
 import math
 import random
 from collections.abc import Callable
+from functools import cached_property
 
 from .errors import DomainError, PrecisionError, PreconditionError, RangeError
 from .numeric import _Frozen, tolerance
@@ -41,8 +42,9 @@ from .pseudolattice import LatticeVector, Pseudolattice
 # double-precision evaluation stays meaningful on the sampling domains below.
 MAX_DEGREE = 6
 
-# Shared sampling domain for the numerical verifiers.
-COEFF_BOUND = 10
+# Shared sampling domain for the numerical verifiers: each lattice coordinate
+# uniform in COORD_RANGE, v uniform in the square [-V_BOUND, V_BOUND]^2.
+COORD_RANGE = range(-10, 11)
 V_BOUND = 5.0
 
 # Largest |Re z| fed to exp() before raising RangeError.
@@ -88,7 +90,8 @@ def exponent_residual(x: complex, y: complex, limit: float) -> float:
     z = _TWO_PI_I * (y - x)
     if not (z.real <= _EXP_LIMIT and cmath.isfinite(z)):
         raise RangeError(f"residual exponent {z:.6g} out of float exp range")
-    require_resolvable(max(abs(x), abs(y)), limit)
+    if abs(x) > limit or abs(y) > limit:  # x and y are finite here
+        require_resolvable(max(abs(x), abs(y)), limit)
     scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
     return min(1.0, scale) * abs(1.0 - cmath.exp(z))
 
@@ -99,18 +102,6 @@ def max_residual(residuals: list[float]) -> float:
     if any(r != r for r in residuals):
         raise RangeError("a residual is NaN")
     return max(residuals)
-
-
-def draw_sample(rng: random.Random, vectors: int, coeff_bound: int = COEFF_BOUND, v_bound: float = V_BOUND) -> tuple:
-    """One seeded sample (l_1, ..., l_vectors, v): each vector's a, then b, uniform in
-    [-coeff_bound, coeff_bound], then v uniform in [-v_bound, v_bound]^2.  Reordering
-    these draws would change the samples of every seed."""
-    sample: list = []
-    for _ in range(vectors):
-        a = rng.randint(-coeff_bound, coeff_bound)
-        sample.append(LatticeVector(a, rng.randint(-coeff_bound, coeff_bound)))
-    sample.append(complex(rng.uniform(-v_bound, v_bound), rng.uniform(-v_bound, v_bound)))
-    return tuple(sample)
 
 
 class ExponentPoly(_Frozen):
@@ -194,26 +185,36 @@ class Cocycle(_Frozen):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lattice", lattice)
-        # log(c) on the principal branch, kept out of equality, hashing and repr.
-        object.__setattr__(self, "_log_c", cmath.log(c))
+
+    def __reduce__(self) -> tuple:
+        # Pickled as its fields: the cached kernel below is a closure.
+        return (type(self), (self.s, self.c, self.g, self.lattice))
+
+    @cached_property
+    def _kernel(self) -> Callable[[int, complex, complex], complex]:
+        """The one exponent formula: kernel(b, v, dg) = a(l, v) for l = a*omega1 + b*omega2
+        and dg = g(v + l) - g(v), the cocycle's constants bound on first use.  The
+        character contributes (b*log c)/(2*pi*i); dg comes from the caller, so one g
+        value can serve two exponents, and is ignored when g = 0."""
+        s, log_c, has_g = self.s, cmath.log(self.c), bool(self.g)
+        w2, two_w1 = self.lattice.omega2_float, 2.0 * self.lattice.omega1_float
+
+        def kernel(b: int, v: complex, dg: complex) -> complex:
+            total = 0j
+            if log_c != 0:
+                total += b * log_c * _INV_2PI_I
+            if s:
+                total += s * (b * b * w2 + 2.0 * b * v) / two_w1
+            if has_g:
+                total += dg
+            return total
+
+        return kernel
 
     def exponent(self, l: LatticeVector, v: complex) -> complex:
-        """Closed-form exponent a(l, v) with A_l(v) = e^{2*pi*i*a(l, v)}.
-
-        The character contributes (b*log c)/(2*pi*i) on the stored branch.
-        """
-        lat = self.lattice
-        w1, w2 = lat.omega1_float, lat.omega2_float
-        total = 0j
-        if self._log_c != 0:
-            total += l.b * self._log_c * _INV_2PI_I
-        if self.s:
-            total += self.s * (l.b * l.b * w2 + 2.0 * l.b * v) / (2.0 * w1)
-        if self.g:
-            # Inline rather than lat.float_value(l): this is the per-sample hot path.
-            shift = l.a * w1 + l.b * w2
-            total += self.g(v + shift) - self.g(v)
-        return total
+        """Closed-form exponent a(l, v) with A_l(v) = e^{2*pi*i*a(l, v)}."""
+        g = self.g
+        return self._kernel(l.b, v, g(v + self.lattice.float_value(l)) - g(v) if g else 0j)
 
     def evaluate(self, l: LatticeVector, v: complex) -> complex:
         """Numerical value A_l(v); always nonzero."""
@@ -263,27 +264,53 @@ def cocycle_defect(a: Cocycle, l1: LatticeVector, l2: LatticeVector) -> int:
 
 
 def sampled_residuals(
-    pair: Callable[..., tuple[complex, complex]], samples: int, seed: int, draw: Callable[[random.Random], tuple]
+    pair: Callable[..., tuple[complex, complex]],
+    samples: int,
+    seed: int,
+    coords: tuple[range, ...],
+    v_bound: float = V_BOUND,
 ) -> list[float]:
     """The loop of every sampled verifier: :func:`exponent_residual` of the exponents
-    (x, y) = pair(*draw(rng)) at each of samples draws from one RNG seeded with seed."""
+    (x, y) = pair(n_1, ..., n_k, v) at each of samples draws from one RNG seeded with seed.
+
+    A draw is k plain integers, n_i = r.start + randrange(len(r)) for r = coords[i], then
+    v's real and imaginary parts, each -v_bound + 2*v_bound*random(): the same RNG calls
+    and values as randint(r.start, r[-1]) and uniform(-v_bound, v_bound).  Reordering
+    these draws would change the samples of every seed."""
     if samples < 1:
         raise PreconditionError("need samples >= 1")
     limit = resolvable_exponent()
     rng = random.Random(seed)
-    return [exponent_residual(*pair(*draw(rng)), limit) for _ in range(samples)]
+    below, unit = rng.randrange, rng.random
+    shape = [(len(r), r.start) for r in coords]
+    lo, span = -v_bound, 2.0 * v_bound
+    out = []
+    for _ in range(samples):
+        # A loop rather than a comprehension, which costs CPython 3.11 a call per sample.
+        ints = []
+        for n, start in shape:
+            ints.append(below(n) + start)
+        x, y = pair(*ints, complex(lo + span * unit(), lo + span * unit()))
+        out.append(exponent_residual(x, y, limit))
+    return out
 
 
 def cocycle_identity_residuals(a: Cocycle, samples: int = 100, seed: int = 0) -> list[float]:
     """Per-sample relative residuals of A_{l1+l2}(v) = A_{l1}(v+l2) * A_{l2}(v)
-    at seeded samples with |coords| <= 10 and v in the square [-5, 5]^2,
+    at seeded samples with l1, l2 in COORD_RANGE^2 and v in the square [-5, 5]^2,
     computed in exponent space by :func:`exponent_residual`.
     """
+    kernel, g = a._kernel, a.g
+    w1, w2 = a.lattice.omega1_float, a.lattice.omega2_float
 
-    def pair(l1: LatticeVector, l2: LatticeVector, v: complex) -> tuple[complex, complex]:
-        return a.exponent(l1 + l2, v), a.exponent(l1, v + a.lattice.float_value(l2)) + a.exponent(l2, v)
+    def pair(a1: int, b1: int, a2: int, b2: int, v: complex) -> tuple[complex, complex]:
+        # g(v) and g(v + l2) each enter two of the three exponents.
+        v2 = v + (a2 * w1 + b2 * w2)
+        g0, g2 = g(v), g(v2)
+        x = kernel(b1 + b2, v, g(v + ((a1 + a2) * w1 + (b1 + b2) * w2)) - g0)
+        return x, kernel(b1, v2, g(v2 + (a1 * w1 + b1 * w2)) - g2) + kernel(b2, v, g2 - g0)
 
-    return sampled_residuals(pair, samples, seed, lambda rng: draw_sample(rng, 2))
+    return sampled_residuals(pair, samples, seed, (COORD_RANGE,) * 4)
 
 
 def verify_cocycle_identity(a: Cocycle, samples: int = 100, seed: int = 0) -> float:

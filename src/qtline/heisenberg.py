@@ -40,7 +40,6 @@ from .chern import chern_symbolic
 from .cocycle import (
     _TWO_PI_I,
     Cocycle,
-    draw_sample,
     exp_2pi_i,
     max_residual,
     require_resolvable,
@@ -49,13 +48,16 @@ from .cocycle import (
 )
 from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError, RangeError
 from .numeric import _Frozen, approx_eq, tolerance
-from .pseudolattice import LatticeVector, Pseudolattice
+from .pseudolattice import Pseudolattice
 
 # Fixed base points for the v-independence cross-check.
 _V_PROBE_1 = 0.3 + 0.2j
 _V_PROBE_2 = 1.7 - 0.9j
-# Sampling domain of the sampled lift checks: |coords| <= 5, v in [-2, 2]^2.
-_LIFT_DOMAIN = (5, 2.0)
+# Sampling domain of the sampled lift checks: each coordinate in _LIFT_COORDS,
+# v in [-_LIFT_V_BOUND, _LIFT_V_BOUND]^2, and the dichotomy's lift denominators.
+_LIFT_COORDS = range(-5, 6)
+_LIFT_V_BOUND = 2.0
+_LIFT_DENOMINATORS = range(1, 7)
 
 
 class LambdaPoint(_Frozen):
@@ -171,14 +173,16 @@ def multiplier_residual(a: Cocycle, elem: HeisenbergElement, samples: int = 50, 
     """Max residual of A_l(v+x~)/A_l(v) = h(v+l)/h(v) over seeded samples, both ratios
     formed as exponents: a(l, v+x~) - a(l, v) against kappa*l/omega1, so neither side
     leaves the float exp range however large the cocycle's values are at v."""
-    lat = a.lattice
-    xval = elem.point.real_value(lat)
+    xval = elem.point.real_value(a.lattice)
     kappa = _kappa(a, elem.point)
+    kernel, g = a._kernel, a.g
+    w1, w2 = a.lattice.omega1_float, a.lattice.omega2_float
 
-    def pair(l: LatticeVector, v: complex) -> tuple[complex, complex]:
-        return a.exponent(l, v + xval) - a.exponent(l, v), kappa * lat.float_value(l) / lat.omega1_float
+    def pair(la: int, lb: int, v: complex) -> tuple[complex, complex]:
+        shift, u = la * w1 + lb * w2, v + xval
+        return kernel(lb, u, g(u + shift) - g(u)) - kernel(lb, v, g(v + shift) - g(v)), kappa * shift / w1
 
-    return max_residual(sampled_residuals(pair, samples, seed, lambda rng: draw_sample(rng, 1, *_LIFT_DOMAIN)))
+    return max_residual(sampled_residuals(pair, samples, seed, (_LIFT_COORDS,) * 2, _LIFT_V_BOUND))
 
 
 def heisenberg_multiply(g1: HeisenbergElement, g2: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
@@ -330,21 +334,19 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyR
 
     g, lat, limit = a.g, a.lattice, resolvable_exponent()
 
-    def pair(den: int, l1: LatticeVector, l2: LatticeVector, v: complex) -> tuple[complex, complex]:
+    def pair(den: int, a1: int, b1: int, a2: int, b2: int, v: complex) -> tuple[complex, complex]:
         # The pairing's exponent through the symmetric H_v expression
         # h(v+x1~+x2~)h(v) / (h(v+x1~)h(v+x2~)), h the cocycle's own unit, formed in
         # exponent space (the h values can leave the float range).  The two
         # argument orders are different float expressions, so this is a nonvacuous
         # check of the symmetry.  The g values must meet limit themselves, or
         # their difference is rounding noise.
-        x1, x2 = LambdaPoint(l1.a, l1.b, den).real_value(lat), LambdaPoint(l2.a, l2.b, den).real_value(lat)
+        x1, x2 = LambdaPoint(a1, b1, den).real_value(lat), LambdaPoint(a2, b2, den).real_value(lat)
         g12, g21, g0, g1, g2 = g(v + x1 + x2), g(v + x2 + x1), g(v), g(v + x1), g(v + x2)
         require_resolvable(max(abs(g12), abs(g21), abs(g0), abs(g1), abs(g2)), limit)
         return 0j, (g12 + g0 - g1 - g2) - (g21 + g0 - g2 - g1)
 
-    deviations = sampled_residuals(
-        pair, samples, seed, lambda rng: (rng.randint(1, 6), *draw_sample(rng, 2, *_LIFT_DOMAIN))
-    )
+    deviations = sampled_residuals(pair, samples, seed, (_LIFT_DENOMINATORS,) + (_LIFT_COORDS,) * 4, _LIFT_V_BOUND)
     return DichotomyReport(
         chern_s=0,
         k_group=group,

@@ -30,9 +30,9 @@ import math
 from .cocycle import (
     _EXP_LIMIT,
     _TWO_PI_I,
+    COORD_RANGE,
     Cocycle,
     ExponentPoly,
-    draw_sample,
     exp_2pi_i,
     max_residual,
     sampled_residuals,
@@ -60,10 +60,12 @@ class ThetaCandidate(_Frozen):
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "unit_exponent", unit_exponent)
+        # log(amplitude)/(2*pi*i) on the principal branch, kept out of equality, hashing and repr.
+        object.__setattr__(self, "_log_amplitude", cmath.log(amplitude) / _TWO_PI_I)
 
     def log_value(self, v: complex) -> complex:
         """Exponent E(v) with theta(v) = e^{2*pi*i*E(v)}, amplitude folded in."""
-        return self.unit_exponent(v) + self.alpha * v + cmath.log(self.amplitude) / _TWO_PI_I
+        return self.unit_exponent(v) + self.alpha * v + self._log_amplitude
 
     def evaluate(self, v: complex) -> complex:
         return exp_2pi_i(self.log_value(v), "theta", v)
@@ -76,11 +78,14 @@ def theta_residuals(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int
     on the exponents x of theta(v+l) and y of A_l(v) theta(v), so huge |theta|
     cannot overflow.
     """
+    kernel, g, log_value = a._kernel, a.g, t.log_value
+    w1, w2 = a.lattice.omega1_float, a.lattice.omega2_float
 
-    def pair(l: LatticeVector, v: complex) -> tuple[complex, complex]:
-        return t.log_value(v + a.lattice.float_value(l)), a.exponent(l, v) + t.log_value(v)
+    def pair(la: int, lb: int, v: complex) -> tuple[complex, complex]:
+        w = v + (la * w1 + lb * w2)
+        return log_value(w), kernel(lb, v, g(w) - g(v)) + log_value(v)
 
-    return sampled_residuals(pair, samples, seed, lambda rng: draw_sample(rng, 1))
+    return sampled_residuals(pair, samples, seed, (COORD_RANGE,) * 2)
 
 
 def theta_residual(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int = 0) -> float:

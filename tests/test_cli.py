@@ -204,6 +204,43 @@ def test_cf_overlong_number_ignores_the_int_digit_limit(capsys, limit, omega2, e
     assert doc["error"].endswith(": more than 4300 digits in one number")
 
 
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: d["lattice"]["omega1"].update(b=[int("1" * 5000), 1]), lambda d: d.update(s=int("7" * 5000))],
+    ids=["omega1-b-numerator", "s"],
+)
+def test_json_overlong_integer_ignores_the_int_digit_limit(capsys, tmp_path, limit, edit):
+    # the numerator exited 1 at the default digit limit and 2 ("beyond the double
+    # range") with it off; s exited 1 under both, the second message echoing all
+    # 5000 digits.  The JSON reader now refuses both before int() reads them.
+    doc = cocycle_to_json(Cocycle(1, 1.0, ExponentPoly.zero(), L1))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        edit(doc)
+        text = json.dumps(doc)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        code, out = run(capsys, "chern", "--cocycle", str(path))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 1 and out == {"error": f"{path} is not valid JSON: more than 4300 digits in one number"}
+
+
+def test_json_integer_at_the_digit_cap_is_read(capsys, tmp_path):
+    doc = cocycle_to_json(Cocycle(1, 1.0, ExponentPoly.zero(), L1))
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(doc).replace('"s": 1', '"s": -' + "1" * 4300))
+    code, out = run(capsys, "chern", "--cocycle", str(path))
+    assert code == 1 and out["error"].startswith("cocycle s must be an integer within the double range")
+
+
 @pytest.mark.parametrize(
     "flags, want_code, want_error",
     [

@@ -128,8 +128,18 @@ def test_pseudolattice_equality_ignores_cached_values():
 
 def test_cocycle_equality_ignores_cached_log():
     a = Cocycle(1, -1.0, ExponentPoly.zero(), lattice_sqrt2())
+    a.exponent(LatticeVector(1, 1), 0.2j)  # caches the exponent kernel, log(c) in it
     assert a == Cocycle(1, -1 + 0j, ExponentPoly.zero(), lattice_sqrt2())
-    assert "_log_c" not in repr(a)
+    assert hash(a) == hash(Cocycle(1, -1 + 0j, ExponentPoly.zero(), lattice_sqrt2()))
+    assert "_log_c" not in repr(a) and "_kernel" not in repr(a)
+
+
+def test_cocycle_pickles_after_evaluation():
+    # Evaluation caches the exponent kernel, a closure; pickling must not see it.
+    a = Cocycle(2, 1 + 1j, ExponentPoly((0, 1.5)), lattice_sqrt2())
+    before = a.exponent(LatticeVector(1, 2), 0.3 + 0.1j)
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and b.exponent(LatticeVector(1, 2), 0.3 + 0.1j) == before
 
 
 def test_exponent_poly_strips_trailing_zeros():
