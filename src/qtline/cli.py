@@ -37,6 +37,15 @@ _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
 # integer literal, applied whatever limit the interpreter is set to.
 MAX_DECIMAL_EXPONENT = 4300
 _TOO_LONG = f"more than {MAX_DECIMAL_EXPONENT} digits in one number"
+# Digits per int() call in _read_int: below 640, the lowest digit limit the
+# interpreter can be set to, so no setting of that limit changes an answer.
+_CHUNK = 600
+# A cf coefficient, unsigned, in the string grammar of fractions.Fraction.
+_COEFFICIENT = re.compile(
+    r"\s*(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)"
+    r"(?:/(?P<den>\d+(?:_\d+)*)|(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:e(?P<exp>\d+(?:_\d+)*))?)\s*",
+    re.IGNORECASE,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,21 +53,53 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
+def _read_int(literal: str) -> int:
+    """int(literal) for an optional "-" and a run of decimal digits (underscores
+    between them allowed), read _CHUNK digits at a time; ValueError past
+    MAX_DECIMAL_EXPONENT digits.  Also json.load's parse_int."""
+    digits = literal.removeprefix("-").replace("_", "")
+    if len(digits) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(_TOO_LONG)
+    value = 0
+    for start in range(0, len(digits), _CHUNK):
+        chunk = digits[start : start + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if literal.startswith("-") else value
+
+
+def _read_coefficient(coef: str) -> Fraction:
+    """The Fraction that Fraction(coef) reads, built from _read_int's integers.  A
+    decimal exponent above MAX_DECIMAL_EXPONENT is refused before its power of
+    ten is built."""
+    m = _COEFFICIENT.fullmatch(coef)
+    if not m:
+        raise ValueError(f"Invalid literal for Fraction: {coef!r}")
+    num, den, dec, exp = m.group("num", "den", "dec", "exp")
+    exponent = exp.replace("_", "").lstrip("0") if exp else ""
+    if len(exponent) > len(str(MAX_DECIMAL_EXPONENT)) or int(exponent or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
+    numerator, denominator = _read_int(num), 1
+    if den:
+        denominator = _read_int(den)
+    elif dec:
+        denominator = 10 ** len(dec.replace("_", ""))
+        numerator = numerator * denominator + _read_int(dec)
+    return Fraction(numerator * 10 ** int(exponent or 0), denominator)
+
+
 def _parse_quadreal(text: str, d: int) -> QuadReal:
     """Parse expressions like "1", "-3/2", "sqrtD", "2*sqrtD", "(1+sqrtD)/2".
 
-    One "*" may stand only between a coefficient and sqrtD.  A decimal exponent
-    above MAX_DECIMAL_EXPONENT is refused before its power of ten is built, and a
-    number with more digits than that before int() or Fraction() reads it."""
+    One "*" may stand only between a coefficient and sqrtD.  Every number is
+    read by _read_int, so neither the digit cap nor the answer depends on the
+    interpreter's own digit limit."""
     s = text.replace(" ", "")
     den = 1
     m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>[0-9]+)", s)
     if m:
         try:
-            if len(m.group("den")) > MAX_DECIMAL_EXPONENT:
-                raise ValueError(_TOO_LONG)
-            s, den = m.group("inner"), int(m.group("den"))
-        except ValueError as exc:  # also an interpreter digit limit set below the cap
+            s, den = m.group("inner"), _read_int(m.group("den"))
+        except ValueError as exc:
             raise FormatError(f"cannot parse denominator in {text!r}: {exc}") from exc
         if den == 0:
             raise FormatError(f"zero denominator in {text!r}")
@@ -72,15 +113,8 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
         body = term.lstrip("+-")
         surd = body.endswith("sqrtD")
         coef = body[:-5].removesuffix("*") if surd else body
-        exponent = re.search(r"e([0-9_]+)$", coef, re.IGNORECASE)  # unsigned: a sign starts a term
-        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
         try:
-            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-                raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
-            # Fraction() reads each digit run (underscores aside) with int().
-            if any(len(run) - run.count("_") > MAX_DECIMAL_EXPONENT for run in re.findall(r"[0-9_]+", coef)):
-                raise ValueError(_TOO_LONG)
-            value = sign * (Fraction(1) if body == "sqrtD" else Fraction(coef))
+            value = sign * (Fraction(1) if body == "sqrtD" else _read_coefficient(coef))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"cannot parse term {term!r} in {text!r}: {exc}") from exc
         a, b = (a, b + value) if surd else (a + value, b)
@@ -102,16 +136,10 @@ def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"non-finite number {name}")
 
 
-def _parse_json_int(literal: str) -> int:
-    if len(literal.lstrip("-")) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(_TOO_LONG)
-    return int(literal)
-
-
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_parse_json_int, parse_constant=_reject_constant)
+            return json.load(fh, parse_int=_read_int, parse_constant=_reject_constant)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, NaN/Infinity, nesting
@@ -127,6 +155,11 @@ def _cmd_cf(_: None, args: argparse.Namespace) -> Any:
     for conv in lat.convergents(args.n):
         if conv.q > sys.float_info.max:
             raise RangeError(f"denominator q_{conv.index} exceeds the double range; ask for fewer terms")
+        if abs(conv.p) > sys.float_info.max:
+            raise RangeError(f"numerator p_{conv.index} exceeds the double range; ask for fewer terms")
+        bound = w1 / conv.q
+        if bound < sys.float_info.min:  # subnormal: rounding can no longer decide within_bound
+            raise RangeError(f"bound |omega1|/q_{conv.index} = {bound:.6g} is below the normal double range")
         value = lat.rounded_combination(conv.p, -conv.q)
         out.append(
             {
@@ -134,8 +167,8 @@ def _cmd_cf(_: None, args: argparse.Namespace) -> Any:
                 "p": conv.p,
                 "q": conv.q,
                 "residual": value,
-                "bound": w1 / conv.q,
-                "within_bound": abs(value) < w1 / conv.q,
+                "bound": bound,
+                "within_bound": abs(value) < bound,
             }
         )
     return out

@@ -20,10 +20,11 @@ integers, exact at every m0.  The normalized character is a coboundary iff
 phihat(omega2) = e^{2*pi*i*m*theta} for some integer m; ``triviality_test``
 scans |m| <= bound, smallest |m| first, and returns a three-valued verdict,
 since unit-circle membership in the dense subgroup {e^{2*pi*i*m*theta}} cannot
-be decided numerically without a bound.  Each candidate's float phase
-frac(m*theta) is first tested against a window around arg(w)/(2*pi), proven
-to hold every candidate the float acceptance test can accept; only those in
-it reach the exponential.
+be decided numerically without a bound.  The scan steps the float phase
+frac(m*theta) by one add per |m| and folds it, x -> |frac(x) - 1/2|, which
+sends m and -m to the same point; one window around the fold of arg(w)/(2*pi),
+proven to hold every candidate the float acceptance test can accept, then
+stands for both, and only candidates in it reach the exponential.
 
 Branch caveat, by design: a different branch of log phi(omega1) shifts the
 invariant by a factor e^{2*pi*i*m*theta}.  The library always computes the
@@ -137,44 +138,57 @@ _U = 2.0**-53
 _FLOAT_MAX = sys.float_info.max
 
 
-def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[float, float, float]:
-    """(lo, lo_neg, width): candidate m can pass ``triviality_test``'s float
-    acceptance test |w - e^{2*pi*i*m*theta}| <= eps only if
-    (frac(m*theta) - lo) % 1 <= width; candidate -m only if the same holds
-    with lo_neg.  Both tests read f = (m * theta) % 1.0, computed once per m.
+def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[float, float]:
+    """(lo, hi): candidates m and -m, |m| <= bound, can pass ``triviality_test``'s
+    float acceptance test |w - e^{2*pi*i*m*theta}| <= eps only if
+    lo <= |e_m| <= hi, where e_m is the scan's stepped phase: e_0 = -1/2 and
+    e_{m+1} = fl(e_m + s), less 1 once it reaches 1/2, with s = theta % 1.0.
+    So e_m is frac(m*theta) - 1/2 up to drift, and |e_m| its fold.
 
     Derivation, in the standard model fl(x op y) = (x op y)(1 + d), |d| <= u =
     2^-53, with libm's cos, sin and hypot within 1 ulp and atan2 within 2.
-    Write rho = |w|, phi = arg(w), N = bound, and y = fl(fl(2*pi*m)*theta)
-    for the exponent the acceptance test forms (2*pi rounded, two products).
+    Write rho = |w|, phi = arg(w), N = bound, d(x) for the distance from x to
+    the nearest integer, and y = fl(fl(2*pi*m)*theta) for the exponent the
+    acceptance test forms for m (2*pi rounded, two products; -y for -m).
 
     * Acceptance.  cmath.exp(i*y) is (cos y, sin y) to 2u in modulus; the
       subtraction and hypot lose at most a factor (1 - 3u).  So a computed
       |w - e_c| <= eps gives |w - e^{iy}| <= eps/(1 - 3u) + 2u, below
       E = eps/(1 - 4u) + 4u.
     * Phase gap.  |w - e^{iy}|^2 = (rho - 1)^2 + 4*rho*sin^2((phi - y)/2), and
-      |sin(pi*d)| >= 2d for the distance d in [0, 1/2] from (phi - y)/(2*pi)
-      to the nearest integer.  So d <= E/(4*sqrt(rho)) turns.
-    * Rounding of the phases.  y/(2*pi) is within 3.4u*|m*theta| of m*theta,
-      and fl(m*theta) within 2u*|m*theta|; the reductions mod 1 of f, of lo
-      and of f - lo, and t = phase(w)/(2*pi) itself, add at most 4.2u, and
-      forming half at most 2u more.  With |m| <= N all of it stays under
-      the margin 8u*(N*|theta| + 1).
+      |sin(pi*x)| >= 2*d(x).  So d(phi/(2*pi) - y/(2*pi)) is at most
+      (eps/(1 - 3u) + 2u)/(4*sqrt(rho)), and G = E/(4*sqrt(|w|)) as formed
+      (hypot, sqrt, the add and the divisions) is at most 4.1u below that.
+    * Exponent.  y/(2*pi) is within 3.01u*N*|theta| of m*theta.  (For
+      N >= 2^53, where m would round to a double, the margin below is over 1.)
+    * Stepped phase.  s is theta less an integer to u/2: fmod is exact, and
+      for theta < 0 adding 1.0 rounds once.  Each fl(e + s) lies below 2 in
+      magnitude, so it is off by at most u, and taking 1 off a sum in
+      [1/2, 3/2] is exact (Sterbenz).  So e_m stays in [-1/2, 1/2], and
+      d(e_m + 1/2 - m*theta) <= 1.5u*N.
+    * Fold.  F(x) = |frac(x) - 1/2| = 1/2 - d(x) is even and 1-Lipschitz mod 1,
+      and F(e_m + 1/2) = |e_m| exactly.  So m's window d(m*theta - t) <= h and
+      -m's window d(m*theta + t) <= h, with t = phi/(2*pi), both lie in
+      |F(m*theta) - F(t)| <= h, which is their union and no more.
+    * Centre.  cmath.phase(w)/(2*pi) is within 2.3u of t, and
+      tau = |(that % 1.0) - 1/2| adds 0.75u; forming half, lo and hi at most
+      1.1u more.
 
-    Hence half = E/(4*sqrt(rho)) + 8u*(N*|theta| + 1), centred on
-    t = arg(w)/(2*pi) for m and on -t for -m (frac(-m*theta) = -f), and
-    width = min(2*half, 1).  Width 1 (a tolerance of about 2 or more) lets
-    every candidate reach the acceptance test; where E >= 4*sqrt(rho), rho = 0
-    among them, half is taken as 1 without dividing.  A bound past the double
-    range enters the margin as the largest double: no candidate beyond it can
-    be formed as a float.
+    An accepted m or -m thus has ||e_m| - tau| <= G + 3.01u*N*|theta| +
+    1.5u*N + 8.3u, under half = G + 8u*(N*(|theta| + 1) + 2).  Where
+    E >= 4*sqrt(rho), rho = 0 among them, G is taken as 1 without dividing.
+    Whenever half >= 1/2, lo <= 0 and hi >= 1/2 hold every |e_m| in [0, 1/2]:
+    the whole circle, so a tolerance of about 2 or more lets every candidate
+    reach the acceptance test.  A bound past the double range enters the
+    margin as the largest double: no candidate beyond it can be formed as a
+    float.
     """
     big_e = eps / (1.0 - 4.0 * _U) + 4.0 * _U
     root = 4.0 * math.sqrt(abs(w))
-    margin = 8.0 * _U * ((bound if bound < _FLOAT_MAX else _FLOAT_MAX) * abs(theta) + 1.0)
+    margin = 8.0 * _U * ((bound if bound < _FLOAT_MAX else _FLOAT_MAX) * (abs(theta) + 1.0) + 2.0)
     half = (big_e / root if big_e < root else 1.0) + margin
-    t = cmath.phase(w) / (2.0 * math.pi)
-    return (t - half) % 1.0, (-t - half) % 1.0, 2.0 * half if half < 0.5 else 1.0
+    tau = abs(cmath.phase(w) / (2.0 * math.pi) % 1.0 - 0.5)
+    return tau - half, tau + half
 
 
 def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> TrivialityVerdict:
@@ -186,12 +200,14 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     m = 0, 1, -1, 2, -2, ... so the minimal |m| wins; unknown when no
     |m| <= bound matches.
 
-    Every candidate first passes the phase window of :func:`_phase_window`,
-    a proven superset of the candidates the acceptance test
-    |w - e^{2*pi*i*m*theta}| <= eps can accept, so the verdict is the one a
-    scan evaluating every candidate would give; the exponential is formed
-    only inside the window (for m = 0 the window test may pass twice, as 0
-    and as -0, with the same answer).
+    The scan costs one add and one window test per |m|: the phase
+    e = frac(m*theta) - 1/2 is stepped by s = theta % 1.0 (taking 1 off once
+    it reaches 1/2, which is exact), and |e| is tested against the folded
+    window of :func:`_phase_window`, a proven superset of the candidates m
+    and -m the acceptance test |w - e^{2*pi*i*m*theta}| <= eps can accept.
+    Only inside it is the exponential formed, for m and then for -m, so the
+    verdict is the one a scan evaluating every candidate would give (for
+    m = 0 the test may run twice, as 0 and as -0, with the same answer).
     """
     if bound < 1:
         raise PreconditionError("need bound >= 1")
@@ -202,13 +218,18 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     if abs(abs(w) - 1.0) > eps:
         return TrivialityVerdict.nontrivial(REASON_MODULUS)
     theta = a.lattice.theta
-    lo, lo_neg, width = _phase_window(w, theta, bound, eps)
-    for m in range(0, bound + 1):
-        f = (m * theta) % 1.0
-        if (f - lo) % 1.0 <= width and abs(w - cmath.exp(_TWO_PI_I * m * theta)) <= eps:
-            return TrivialityVerdict.trivial(m)
-        if (f - lo_neg) % 1.0 <= width and abs(w - cmath.exp(_TWO_PI_I * -m * theta)) <= eps:
-            return TrivialityVerdict.trivial(-m)
+    lo, hi = _phase_window(w, theta, bound, eps)
+    s = theta % 1.0
+    e = -0.5
+    for m in range(bound + 1):
+        if lo <= abs(e) <= hi:
+            if abs(w - cmath.exp(_TWO_PI_I * m * theta)) <= eps:
+                return TrivialityVerdict.trivial(m)
+            if abs(w - cmath.exp(_TWO_PI_I * -m * theta)) <= eps:
+                return TrivialityVerdict.trivial(-m)
+        e += s
+        if e >= 0.5:
+            e -= 1.0
     return TrivialityVerdict.unknown(bound)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtline import Cocycle, ExponentPoly, Pseudolattice, QuadReal, lattice_golden, lattice_sqrt2
-from qtline.cli import main
+from qtline.cli import _read_coefficient, main
 from qtline.jsonio import cocycle_to_json
 from helpers import exact_phase, theta_exact
 
@@ -66,8 +66,8 @@ def test_cf_quadreal_grammar(capsys):
 
 
 def test_cf_beyond_double_range_is_exit_2(capsys):
-    # q_k of sqrt(2) passes the largest double near k = 805, where |omega1|/q_k
-    # can no longer be printed
+    # |omega1|/q_k of sqrt(2) falls below the smallest normal double at k = 804,
+    # two terms before q_k passes the largest double
     code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "sqrtD", "--n", "820")
     assert code == 2 and "double range" in doc["error"]
 
@@ -181,7 +181,26 @@ def test_cf_overlong_denominator_is_exit_1(capsys):
     assert code == 1 and doc["error"].startswith("cannot parse denominator")
 
 
-@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+# Interpreter digit limits: the lowest it accepts, one below the digit cap,
+# the default and off.
+DIGIT_LIMITS = pytest.mark.parametrize(
+    "limit", [640, 1000, None, 0], ids=["limit-640", "limit-1000", "default-limit", "no-limit"]
+)
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Run the block under sys.set_int_max_str_digits(limit) (None: as it is), then restore it."""
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@DIGIT_LIMITS
 @pytest.mark.parametrize(
     "omega2, error",
     [
@@ -192,19 +211,14 @@ def test_cf_overlong_denominator_is_exit_1(capsys):
 )
 def test_cf_overlong_number_ignores_the_int_digit_limit(capsys, limit, omega2, error):
     # these exited 1 at the default digit limit and 2 with it off; the cap on
-    # digits now refuses them before int() or Fraction() reads them
-    saved = sys.get_int_max_str_digits()
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
-    try:
+    # digits now refuses them before any integer is read
+    with digit_limit(limit):
         code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", omega2)
-    finally:
-        sys.set_int_max_str_digits(saved)
     assert code == 1 and doc["error"].startswith(error)
     assert doc["error"].endswith(": more than 4300 digits in one number")
 
 
-@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+@DIGIT_LIMITS
 @pytest.mark.parametrize(
     "edit",
     [lambda d: d["lattice"]["omega1"].update(b=[int("1" * 5000), 1]), lambda d: d.update(s=int("7" * 5000))],
@@ -224,13 +238,68 @@ def test_json_overlong_integer_ignores_the_int_digit_limit(capsys, tmp_path, lim
         sys.set_int_max_str_digits(saved)
     path = tmp_path / "long.json"
     path.write_text(text)
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
-    try:
+    with digit_limit(limit):
         code, out = run(capsys, "chern", "--cocycle", str(path))
-    finally:
-        sys.set_int_max_str_digits(saved)
     assert code == 1 and out == {"error": f"{path} is not valid JSON: more than 4300 digits in one number"}
+
+
+@DIGIT_LIMITS
+def test_long_numbers_get_one_answer_under_every_digit_limit(capsys, tmp_path, limit):
+    # 2000 digits pass the double range, a domain error (exit 2); under a digit
+    # limit of 1000 both exited 1, from int() and from Fraction()
+    doc = cocycle_to_json(Cocycle(1, 1.0, ExponentPoly.zero(), L1))
+    with digit_limit(0):
+        doc["lattice"]["omega1"]["b"] = [int("1" * 2000), 1]
+        text = json.dumps(doc)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    with digit_limit(limit):
+        chern = run(capsys, "chern", "--cocycle", str(path))
+        cf = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "1+" + "3" * 2000 + "*sqrtD")
+        at_cap = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", "1." + "7" * 4300 + "e4300*sqrtD")
+    error = {"error": "value lies beyond the double range"}
+    assert chern == cf == at_cap == (2, error)
+
+
+@pytest.mark.parametrize(
+    "coef",
+    ["12", "1_000", ".5", "3.", "2.5e3", "1_0.2_5E0_2", "7/3", "0/5", " 4 ", "٣/٤"],
+)
+def test_coefficients_read_as_fraction_reads_them(coef):
+    assert _read_coefficient(coef) == Fraction(coef)
+
+
+@pytest.mark.parametrize("coef", ["", ".", "1__0", "_1", "1/", "/2", "1/2.5", "1e", "1.5/2", "1 / 2", "x"])
+def test_malformed_coefficients_fail_as_fraction_fails(coef):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        Fraction(coef)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        _read_coefficient(coef)
+
+
+def cf_stdio(capsys, *argv):
+    code = main(["cf", "--D", "2", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err
+
+
+def test_cf_numerator_beyond_double_range_is_exit_2(capsys):
+    # p_0 has 4304 digits: json.dumps raised "Exceeds the limit (4300 digits)"
+    # through main, a traceback and exit 1
+    code, out, err = cf_stdio(capsys, "--omega1", "(1)/" + "9" * 4300, "--omega2", "99999*sqrtD", "--n", "2")
+    assert (code, err) == (2, "")
+    assert [json.loads(line) for line in out] == [{"error": "numerator p_0 exceeds the double range; ask for fewer terms"}]
+
+
+def test_cf_subnormal_bound_is_exit_2(capsys):
+    # |omega1|/q_k underflowed to 0.0 from index 5 on and printed
+    # "within_bound": false; it is subnormal from index 0
+    zeros = "0" * 322
+    code, out, err = cf_stdio(capsys, "--omega1", f"(1)/1{zeros}", "--omega2", f"(sqrtD)/1{zeros}", "--n", "8")
+    assert (code, err) == (2, "")
+    assert [json.loads(line) for line in out] == [
+        {"error": "bound |omega1|/q_0 = 9.88131e-323 is below the normal double range"}
+    ]
 
 
 def test_json_integer_at_the_digit_cap_is_read(capsys, tmp_path):

@@ -46,6 +46,7 @@ from helpers import (
 
 EPS = 1e-9
 LATTICE_IDS = ["sqrt2", "golden", "omega1_3_2", "negative_theta"]
+EDGE_IDS = ["theta_past_2_53", "tiny_frac_theta"]
 
 TWO_PI_I = 2j * math.pi
 
@@ -145,11 +146,39 @@ def planted(lattice, m, offset, rng):
     return Cocycle(0, target + offset * cmath.exp(1j * rng.uniform(-math.pi, math.pi)), ExponentPoly.zero(), lattice)
 
 
-def in_window(m, theta, window):
-    """The scan's window test for candidate m, as triviality_test forms it."""
-    lo, lo_neg, width = window
-    f = (abs(m) * theta) % 1.0
-    return (f - (lo if m >= 0 else lo_neg)) % 1.0 <= width
+def stepped_folds(theta, ms):
+    """|e_m| for each m of the ascending non-negative ms: triviality_test's
+    stepped phase e_m, frac(m*theta) - 1/2 up to drift, walked once."""
+    s = theta % 1.0
+    e = -0.5
+    k = 0
+    for m in ms:
+        for _ in range(m - k):
+            e += s
+            if e >= 0.5:
+                e -= 1.0
+        k = m
+        yield abs(e)
+
+
+def in_window(fold, window):
+    """The scan's window test for candidates m and -m, on the fold |e_m|."""
+    lo, hi = window
+    return lo <= fold <= hi
+
+
+def whole_circle(window):
+    """The window holds every fold in [0, 1/2]: every candidate runs the acceptance test."""
+    lo, hi = window
+    return lo <= 0.0 and hi >= 0.5
+
+
+# Beyond the certify lattices: theta = 10^17*sqrt(2) >= 2^53, a double with
+# theta % 1.0 == 0, and theta = 1 + sqrt(2)/10^6, with frac(theta) ~ 1.4e-6.
+EDGE_LATTICES = [
+    Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(0), Fraction(10**17), 2)),
+    Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(1), Fraction(1, 10**6), 2)),
+]
 
 
 class CountingCmath:
@@ -191,19 +220,43 @@ class TestWitnessWindow:
 
     @pytest.mark.parametrize("lattice", CERTIFY_LATTICES, ids=LATTICE_IDS)
     def test_window_holds_every_accepted_candidate(self, lattice):
-        # the window is a superset of the acceptance test's hits: 4000 planted
-        # near-boundary candidates per lattice, up to |m| = 10^6, the CLI's bound
+        # the folded window, read on the stepped phase as the scan reads it, is a
+        # superset of the acceptance test's hits: 4000 planted near-boundary
+        # candidates per lattice, up to |m| = 10^6, the CLI's bound
         rng = random.Random(f"superset:{lattice.theta!r}")
         theta = lattice.theta
-        accepted = 0
+        accepted = []
         for _ in range(4000):
             bound = rng.choice([10**4, 10**5, 10**6])
             m = rng.choice([-1, 1]) * rng.randint(0, bound)
             w = planted(lattice, m, EPS * rng.uniform(0.99, 1.0), rng).c
             if abs(w - cmath.exp(TWO_PI_I * m * theta)) <= EPS:
-                accepted += 1
-                assert in_window(m, theta, _phase_window(w, theta, bound, EPS)), (m, w, bound)
-        assert accepted > 2000
+                accepted.append((abs(m), m, w, bound))
+        accepted.sort(key=lambda case: case[0])
+        folds = stepped_folds(theta, [case[0] for case in accepted])
+        for (_, m, w, bound), fold in zip(accepted, folds):
+            assert in_window(fold, _phase_window(w, theta, bound, EPS)), (m, w, bound)
+        assert len(accepted) > 2000
+
+    @pytest.mark.parametrize("lattice", CERTIFY_LATTICES + EDGE_LATTICES, ids=LATTICE_IDS + EDGE_IDS)
+    def test_stepped_phase_drift(self, lattice):
+        # the derivation's step bound: |e_m| is within 1.5u*m of the exact fold
+        # |frac(m*theta) - 1/2| of the double theta, up to m = 10^6
+        rng = random.Random(f"drift:{lattice.theta!r}")
+        theta = Fraction(lattice.theta)
+        ms = sorted({0, 1, 10**6} | {rng.randint(0, 10**6) for _ in range(200)})
+        for m, fold in zip(ms, stepped_folds(lattice.theta, ms)):
+            exact = abs(m * theta % 1 - Fraction(1, 2))
+            assert abs(Fraction(fold) - exact) <= Fraction(3, 2) * m * Fraction(2.0**-53), m
+
+    @pytest.mark.parametrize("lattice", EDGE_LATTICES, ids=EDGE_IDS)
+    def test_edge_lattices_same_verdict_as_linear_scan(self, lattice):
+        rng = random.Random(f"edge:{lattice.theta!r}")
+        for m in (0, 1, -1, 7, -19, 40):
+            for offset in (0.5 * EPS, EPS * (1 - 1e-9), EPS * (1 + 1e-9), 1.5 * EPS):
+                a = planted(lattice, m, offset, rng)
+                for bound in (max(abs(m), 1), abs(m) + 3, 60):
+                    assert triviality_test(a, bound) == linear_triviality_test(a, bound), (m, offset, bound)
 
     @pytest.mark.parametrize("lattice", CERTIFY_LATTICES, ids=LATTICE_IDS)
     def test_unknown_scan_skips_the_exponential(self, monkeypatch, lattice):
@@ -240,8 +293,8 @@ class TestWitnessWindow:
         # whole circle, and no division by sqrt(|w|) happens
         monkeypatch.setenv("QTLINE_TOLERANCE", "2")
         a = Cocycle(0, c, ExponentPoly.zero(), l1)
-        assert _phase_window(a.c, l1.theta, 10, 2.0)[2] == 1.0
-        assert _phase_window(0j, l1.theta, 10, 2.0)[2] == 1.0
+        assert whole_circle(_phase_window(a.c, l1.theta, 10, 2.0))
+        assert whole_circle(_phase_window(0j, l1.theta, 10, 2.0))
         verdict = triviality_test(a, 10)
         assert verdict == linear_triviality_test(a, 10) and verdict.witness == 0
 
