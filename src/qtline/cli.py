@@ -3,7 +3,8 @@
 Exit codes: 0 success (single JSON document on stdout), 1 malformed input
 (bad flags, unreadable or schema-violating files), 2 domain errors raised by
 the library.  All randomness is controlled by explicit --seed flags, so
-identical argv produces byte-identical stdout.
+identical argv produces byte-identical stdout, whatever integer digit limit
+the caller set: a request runs under Python's default (4300 digits).
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ MAX_BOUND = 10**6
 _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
 # Largest decimal exponent of a cf coefficient (the 400 of "1e400") and most digits
 # in one of its numbers or in a JSON integer: Python's default digit limit for an
-# integer literal, applied whatever limit the interpreter is set to.
+# integer literal, which main sets for every request.
 MAX_DECIMAL_EXPONENT = 4300
 _TOO_LONG = f"more than {MAX_DECIMAL_EXPONENT} digits in one number"
-# Digits per int() call in _read_int: below 640, the lowest digit limit the
-# interpreter can be set to, so no setting of that limit changes an answer.
-_CHUNK = 600
 # A cf coefficient, unsigned, in the string grammar of fractions.Fraction.
 _COEFFICIENT = re.compile(
     r"\s*(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)"
@@ -55,16 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_int(literal: str) -> int:
     """int(literal) for an optional "-" and a run of decimal digits (underscores
-    between them allowed), read _CHUNK digits at a time; ValueError past
+    between them allowed), 0 for an empty run; ValueError past
     MAX_DECIMAL_EXPONENT digits.  Also json.load's parse_int."""
-    digits = literal.removeprefix("-").replace("_", "")
-    if len(digits) > MAX_DECIMAL_EXPONENT:
+    if len(literal.removeprefix("-").replace("_", "")) > MAX_DECIMAL_EXPONENT:
         raise ValueError(_TOO_LONG)
-    value = 0
-    for start in range(0, len(digits), _CHUNK):
-        chunk = digits[start : start + _CHUNK]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if literal.startswith("-") else value
+    return int(literal or 0)
 
 
 def _read_coefficient(coef: str) -> Fraction:
@@ -91,8 +84,7 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
     """Parse expressions like "1", "-3/2", "sqrtD", "2*sqrtD", "(1+sqrtD)/2".
 
     One "*" may stand only between a coefficient and sqrtD.  Every number is
-    read by _read_int, so neither the digit cap nor the answer depends on the
-    interpreter's own digit limit."""
+    read by _read_int, so each has at most MAX_DECIMAL_EXPONENT digits."""
     s = text.replace(" ", "")
     den = 1
     m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>[0-9]+)", s)
@@ -311,6 +303,11 @@ def _emit(document: Any) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Every int<->str conversion of the request (int flags and pairs, integers
+    # echoed in messages and on stdout) runs under Python's default digit limit.
+    # The limit is interpreter-wide: other threads share it until it is restored.
+    saved_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DECIMAL_EXPONENT)
     try:
         args = _build_parser().parse_args(argv)
         # every cap is checked before any document is read, and the cocycle
@@ -325,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     except QTLineError as exc:
         _emit({"error": str(exc)})
         return 1 if isinstance(exc, FormatError) else 2
+    finally:
+        sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

@@ -160,9 +160,14 @@ def perron_form(a: int, b: int, d: int, den: int) -> tuple[int, int, int]:
     return p, n, q
 
 
-def surd_floor(p: int, r: int, q: int) -> int:
-    """floor((p + sqrt(n))/q) for irrational sqrt(n), given r = isqrt(n) < sqrt(n) < r + 1."""
-    return (p + r) // q if q > 0 else (p + r + 1) // q
+def surd_floor(a: int, b: int, d: int, den: int) -> int:
+    """floor((a + b*sqrt(d))/den) for integers, d >= 0 and den != 0."""
+    if den < 0:
+        a, b, den = -a, -b, -den
+    n = b * b * d
+    r = math.isqrt(n)
+    # floor(b*sqrt(d)) is r, or -ceil(sqrt(n)) for b < 0; floor((a + x)/den) = (a + floor(x)) // den.
+    return (a + (r if b >= 0 else -r - (r * r < n))) // den
 
 
 def quad_float(a: int, b: int, d: int, den: int) -> float:
@@ -172,13 +177,12 @@ def quad_float(a: int, b: int, d: int, den: int) -> float:
     try:
         if b == 0:
             return a / den
-        sgn = 1 if b > 0 else -1
-        p, n, q = sgn * a, b * b * d, sgn * den
-        # |x| = |p^2 - n| / (|q| * |p - sqrt(n)|) bounds |x| below without
-        # cancellation, so |x * 2^k| >= 2^_FLOAT_BITS.
-        top = max(abs(p).bit_length(), (n.bit_length() + 1) // 2) + 1
-        k = max(0, _FLOAT_BITS + 1 + q.bit_length() + top - (p * p - n).bit_length())
-        m = surd_floor(p << k, math.isqrt(n << 2 * k), q)
+        # |x| = |a^2 - n| / (|den| * |a - b*sqrt(d)|), n = b^2*d, bounds |x| below
+        # without cancellation, so |x * 2^k| >= 2^_FLOAT_BITS.
+        n = b * b * d
+        top = max(abs(a).bit_length(), (n.bit_length() + 1) // 2) + 1
+        k = max(0, _FLOAT_BITS + 1 + den.bit_length() + top - (a * a - n).bit_length())
+        m = surd_floor(a << k, b << k, d, den)
         # x is irrational, so it lies strictly inside (m, m + 1)/2^k, an interval
         # no double and no midpoint of two doubles falls in; so does (2m + 1)/2^(k+1),
         # and int/int division rounds that correctly.

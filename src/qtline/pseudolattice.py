@@ -156,14 +156,8 @@ class Pseudolattice(_Frozen):
         and its residue mod 2^64, over 2^64, is rounded once."""
         if den <= 0:
             raise PreconditionError("need den > 0")
-        if not b:
-            fl = (a << 64) // den
-        else:
-            p, n, q = self._perron
-            # Negated for b < 0, so that isqrt(b^2*N*2^128) carries b*sqrt(N)*2^64.
-            sgn = 1 if b > 0 else -1
-            fl = surd_floor(sgn * (a * q + b * p) << 64, math.isqrt(b * b * n << 128), sgn * den * q)
-        return fl % 2**64 / 2**64
+        p, n, q = self._perron
+        return surd_floor((a * q + b * p) << 64, b << 64, n, den * q) % 2**64 / 2**64
 
     def float_value(self, l: LatticeVector) -> float:
         """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""
@@ -178,7 +172,7 @@ class Pseudolattice(_Frozen):
         r = math.isqrt(big_n)
         num, num_prev, den, den_prev = 1, 0, 0, 1
         for _ in range(n):
-            # surd_floor(p, r, q), inlined: this is the per-term hot path.
+            # surd_floor(p, 1, N, q), inlined with isqrt(N) hoisted: the per-term hot path.
             a = (p + r) // q if q > 0 else (p + r + 1) // q
             num, num_prev = a * num + num_prev, num
             den, den_prev = a * den + den_prev, den
@@ -225,12 +219,9 @@ class Pseudolattice(_Frozen):
             # (g + y*sqrt(d))(x - z*sqrt(d))/((x^2 - d*z^2)*s) = (u + w*sqrt(d))/c.
             x, z = p * a1 - q * a2, p * b1 - q * b2
             u, w, c = g * x - d * y * z, y * x - g * z, (x * x - d * z * z) * s
-            if w:
-                sgn = 1 if w > 0 else -1
-                count = surd_floor(sgn * u, math.isqrt(w * w * d), sgn * c)
-                count += count < 0  # the quotient is irrational: trunc = floor + 1 below 0
-            else:
-                count = int(Fraction(u, c))  # a rational quotient, e.g. of a rational vector
+            count = surd_floor(u, w, d, c)
+            # trunc = floor + 1 below 0, unless the quotient is an integer (w = 0, u/c whole)
+            count += count < 0 and (w != 0 or u % c != 0)
             acc_a, acc_b = acc_a + count * p, acc_b - count * q
             g, y = g - count * x * s, y - count * z * s
         if not _within(g, y, d, bound):

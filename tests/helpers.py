@@ -153,7 +153,7 @@ class ExactReal(QuadReal):
         if self.b == 0:
             return math.floor(self.a)
         p, n, q = surd_form(self)
-        return surd_floor(p, math.isqrt(n), q)
+        return surd_floor(p, 1, n, q)
 
     def __float__(self) -> float:
         (a, b), den = over_common_denominator(self.a, self.b)

@@ -32,6 +32,10 @@ class TestAltForm:
     def test_hand_example(self):
         assert alt_eval(AltForm(3), LatticeVector(2, 1), LatticeVector(1, 1)) == 3
 
+    def test_negation(self):
+        assert -AltForm(3) == AltForm(-3)
+        assert AltForm(3) + -AltForm(3) == AltForm(0)
+
     @given(ints, ints, ints)
     def test_alternating(self, s, a, b):
         l = LatticeVector(a, b)

@@ -261,6 +261,52 @@ def test_long_numbers_get_one_answer_under_every_digit_limit(capsys, tmp_path, l
     assert chern == cf == at_cap == (2, error)
 
 
+# Integers past the lowest digit limit the interpreter accepts (640) in flags,
+# pairs and documents, with their exit code at the default limit.  Under a limit
+# of 640 the first five exited 1 and the two k-group documents printed a
+# traceback from a message that echoes the integer.
+LONG_ARGV = [
+    (["verify", "--cocycle", "s2", "--samples", "10", "--seed", "7" * 1000], 0),
+    (["chern", "--cocycle", "s2", "--l1", "1" * 1000 + ",0"], 2),
+    (["pairing", "--cocycle", "s2", "--x1", "1" * 1000 + ",0", "--x2", "0,1"], 0),
+    (["cf", "--D", "2", "--omega1", "1", "--omega2", "sqrtD", "--n", "0" * 700 + "3"], 0),
+    (["trivial", "--cocycle", "s2", "--bound", "9" * 1000], 2),
+    (["k-group", "--cocycle", "long-s"], 1),
+    (["k-group", "--cocycle", "long-D"], 2),
+]
+
+
+@DIGIT_LIMITS
+def test_main_runs_each_request_under_the_default_digit_limit(capsys, tmp_path, limit):
+    # main runs each request under the default limit and gives the caller's back,
+    # after exit 0, 1 and 2 and after --help
+    paths = {"s2": write_cocycle(tmp_path, "s2.json", Cocycle(2, 1.0, ExponentPoly.zero(), L1))}
+    for name, edit in [
+        ("long-s", lambda d: d.update(s=int("1" * 1000))),
+        ("long-D", lambda d: d["lattice"]["omega1"].update(D=int("2" * 1000))),
+    ]:
+        doc = cocycle_to_json(Cocycle(2, 1.0, ExponentPoly.zero(), L1))
+        edit(doc)
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    for argv, want_code in LONG_ARGV:
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert main(argv) == want_code
+        want = capsys.readouterr()
+        assert want.err == ""
+        with digit_limit(limit):
+            callers = sys.get_int_max_str_digits()
+            assert main(argv) == want_code
+            assert sys.get_int_max_str_digits() == callers
+        assert capsys.readouterr() == want
+    with digit_limit(limit):
+        callers = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert sys.get_int_max_str_digits() == callers
+    assert capsys.readouterr().out.startswith("usage: qtline")
+
+
 @pytest.mark.parametrize(
     "coef",
     ["12", "1_000", ".5", "3.", "2.5e3", "1_0.2_5E0_2", "7/3", "0/5", " 4 ", "٣/٤"],
@@ -299,6 +345,16 @@ def test_cf_subnormal_bound_is_exit_2(capsys):
     assert (code, err) == (2, "")
     assert [json.loads(line) for line in out] == [
         {"error": "bound |omega1|/q_0 = 9.88131e-323 is below the normal double range"}
+    ]
+
+
+def test_cf_denominator_beyond_double_range_is_exit_2(capsys):
+    # theta = sqrt(2)/10^200, so q_k passes the double range while p_k is still
+    # far inside it and |omega1|/q_k is still a normal double
+    code, out, err = cf_stdio(capsys, "--omega1", "1e200", "--omega2", "sqrtD", "--n", "400")
+    assert (code, err) == (2, "")
+    assert [json.loads(line) for line in out] == [
+        {"error": "denominator q_212 exceeds the double range; ask for fewer terms"}
     ]
 
 
@@ -649,6 +705,8 @@ def test_chern_beyond_integer_resolution_is_exit_2(capsys, s2_file, v, expected_
 # The CLI contract: one strict-JSON stdout line, exit 0, 1 or 2, no traceback.
 
 BIG = str(10**400)
+# Past the lowest digit limit the interpreter accepts (640).
+LONG = "7" * 1000
 FUZZ_COCYCLES = {
     "s2": Cocycle(2, 1.0, ExponentPoly.zero(), L1),
     "s-3": Cocycle(-3, 0.6 + 0.8j, ExponentPoly((0j, 0.2 + 0.1j, 0.05j)), lattice_golden()),
@@ -657,6 +715,7 @@ FUZZ_COCYCLES = {
     "s=-1e300": Cocycle(-(10**300), 1.0, ExponentPoly.zero(), L1),
     "s=1e308": Cocycle(10**308, 1.0, ExponentPoly.zero(), L1),
     "s=1e400": Cocycle(10**400, 1.0, ExponentPoly.zero(), L1),
+    "s=1e999": Cocycle(10**999, 1.0, ExponentPoly.zero(), L1),
     "witness": Cocycle(0, cmath.exp(TWO_PI_I * L1.theta), ExponentPoly.zero(), L1),
     "c=1e300": Cocycle(0, 1e300, ExponentPoly.zero(), L1),
     "c=1e-300": Cocycle(0, 1e-300j, ExponentPoly.zero(), L1),
@@ -680,17 +739,17 @@ def _flag(name, good, bad=()):
     return st.tuples(st.just(name), values)
 
 
-_PAIRS = (["1,0", "0,1", "-3,7", "1,999", "1,150", "100000000,1", f"{BIG},0", f"0,-{BIG}"],
+_PAIRS = (["1,0", "0,1", "-3,7", "1,999", "1,150", "100000000,1", f"{BIG},0", f"0,-{BIG}", f"{LONG},1"],
           ["", "1", "1,2,3", "a,1", "1.5,2", ",", "nan,0", "inf,1"])
 _DOCUMENT = [*FUZZ_COCYCLES, *FUZZ_DOCUMENTS, "missing"]
 # Count flags stay small, or far above their caps, which are refused before any work.
-_SAMPLES = (["1", "17", "300"], ["-1", "0", "100001", BIG, "1e3", "x"])
-_BOUND = (["0", "1", "100", "10000"], ["-1", "1000001", BIG, "x"])
-_SEED = (["0", "7", "-1", BIG], ["1e3", "nan", "x", ""])
+_SAMPLES = (["1", "17", "300"], ["-1", "0", "100001", BIG, LONG, "1e3", "x"])
+_BOUND = (["0", "1", "100", "10000"], ["-1", "1000001", BIG, LONG, "x"])
+_SEED = (["0", "7", "-1", BIG, LONG], ["1e3", "nan", "x", ""])
 _QUADREAL = (["1", "sqrtD", "(1+sqrtD)/2", "2*sqrtD", "-3/2", "1e400"], ["0", "1/0", "(1+sqrtD)/0", "sqrtD+", "wibble"])
 _SUBCOMMANDS = {
     "cf": [
-        _flag("--D", ["2", "5", "3", "999999937"], ["4", "0", "-2", "1000000001", "x", BIG]),
+        _flag("--D", ["2", "5", "3", "999999937"], ["4", "0", "-2", "1000000001", "x", BIG, LONG]),
         _flag("--omega1", *_QUADREAL),
         _flag("--omega2", *_QUADREAL),
         _flag("--n", ["1", "10", "200", "820"], ["-1", "0", "10001", BIG, "1.5"]),
@@ -757,15 +816,21 @@ def fuzz_paths(tmp_path_factory):
 
 
 def check_contract(argv, paths):
-    """One strict-JSON stdout line, exit 0, 1 or 2, and no traceback."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([paths.get(arg, arg) for arg in argv])
-    lines = out.getvalue().splitlines()
+    """One strict-JSON stdout line, exit 0, 1 or 2, and no traceback; the same
+    stdout and exit code under the lowest digit limit the interpreter accepts."""
+    argv = [paths.get(arg, arg) for arg in argv]
+    runs = []
+    for limit in (None, 640):
+        out, err = io.StringIO(), io.StringIO()
+        with digit_limit(limit), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runs.append((main(argv), out.getvalue()))
+        assert "Traceback" not in err.getvalue()
+    assert runs[0] == runs[1]
+    code, stdout = runs[0]
+    lines = stdout.splitlines()
     assert len(lines) == 1, lines
     json.loads(lines[0], parse_constant=_reject_nan)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
 
 
 CONTRACT_ARGV = [

@@ -109,6 +109,11 @@ class TestMembership:
         with pytest.raises(DomainError):
             membership_multiplier(section(l1, 2), LambdaPoint(1, 0, 3))
 
+    def test_lifts_add_over_one_denominator(self):
+        assert LambdaPoint(1, 2, 3) + LambdaPoint(1, 1, 3) == LambdaPoint(2, 3, 3)
+        with pytest.raises(DomainError, match="different denominators"):
+            LambdaPoint(1, 0, 2) + LambdaPoint(1, 0, 3)
+
     @pytest.mark.parametrize("scalar", [complex(math.nan, 0), complex(1, math.inf), math.nan], ids=["nan", "inf", "float-nan"])
     def test_non_finite_scalar_rejected(self, scalar):
         # a NaN scalar used to give multiplier_residual a perfect 0.0
@@ -284,6 +289,10 @@ def _central(a, scalar, lattice_shift=(0, 0)):
 
 
 class TestPairing:
+    def test_closed_form_needs_a_nonzero_chern_class(self, l1):
+        with pytest.raises(PreconditionError, match="nonzero Chern class"):
+            closed_form_pairing(trivial_cocycle(l1), LambdaPoint(1, 0, 1), LambdaPoint(0, 1, 1))
+
     def test_basis_pair_s2(self, l1):
         a = section(l1, 2)
         value = commutator_pairing(a, LambdaPoint(1, 0, 2), LambdaPoint(0, 1, 2))

@@ -2,10 +2,11 @@ import cmath
 import inspect
 import math
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qtline
 from qtline import (
@@ -67,6 +68,10 @@ class TestArithmetic:
             sqrt2(1, 1) + QuadReal(Fraction(1), Fraction(1), 3)
         with pytest.raises(DomainError):
             sqrt2(1, 1) * QuadReal.sqrt(5)
+
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+            QuadReal(0.5, 0, 2)
 
     def test_non_square_free_radicand_rejected(self):
         for bad in (0, 1, 4, 8, 9, 12, -2):
@@ -234,6 +239,32 @@ class TestFloatAgainstEnclosure:
             with pytest.raises(RangeError):
                 float(x)
         assert float(sqrt2(Fraction(1, 10**400), 1)) == float(mp.sqrt(2))
+
+
+# Up to 10^400: with |a|, |b|, |den| <= 10^400 and d <= 10^6, (a + b*sqrt(d))/den
+# lies at least about 10^-803 from an integer unless it is one, which 1200
+# digits resolve.
+big = st.integers(0, 10**400)
+
+
+class TestSurdFloor:
+    """surd_floor(a, b, d, den) = floor((a + b*sqrt(d))/den), against mpmath."""
+
+    @pytest.mark.parametrize(
+        "signs", list(product((1, -1), repeat=3)), ids=lambda signs: "".join("+-"[s < 0] for s in signs)
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(a=big, b=st.just(0) | big, d=st.integers(0, 10**6) | st.sampled_from([0, 1, 4, 2, 999983]), den=big)
+    @example(a=10**400, b=10**400, d=999983, den=1)
+    @example(a=7, b=0, d=2, den=2)
+    @example(a=6, b=3, d=4, den=4)
+    @example(a=0, b=1, d=2, den=10**400)
+    def test_matches_mpmath(self, signs, a, b, d, den):
+        sa, sb, sden = signs
+        a, b, den = sa * a, sb * b, sden * (den or 1)
+        with mp.workdps(1200):
+            want = int(mp.floor((mp.mpf(a) + b * mp.sqrt(d)) / den))
+        assert numeric.surd_floor(a, b, d, den) == want
 
 
 class TestTolerance:

@@ -8,6 +8,7 @@ import pytest
 from qtline import (
     AltForm,
     Cocycle,
+    DomainError,
     ExponentPoly,
     LatticeVector,
     PreconditionError,
@@ -418,6 +419,10 @@ class TestAppellHumbert:
         x = ah_normal_form(sigma_section(AltForm(1), l1))
         y = ah_normal_form(sigma_section(AltForm(2), l1))
         assert ah_group_law(x, y).e_form == AltForm(3)
+
+    def test_group_law_needs_one_pseudolattice(self, l1, l2):
+        with pytest.raises(DomainError, match="matching pseudolattices"):
+            ah_group_law(ah_normal_form(trivial_cocycle(l1)), ah_normal_form(trivial_cocycle(l2)))
         cx = ah_normal_form(Cocycle(0, 2.0, ExponentPoly.zero(), l1))
         cy = ah_normal_form(Cocycle(0, 3.0, ExponentPoly.zero(), l1))
         assert ah_group_law(cx, cy).chi_omega2 == 6 + 0j

@@ -86,6 +86,10 @@ class TestConstruction:
         with pytest.raises(DomainError):
             LatticeVector(*coords)
 
+    def test_vector_negation(self):
+        assert -LatticeVector(3, -2) == LatticeVector(-3, 2)
+        assert LatticeVector(3, -2) + -LatticeVector(3, -2) == LatticeVector(0, 0)
+
     def test_real_value(self, l1):
         assert real_value(l1, LatticeVector(1, 0)) == l1.omega1
         assert real_value(l1, LatticeVector(0, 0)) == QuadReal.rational(0, 2)
@@ -295,10 +299,9 @@ def eager_convergents(lat, n):
     integer recurrence first, then the convergent recurrence over that list.
     Test oracle only."""
     p, big_n, q = surd_form(theta_exact(lat))
-    r = math.isqrt(big_n)
     terms = []
     for _ in range(n):
-        k = surd_floor(p, r, q)
+        k = surd_floor(p, 1, big_n, q)
         terms.append(k)
         p = k * q - p
         q = (big_n - p * p) // q
@@ -397,7 +400,7 @@ def quadreal_route(omega1, omega2, n):
     p, big_n, q = surd_form(theta)
     terms = []
     for _ in range(n):
-        k = surd_floor(p, math.isqrt(big_n), q)
+        k = surd_floor(p, 1, big_n, q)
         terms.append(k)
         p = k * q - p
         q = (big_n - p * p) // q
