@@ -87,7 +87,7 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
     read by _read_int, so each has at most MAX_DECIMAL_EXPONENT digits."""
     s = text.replace(" ", "")
     den = 1
-    m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>[0-9]+)", s)
+    m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>\d+(?:_\d+)*)", s)
     if m:
         try:
             s, den = m.group("inner"), _read_int(m.group("den"))

@@ -92,8 +92,9 @@ def exponent_residual(x: complex, y: complex, limit: float) -> float:
         raise RangeError(f"residual exponent {z:.6g} out of float exp range")
     if abs(x) > limit or abs(y) > limit:  # x and y are finite here
         require_resolvable(max(abs(x), abs(y)), limit)
-    scale = 1.0 if x.imag <= 0.0 else math.exp(-2.0 * math.pi * x.imag)
-    return min(1.0, scale) * abs(1.0 - cmath.exp(z))
+    r = abs(1.0 - cmath.exp(z))
+    # Where Im x <= 0, |A| >= 1 and the factor min(1, |A|^-1) is 1.
+    return r if x.imag <= 0.0 else min(1.0, math.exp(-2.0 * math.pi * x.imag)) * r
 
 
 def max_residual(residuals: list[float]) -> float:
@@ -122,6 +123,8 @@ class ExponentPoly(_Frozen):
         if len(cs) - 1 > MAX_DEGREE:
             raise DomainError(f"exponent polynomial degree {len(cs) - 1} exceeds cap {MAX_DEGREE}")
         object.__setattr__(self, "coeffs", tuple(cs))
+        # Highest degree first, the order Horner's rule reads; not a field.
+        object.__setattr__(self, "_horner", tuple(reversed(cs)))
 
     @classmethod
     def zero(cls) -> ExponentPoly:
@@ -144,7 +147,7 @@ class ExponentPoly(_Frozen):
 
     def __call__(self, v: complex) -> complex:
         acc = 0j
-        for coef in reversed(self.coeffs):
+        for coef in self._horner:
             acc = acc * v + coef
         return acc
 
@@ -197,11 +200,12 @@ class Cocycle(_Frozen):
         character contributes (b*log c)/(2*pi*i); dg comes from the caller, so one g
         value can serve two exponents, and is ignored when g = 0."""
         s, log_c, has_g = self.s, cmath.log(self.c), bool(self.g)
+        has_c = log_c != 0
         w2, two_w1 = self.lattice.omega2_float, 2.0 * self.lattice.omega1_float
 
         def kernel(b: int, v: complex, dg: complex) -> complex:
             total = 0j
-            if log_c != 0:
+            if has_c:
                 total += b * log_c * _INV_2PI_I
             if s:
                 total += s * (b * b * w2 + 2.0 * b * v) / two_w1
@@ -273,25 +277,34 @@ def sampled_residuals(
     """The loop of every sampled verifier: :func:`exponent_residual` of the exponents
     (x, y) = pair(n_1, ..., n_k, v) at each of samples draws from one RNG seeded with seed.
 
-    A draw is k plain integers, n_i = r.start + randrange(len(r)) for r = coords[i], then
-    v's real and imaginary parts, each -v_bound + 2*v_bound*random(): the same RNG calls
-    and values as randint(r.start, r[-1]) and uniform(-v_bound, v_bound).  Reordering
-    these draws would change the samples of every seed."""
+    A draw is k plain integers, n_i = r.start + randrange(len(r)) for r = coords[i], each
+    non-empty with step 1, then v's real and imaginary parts, each
+    -v_bound + 2*v_bound*random(): the same RNG calls and values as
+    randint(r.start, r[-1]) and uniform(-v_bound, v_bound).  randrange(n) is inlined
+    as its own rejection loop (CPython's _randbelow_with_getrandbits): getrandbits(k)
+    with k = n.bit_length(), not (n - 1).bit_length(), drawn again while it is >= n.
+    Reordering these draws would change the samples of every seed."""
     if samples < 1:
         raise PreconditionError("need samples >= 1")
+    if not all(coords):
+        raise PreconditionError("need non-empty coordinate ranges")
     limit = resolvable_exponent()
     rng = random.Random(seed)
-    below, unit = rng.randrange, rng.random
-    shape = [(len(r), r.start) for r in coords]
+    bits, unit = rng.getrandbits, rng.random
+    shape = [(len(r), len(r).bit_length(), r.start) for r in coords]
     lo, span = -v_bound, 2.0 * v_bound
     out = []
+    keep = out.append
     for _ in range(samples):
         # A loop rather than a comprehension, which costs CPython 3.11 a call per sample.
         ints = []
-        for n, start in shape:
-            ints.append(below(n) + start)
+        for n, k, start in shape:
+            i = bits(k)
+            while i >= n:
+                i = bits(k)
+            ints.append(i + start)
         x, y = pair(*ints, complex(lo + span * unit(), lo + span * unit()))
-        out.append(exponent_residual(x, y, limit))
+        keep(exponent_residual(x, y, limit))
     return out
 
 

@@ -173,6 +173,10 @@ def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[flo
     * Centre.  cmath.phase(w)/(2*pi) is within 2.3u of t, and
       tau = |(that % 1.0) - 1/2| adds 0.75u; forming half, lo and hi at most
       1.1u more.
+    * Squared test.  The scan reads fl(lo^2) <= fl(e_m^2) <= fl(hi^2), with
+      lo taken as 0 where lo <= 0.  Rounding is monotone, so
+      lo <= |e_m| <= hi implies it, and the squared window holds every
+      candidate the window does.
 
     An accepted m or -m thus has ||e_m| - tau| <= G + 3.01u*N*|theta| +
     1.5u*N + 8.3u, under half = G + 8u*(N*(|theta| + 1) + 2).  Where
@@ -200,11 +204,12 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     m = 0, 1, -1, 2, -2, ... so the minimal |m| wins; unknown when no
     |m| <= bound matches.
 
-    The scan costs one add and one window test per |m|: the phase
-    e = frac(m*theta) - 1/2 is stepped by s = theta % 1.0 (taking 1 off once
-    it reaches 1/2, which is exact), and |e| is tested against the folded
-    window of :func:`_phase_window`, a proven superset of the candidates m
-    and -m the acceptance test |w - e^{2*pi*i*m*theta}| <= eps can accept.
+    The scan costs one add and one multiply per |m|, and one window test:
+    the phase e = frac(m*theta) - 1/2 is stepped by s = theta % 1.0 (taking
+    1 off once it reaches 1/2, which is exact), and e*e is tested against the
+    squared folded window of :func:`_phase_window`, a proven superset of the
+    candidates m and -m the acceptance test |w - e^{2*pi*i*m*theta}| <= eps
+    can accept.
     Only inside it is the exponential formed, for m and then for -m, so the
     verdict is the one a scan evaluating every candidate would give (for
     m = 0 the test may run twice, as 0 and as -0, with the same answer).
@@ -219,10 +224,11 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
         return TrivialityVerdict.nontrivial(REASON_MODULUS)
     theta = a.lattice.theta
     lo, hi = _phase_window(w, theta, bound, eps)
+    lo2, hi2 = (lo * lo if lo > 0.0 else 0.0), hi * hi
     s = theta % 1.0
     e = -0.5
     for m in range(bound + 1):
-        if lo <= abs(e) <= hi:
+        if lo2 <= e * e <= hi2:
             if abs(w - cmath.exp(_TWO_PI_I * m * theta)) <= eps:
                 return TrivialityVerdict.trivial(m)
             if abs(w - cmath.exp(_TWO_PI_I * -m * theta)) <= eps:

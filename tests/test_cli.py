@@ -181,6 +181,28 @@ def test_cf_overlong_denominator_is_exit_1(capsys):
     assert code == 1 and doc["error"].startswith("cannot parse denominator")
 
 
+@pytest.mark.parametrize("den, ascii", [("٣", "3"), ("1_0", "10"), ("١_٠", "10"), ("0_3", "3")])
+def test_cf_denominator_reads_the_coefficient_digits(capsys, den, ascii):
+    # a (...)/den denominator takes the digit run of the coefficient grammar:
+    # these exited 1 with "cannot parse term '(1'"
+    want = main(["cf", "--D", "2", "--omega1", f"(1+sqrtD)/{ascii}", "--omega2", "sqrtD", "--n", "3"])
+    want_out = capsys.readouterr()
+    got = main(["cf", "--D", "2", "--omega1", f"(1+sqrtD)/{den}", "--omega2", "sqrtD", "--n", "3"])
+    assert (got, capsys.readouterr()) == (want, want_out) and want == 0
+
+
+@pytest.mark.parametrize("den", ["٣" * 5000, "1_" * 4300 + "1"], ids=["arabic-indic", "grouped"])
+def test_cf_overlong_unicode_or_grouped_denominator_keeps_its_message(capsys, den):
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", "1", "--omega2", f"(1+sqrtD)/{den}")
+    assert code == 1 and doc["error"].startswith("cannot parse denominator")
+
+
+@pytest.mark.parametrize("den", ["1__0", "_1", "1_"])
+def test_cf_misplaced_underscore_in_denominator_is_exit_1(capsys, den):
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", f"(1+sqrtD)/{den}", "--omega2", "sqrtD")
+    assert code == 1 and "error" in doc
+
+
 # Interpreter digit limits: the lowest it accepts, one below the digit cap,
 # the default and off.
 DIGIT_LIMITS = pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from qtline import (
     ExponentPoly,
     LatticeVector,
     PrecisionError,
+    PreconditionError,
     Pseudolattice,
     QuadReal,
     RangeError,
@@ -24,7 +25,7 @@ from qtline import (
     verify_cocycle_identity,
 )
 from helpers import random_cocycle, random_v, random_vector
-from qtline.cocycle import exp_2pi_i, exponent_residual, max_residual, resolvable_exponent
+from qtline.cocycle import exp_2pi_i, exponent_residual, max_residual, resolvable_exponent, sampled_residuals
 from qtline import lattice_sqrt2
 
 mp.mp.dps = 40
@@ -318,3 +319,35 @@ class TestPrecisionGuard:
         for x, y in [(2 * limit, 0j), (0j, 2j * limit)]:
             with pytest.raises(PrecisionError):
                 exponent_residual(x, y, limit)
+
+
+# Range lengths on both sides of powers of two, where n.bit_length() and
+# (n - 1).bit_length() differ, and the lengths the verifiers use (21, 11, 6).
+DRAW_LENGTHS = (1, 2, 3, 4, 6, 8, 11, 16, 21, 32, 33)
+
+
+class TestSampledDraws:
+    @pytest.mark.parametrize("n", DRAW_LENGTHS)
+    def test_draws_are_randrange_and_uniform_at_every_range_length(self, n):
+        # each integer is r.start + randrange(len(r)) and v is two uniform draws,
+        # the same RNG calls and values as a plain random.Random(seed) loop
+        coords = (range(-(n // 2), n - n // 2), range(3, 3 + n))
+        for seed in range(6):
+            seen = []
+
+            def spy(*sample):
+                seen.append(sample)
+                return 0j, 0j
+
+            assert sampled_residuals(spy, 40, seed, coords, 2.5) == [0.0] * 40
+            rng = random.Random(seed)
+            want = []
+            for _ in range(40):
+                ints = tuple(rng.randrange(len(r)) + r.start for r in coords)
+                want.append(ints + (complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)),))
+            assert seen == want, (n, seed)
+            assert {sample[1] for sample in seen} <= set(coords[1])
+
+    def test_empty_range_is_refused(self):
+        with pytest.raises(PreconditionError, match="non-empty"):
+            sampled_residuals(lambda *sample: (0j, 0j), 1, 0, (range(-1, 2), range(0)))

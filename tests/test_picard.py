@@ -300,6 +300,53 @@ class TestWitnessWindow:
         assert verdict == linear_triviality_test(a, 10) and verdict.witness == 0
 
 
+def squared_test(fold, window):
+    """The window test as triviality_test forms it, on squares: lo <= 0 reads as 0."""
+    lo, hi = window
+    lo2, hi2 = (lo * lo if lo > 0.0 else 0.0), hi * hi
+    return lo2 <= fold * fold <= hi2
+
+
+# Window ends lo: negative, zero of both signs, subnormal, normal with a
+# subnormal or zero square, and normal.
+WINDOW_LOS = [-0.75, -1e-12, -0.0, 0.0, 5e-324, 2.2e-308, 1e-160, 1.5e-154, 1e-9, 0.123456789, 0.5 - 1e-12]
+
+
+class TestSquaredWindow:
+    @pytest.mark.parametrize("lo", WINDOW_LOS)
+    def test_squared_test_holds_the_window(self, lo):
+        # every fold in [0, 1/2] that the window holds passes the squared test:
+        # the window's ends, their neighbouring doubles, and random folds
+        rng = random.Random(f"squared:{lo!r}")
+        hits = 0
+        for width in (0.0, 5e-324, 1e-300, 1e-12, 1e-9, 0.01, 0.3, 1.5):
+            window = (lo, lo + width)
+            ends = [max(lo, 0.0), lo + width]
+            folds = {0.0, 0.5} | {rng.uniform(0.0, 0.5) for _ in range(200)}
+            folds |= {rng.uniform(*sorted(ends)) for _ in range(200)}
+            for end in ends:
+                folds |= {end, math.nextafter(end, -1.0), math.nextafter(end, 1.0)}
+            for fold in folds:
+                if 0.0 <= fold <= 0.5 and in_window(fold, window):
+                    assert squared_test(fold, window), (fold, window)
+                    hits += 1
+        assert hits > 0
+
+    def test_negative_lo_lets_every_candidate_through(self, monkeypatch, l1):
+        # eps = 3 and w = -1: tau = 0, so lo is about -0.75 and hi about 0.75,
+        # the whole circle.  Squaring lo as it stands (0.56 > 1/4 >= e*e) would
+        # shut out every candidate and answer unknown.
+        monkeypatch.setenv("QTLINE_TOLERANCE", "3")
+        lo, hi = _phase_window(-1 + 0j, l1.theta, 10, 3.0)
+        assert lo < -0.5 and whole_circle((lo, hi))
+        a = Cocycle(0, -1.0, ExponentPoly.zero(), l1)
+        counting = CountingCmath()
+        monkeypatch.setattr("qtline.picard.cmath", counting)
+        verdict = triviality_test(a, 10)
+        assert verdict == linear_triviality_test(a, 10) and verdict.witness == 0
+        assert counting.exp_calls == 1
+
+
 class TestPic0Invariant:
     def test_character_is_fixed_exactly(self, l1):
         rng = random.Random(33)

@@ -150,6 +150,40 @@ def test_exponent_poly_strips_trailing_zeros():
     assert ExponentPoly.zero().coeffs == ()
 
 
+def horner_reference(coeffs, v):
+    """g(v) as ExponentPoly.__call__ wrote it before it kept its coefficients reversed."""
+    acc = 0j
+    for coef in reversed(coeffs):
+        acc = acc * v + coef
+    return acc
+
+
+def test_exponent_poly_ignores_its_horner_order():
+    # _horner, the coefficients highest degree first, is kept out of equality,
+    # hashing, repr and pickling; sums and negations evaluate like fresh polynomials
+    g = ExponentPoly((1, 2j, 0.5 - 0.25j))
+    tampered = ExponentPoly((1, 2j, 0.5 - 0.25j))
+    object.__setattr__(tampered, "_horner", ())
+    assert g._horner == (0.5 - 0.25j, 2j, 1 + 0j)
+    assert tampered == g and hash(tampered) == hash(g) and repr(tampered) == repr(g)
+    assert "_horner" not in repr(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._horner == g._horner
+    h = ExponentPoly((0.1, -2j, -0.5 + 0.25j, 3j))
+    v = 0.3 - 1.7j
+    for derived, coeffs in [
+        (g + h, (1.1, 0j, 0j, 3j)),
+        (h + g, (1.1, 0j, 0j, 3j)),
+        (-g, (-1, -2j, -0.5 + 0.25j)),
+        (g - g, ()),
+        (g - h, (0.9, 4j, 1 - 0.5j, -3j)),
+        (copy, g.coeffs),
+    ]:
+        fresh = ExponentPoly(coeffs)
+        assert derived == fresh and derived._horner == fresh._horner
+        assert derived(v) == fresh(v) == horner_reference(fresh.coeffs, v)
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
