@@ -38,12 +38,6 @@ _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
 # integer literal, which main sets for every request.
 MAX_DECIMAL_EXPONENT = 4300
 _TOO_LONG = f"more than {MAX_DECIMAL_EXPONENT} digits in one number"
-# A cf coefficient, unsigned, in the string grammar of fractions.Fraction.
-_COEFFICIENT = re.compile(
-    r"\s*(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)"
-    r"(?:/(?P<den>\d+(?:_\d+)*)|(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:e(?P<exp>\d+(?:_\d+)*))?)\s*",
-    re.IGNORECASE,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,45 +46,46 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_int(literal: str) -> int:
-    """int(literal) for an optional "-" and a run of decimal digits (underscores
-    between them allowed), 0 for an empty run; ValueError past
-    MAX_DECIMAL_EXPONENT digits.  Also json.load's parse_int."""
+    """int(literal) of at most MAX_DECIMAL_EXPONENT digits: json.load's parse_int and the "(...)/den" reader."""
     if len(literal.removeprefix("-").replace("_", "")) > MAX_DECIMAL_EXPONENT:
         raise ValueError(_TOO_LONG)
-    return int(literal or 0)
+    return int(literal)
 
 
 def _read_coefficient(coef: str) -> Fraction:
-    """The Fraction that Fraction(coef) reads, built from _read_int's integers.  A
-    decimal exponent above MAX_DECIMAL_EXPONENT is refused before its power of
-    ten is built."""
-    m = _COEFFICIENT.fullmatch(coef)
-    if not m:
-        raise ValueError(f"Invalid literal for Fraction: {coef!r}")
-    num, den, dec, exp = m.group("num", "den", "dec", "exp")
-    exponent = exp.replace("_", "").lstrip("0") if exp else ""
-    if len(exponent) > len(str(MAX_DECIMAL_EXPONENT)) or int(exponent or 0) > MAX_DECIMAL_EXPONENT:
+    """Fraction(coef) behind two caps: each digit run before the "e" has at most
+    MAX_DECIMAL_EXPONENT digits, and a decimal exponent above MAX_DECIMAL_EXPONENT
+    is refused before its power of ten is built.  Leading zeros of the exponent
+    count against neither cap."""
+    mantissa, _, tail = coef.lower().partition("e")
+    if any(len(run) > MAX_DECIMAL_EXPONENT for run in re.findall(r"\d+", mantissa.replace("_", ""))):
+        raise ValueError(_TOO_LONG)
+    exponent = tail.rstrip().replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (
+        len(exponent) > len(str(MAX_DECIMAL_EXPONENT)) or int(exponent) > MAX_DECIMAL_EXPONENT
+    ):
         raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
-    numerator, denominator = _read_int(num), 1
-    if den:
-        denominator = _read_int(den)
-    elif dec:
-        denominator = 10 ** len(dec.replace("_", ""))
-        numerator = numerator * denominator + _read_int(dec)
-    return Fraction(numerator * 10 ** int(exponent or 0), denominator)
+    if len(tail) > MAX_DECIMAL_EXPONENT:  # Fraction's int() would count the zeros
+        coef = re.sub(r"(?<=[eE])(?:0_?)+(?=\d)", "", coef)
+    return Fraction(coef)
 
 
 def _parse_quadreal(text: str, d: int) -> QuadReal:
     """Parse expressions like "1", "-3/2", "sqrtD", "2*sqrtD", "(1+sqrtD)/2".
 
-    One "*" may stand only between a coefficient and sqrtD.  Every number is
-    read by _read_int, so each has at most MAX_DECIMAL_EXPONENT digits."""
+    One "*" may stand only between a coefficient and sqrtD.  fractions.Fraction
+    reads each coefficient behind _read_coefficient's caps; a "(...)/" form
+    takes a run of decimal digits, underscores between them allowed, as its
+    denominator, with at most MAX_DECIMAL_EXPONENT digits."""
     s = text.replace(" ", "")
     den = 1
-    m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>\d+(?:_\d+)*)", s)
+    m = re.fullmatch(r"\((?P<inner>[^()]+)\)/(?P<den>.*)", s, re.DOTALL)
     if m:
+        s, den = m.group("inner"), m.group("den")
         try:
-            s, den = m.group("inner"), _read_int(m.group("den"))
+            if not re.fullmatch(r"\d+(?:_\d+)*", den):
+                raise ValueError(f"{den!r} is not a run of decimal digits")
+            den = _read_int(den)
         except ValueError as exc:
             raise FormatError(f"cannot parse denominator in {text!r}: {exc}") from exc
         if den == 0:
@@ -247,30 +242,40 @@ def _cmd_theta_check(a: Cocycle, args: argparse.Namespace) -> Any:
     return _residual_report(theta_residuals(a, t, samples=args.samples, seed=args.seed), args)
 
 
+_COCYCLE = ("--cocycle", {"required": True})
 _SAMPLE_FLAGS = (
     ("--samples", {"type": int, "default": 1000}),
     ("--seed", {"type": int, "default": 0}),
     ("--emit-samples", {"action": "store_true", "help": "include per-sample residuals"}),
 )
-_BOUND_FLAGS = (("--bound", {"type": int, "default": DEFAULT_WITNESS_BOUND}),)
-# Every subcommand but cf: name, help, handler(cocycle, args), and its flags
-# after --cocycle, in --help order.
-_COCYCLE_COMMANDS = (
-    ("verify", "max residual of the cocycle identity at samples", _cmd_verify, _SAMPLE_FLAGS),
+_BOUND = ("--bound", {"type": int, "default": DEFAULT_WITNESS_BOUND})
+# Every subcommand: name, help, handler(cocycle or None, args) and its flags,
+# in --help order; main reads the cocycle of the subcommands with --cocycle.
+_COMMANDS = (
+    ("cf", "continued-fraction convergents of omega2/omega1", _cmd_cf, (
+        ("--D", {"type": int, "required": True, "help": "square-free radicand of the field"}),
+        ("--omega1", {"required": True, "help": 'e.g. "1", "3/2", "(1+sqrtD)/2"'}),
+        ("--omega2", {"required": True, "help": 'e.g. "sqrtD", "1+sqrtD"'}),
+        ("--n", {"type": int, "default": 10}),
+    )),
+    ("verify", "max residual of the cocycle identity at samples", _cmd_verify, (_COCYCLE, *_SAMPLE_FLAGS)),
     ("chern", "Chern integer, symbolic and numeric routes", _cmd_chern, (
+        _COCYCLE,
         ("--l1", {"default": "1,0", "help": "integer pair a,b"}),
         ("--l2", {"default": "0,1", "help": "integer pair a,b"}),
         ("--v", {"default": "0.3,0.2", "help": "complex sample point re,im"}),
     )),
-    ("normal-form", "classifying pair (chi, E)", _cmd_normal_form, ()),
-    ("trivial", "bounded cohomological-triviality verdict", _cmd_trivial, _BOUND_FLAGS),
+    ("normal-form", "classifying pair (chi, E)", _cmd_normal_form, (_COCYCLE,)),
+    ("trivial", "bounded cohomological-triviality verdict", _cmd_trivial, (_COCYCLE, _BOUND)),
     ("pairing", "commutator pairing on stabilizer lifts", _cmd_pairing, (
+        _COCYCLE,
         ("--x1", {"required": True, "help": "integer pair alpha,beta"}),
         ("--x2", {"required": True, "help": "integer pair alpha,beta"}),
     )),
-    ("k-group", "translation-stabilizer group description", _cmd_k_group, ()),
-    ("theta-solve", "solve the theta functional equation or certify", _cmd_theta_solve, _BOUND_FLAGS),
+    ("k-group", "translation-stabilizer group description", _cmd_k_group, (_COCYCLE,)),
+    ("theta-solve", "solve the theta functional equation or certify", _cmd_theta_solve, (_COCYCLE, _BOUND)),
     ("theta-check", "residual of a candidate theta function", _cmd_theta_check, (
+        _COCYCLE,
         ("--theta", {"required": True}),
         *_SAMPLE_FLAGS,
     )),
@@ -280,21 +285,11 @@ _COCYCLE_COMMANDS = (
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qtline", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cf", help="continued-fraction convergents of omega2/omega1")
-    p.add_argument("--D", type=int, required=True, help="square-free radicand of the field")
-    p.add_argument("--omega1", required=True, help='e.g. "1", "3/2", "(1+sqrtD)/2"')
-    p.add_argument("--omega2", required=True, help='e.g. "sqrtD", "1+sqrtD"')
-    p.add_argument("--n", type=int, default=10)
-    p.set_defaults(func=_cmd_cf)
-
-    for name, help_text, handler, flags in _COCYCLE_COMMANDS:
+    for name, help_text, handler, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--cocycle", required=True)
         for flag, options in flags:
             p.add_argument(flag, **options)
         p.set_defaults(func=handler)
-
     return parser
 
 

@@ -240,57 +240,46 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
 
 
 class AHData(_Frozen):
-    """Normal form (chi, E): semicharacter values on the basis plus the Chern form."""
+    """Normal form (chi, E), stored as (c, E): with chi(omega1) = 1 fixed, the
+    semicharacter chi is determined by c = chi(omega2) and the Chern form E."""
 
-    _fields = ("chi_omega1", "chi_omega2", "chi_omega12", "e_form", "lattice")
+    _fields = ("c", "e_form", "lattice")
 
-    def __init__(
-        self,
-        chi_omega1: complex,
-        chi_omega2: complex,
-        chi_omega12: complex,
-        e_form: AltForm,
-        lattice: Pseudolattice,
-    ) -> None:
-        object.__setattr__(self, "chi_omega1", chi_omega1)
-        object.__setattr__(self, "chi_omega2", chi_omega2)
-        object.__setattr__(self, "chi_omega12", chi_omega12)
+    def __init__(self, c: complex, e_form: AltForm, lattice: Pseudolattice) -> None:
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "e_form", e_form)
         object.__setattr__(self, "lattice", lattice)
+
+    @property
+    def chi_omega1(self) -> complex:
+        return 1.0 + 0j
+
+    @property
+    def chi_omega2(self) -> complex:
+        return self.c
+
+    @property
+    def chi_omega12(self) -> complex:
+        """chi(omega1 + omega2) = c * e^{pi*i*s}."""
+        return self.c * (-1.0 if self.e_form.s % 2 else 1.0)
 
     def chi(self, l: LatticeVector) -> complex:
         """Semicharacter value chi(omega1)^a * chi(omega2)^b * e^{pi*i*s*a*b}."""
         sign = -1.0 if (self.e_form.s * l.a * l.b) % 2 else 1.0
-        return self.chi_omega1**l.a * self.chi_omega2**l.b * sign
+        return self.chi_omega1**l.a * self.c**l.b * sign
 
 
 def ah_normal_form(a: Cocycle) -> AHData:
     """Classifying pair of the cocycle's isomorphism class.
 
-    E is the Chern form; the c packed into the chi values is the Pic^0
-    invariant of a tensor the inverse of its quadratic-exponent section,
-    which is the (c, g) part of a.
+    E is the Chern form; c is the Pic^0 invariant of a tensor the inverse of
+    its quadratic-exponent section, which is the (c, g) part of a.
     """
-    e = chern_symbolic(a)
-    c = _pic0_value(a)
-    parity = -1.0 if e.s % 2 else 1.0
-    return AHData(
-        chi_omega1=1.0 + 0j,
-        chi_omega2=c,
-        chi_omega12=c * parity,
-        e_form=e,
-        lattice=a.lattice,
-    )
+    return AHData(_pic0_value(a), chern_symbolic(a), a.lattice)
 
 
 def ah_group_law(x: AHData, y: AHData) -> AHData:
-    """(chi1, E1) * (chi2, E2) = (chi1*chi2, E1+E2), componentwise on the basis."""
+    """(c1, E1) * (c2, E2) = (c1*c2, E1+E2)."""
     if x.lattice != y.lattice:
         raise DomainError("group law requires matching pseudolattices")
-    return AHData(
-        chi_omega1=x.chi_omega1 * y.chi_omega1,
-        chi_omega2=x.chi_omega2 * y.chi_omega2,
-        chi_omega12=x.chi_omega12 * y.chi_omega12,
-        e_form=x.e_form + y.e_form,
-        lattice=x.lattice,
-    )
+    return AHData(x.c * y.c, x.e_form + y.e_form, x.lattice)

@@ -40,8 +40,8 @@ from fractions import Fraction
 from .errors import DomainError, PreconditionError
 from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
 
-# object.__setattr__ looked up once: LatticeVector is built per small vector and
-# per residual sample, and a Pseudolattice per request.
+# object.__setattr__ looked up once: LatticeVector is built per small vector, and
+# a Pseudolattice per request.
 _set = object.__setattr__
 # tuple.__new__ looked up once: convergents builds one Convergent row per term with it.
 _row = tuple.__new__

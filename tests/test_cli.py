@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtline import Cocycle, ExponentPoly, Pseudolattice, QuadReal, lattice_golden, lattice_sqrt2
+from qtline import cli
 from qtline.cli import _read_coefficient, main
 from qtline.jsonio import cocycle_to_json
 from helpers import exact_phase, theta_exact
@@ -197,10 +198,13 @@ def test_cf_overlong_unicode_or_grouped_denominator_keeps_its_message(capsys, de
     assert code == 1 and doc["error"].startswith("cannot parse denominator")
 
 
-@pytest.mark.parametrize("den", ["1__0", "_1", "1_"])
+@pytest.mark.parametrize("den", ["1__0", "_1", "1_", "3.0", "-3", "x", ""])
 def test_cf_misplaced_underscore_in_denominator_is_exit_1(capsys, den):
-    code, doc = run(capsys, "cf", "--D", "2", "--omega1", f"(1+sqrtD)/{den}", "--omega2", "sqrtD")
-    assert code == 1 and "error" in doc
+    # a tail that is not a digit run is named as the denominator: these said
+    # "cannot parse term '(1'"
+    omega1 = f"(1+sqrtD)/{den}"
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", omega1, "--omega2", "sqrtD")
+    assert code == 1 and doc["error"].startswith(f"cannot parse denominator in {omega1!r}: ")
 
 
 # Interpreter digit limits: the lowest it accepts, one below the digit cap,
@@ -343,6 +347,65 @@ def test_malformed_coefficients_fail_as_fraction_fails(coef):
         Fraction(coef)
     with pytest.raises(ValueError, match="Invalid literal for Fraction"):
         _read_coefficient(coef)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(coef=st.text(alphabet="0123456789_./eE ٣d", max_size=12))
+def test_coefficients_are_read_by_fraction(coef):
+    # _read_coefficient is Fraction behind the caps: the same value, or the same
+    # exception class (ValueError, or ZeroDivisionError for "1/0"); twelve
+    # characters can pass only the exponent cap
+    try:
+        want = Fraction(coef)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            _read_coefficient(coef)
+        return
+    if int(coef.lower().partition("e")[2] or 0) > 4300:
+        with pytest.raises(ValueError, match="^decimal exponent above 4300$"):
+            _read_coefficient(coef)
+    else:
+        assert _read_coefficient(coef) == want
+
+
+@pytest.mark.parametrize(
+    "coef, error",
+    [
+        ("1" * 4301, "more than 4300 digits in one number"),
+        ("0." + "1" * 4301, "more than 4300 digits in one number"),
+        ("1/" + "1" * 4301, "more than 4300 digits in one number"),
+        ("1e4301", "decimal exponent above 4300"),
+        ("1e" + "9" * 5000, "decimal exponent above 4300"),
+    ],
+    ids=["integer", "decimal", "denominator", "exponent", "exponent-digits"],
+)
+def test_coefficient_caps(coef, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        _read_coefficient(coef)
+
+
+@pytest.mark.parametrize(
+    "coef, want",
+    [
+        ("1" * 4300 + "/" + "7" * 4300, Fraction(int("1" * 4300), int("7" * 4300))),
+        ("1.5e" + "0" * 5000 + "1", Fraction(15)),
+    ],
+    ids=["runs-at-the-cap", "exponent-leading-zeros"],
+)
+def test_coefficient_within_the_caps_is_read(coef, want):
+    # the digit cap counts only the runs before the "e"
+    assert _read_coefficient(coef) == want
+
+
+def test_one_subcommand_table():
+    """add_parser( is called once in cli.py, inside the loop over _COMMANDS: every
+    subcommand, cf too, is a row of that one table."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "add_parser"]
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.For) and getattr(n.iter, "id", None) == "_COMMANDS"]
+    assert len(calls) == 1 and len(loops) == 1
+    assert any(node is calls[0] for node in ast.walk(loops[0]))
+    assert [row[0] for row in cli._COMMANDS][:2] == ["cf", "verify"]
 
 
 def cf_stdio(capsys, *argv):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qtline import (
+    AHData,
     AltForm,
     Cocycle,
     DomainError,
@@ -473,6 +474,30 @@ class TestAppellHumbert:
         cx = ah_normal_form(Cocycle(0, 2.0, ExponentPoly.zero(), l1))
         cy = ah_normal_form(Cocycle(0, 3.0, ExponentPoly.zero(), l1))
         assert ah_group_law(cx, cy).chi_omega2 == 6 + 0j
+
+    def test_group_law_keeps_the_componentwise_products(self, l1):
+        # the pair once stored chi(omega1), c and chi(omega1 + omega2), and the
+        # group law multiplied all three: the same bits, but for the sign of a
+        # zero where a factor or the product has a zero part
+        rng = random.Random(38)
+
+        def part():
+            return rng.choice((0.0, -0.0, 1.0, -1.0, rng.uniform(-9.0, 9.0)))
+
+        for _ in range(3000):
+            cx, cy = complex(part(), part()), complex(part(), part())
+            sx, sy = rng.randint(-3, 3), rng.randint(-3, 3)
+            px, py = (-1.0 if sx % 2 else 1.0), (-1.0 if sy % 2 else 1.0)
+            got = ah_group_law(AHData(cx, AltForm(sx), l1), AHData(cy, AltForm(sy), l1))
+            old12 = (cx * px) * (cy * py)
+            assert repr(got.chi_omega1) == repr((1.0 + 0j) * (1.0 + 0j))
+            assert repr(got.chi_omega2) == repr(cx * cy)
+            assert got.chi_omega12 == old12
+            if 0.0 not in (cx.real, cx.imag, cy.real, cy.imag, old12.real, old12.imag):
+                assert repr(got.chi_omega12) == repr(old12)
+        one = ah_normal_form(sigma_section(AltForm(1), l1))  # c = 1 + 0j, chi(omega1 + omega2) = -1 + 0j
+        assert repr(ah_group_law(one, one).chi_omega12) == "(1+0j)"
+        assert repr(one.chi_omega12 * one.chi_omega12) == "(1-0j)"
 
     def test_homomorphism_random_pairs(self, l1):
         rng = random.Random(35)
