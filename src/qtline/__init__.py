@@ -15,124 +15,58 @@ finite normal form (s, c, g) for them and computes:
   with non-existence certificates;
 * exact continued-fraction machinery in real quadratic fields underpinning
   all density arguments.
+
+``import qtline`` loads none of the submodules.  The first use of a public
+name (``qtline.Pseudolattice``, ``from qtline import Cocycle``) imports the
+submodule that defines it, with the submodules that one imports, and keeps
+the value here, so later lookups are plain attribute reads.  The exact layer
+(``QuadReal``, ``Pseudolattice``) loads only ``errors``, ``numeric`` and
+``pseudolattice``.  A submodule that fails to import fails at that first use.
 """
 
-from .chern import AltForm, alt_eval, chern_numeric, chern_symbolic, sigma_section
-from .cocycle import (
-    Cocycle,
-    ExponentPoly,
-    coboundary,
-    cocycle_defect,
-    cocycle_identity_residuals,
-    existence_cocycle,
-    trivial_cocycle,
-    verify_cocycle_identity,
-)
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    FormatError,
-    PrecisionError,
-    PreconditionError,
-    QTLineError,
-    RangeError,
-)
-from .heisenberg import (
-    DichotomyReport,
-    HeisenbergElement,
-    KGroupDescription,
-    LambdaPoint,
-    closed_form_pairing,
-    commutator_pairing,
-    dichotomy_check,
-    heisenberg_identity,
-    heisenberg_inverse,
-    heisenberg_multiply,
-    k_group,
-    membership_multiplier,
-    multiplier_residual,
-)
-from .numeric import QuadReal, approx_eq, tolerance
-from .picard import (
-    AHData,
-    TrivialityVerdict,
-    ah_group_law,
-    ah_normal_form,
-    pic0_invariant,
-    triviality_test,
-)
-from .pseudolattice import (
-    Convergent,
-    LatticeVector,
-    Pseudolattice,
-    lattice_golden,
-    lattice_sqrt2,
-)
-from .theta import (
-    ObstructionWitness,
-    ThetaCandidate,
-    ThetaSolveResult,
-    modulus_obstruction_demo,
-    solve_theta,
-    theta_residual,
-    theta_residuals,
-)
+# Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "chern": ("AltForm", "alt_eval", "chern_numeric", "chern_symbolic", "sigma_section"),
+    "cocycle": (
+        "Cocycle", "ExponentPoly", "coboundary", "cocycle_defect", "cocycle_identity_residuals",
+        "existence_cocycle", "trivial_cocycle", "verify_cocycle_identity",
+    ),
+    "errors": (
+        "ConsistencyError", "DomainError", "FormatError", "PrecisionError", "PreconditionError",
+        "QTLineError", "RangeError",
+    ),
+    "heisenberg": (
+        "DichotomyReport", "HeisenbergElement", "KGroupDescription", "LambdaPoint", "closed_form_pairing",
+        "commutator_pairing", "dichotomy_check", "heisenberg_identity", "heisenberg_inverse",
+        "heisenberg_multiply", "k_group", "membership_multiplier", "multiplier_residual",
+    ),
+    "numeric": ("QuadReal", "approx_eq", "tolerance"),
+    "picard": (
+        "AHData", "TrivialityVerdict", "ah_group_law", "ah_normal_form", "pic0_invariant", "triviality_test",
+    ),
+    "pseudolattice": ("Convergent", "LatticeVector", "Pseudolattice", "lattice_golden", "lattice_sqrt2"),
+    "theta": (
+        "ObstructionWitness", "ThetaCandidate", "ThetaSolveResult", "modulus_obstruction_demo",
+        "solve_theta", "theta_residual", "theta_residuals",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = sorted(_HOME)
 
-__all__ = [
-    "AHData",
-    "AltForm",
-    "Cocycle",
-    "ConsistencyError",
-    "Convergent",
-    "DichotomyReport",
-    "DomainError",
-    "ExponentPoly",
-    "FormatError",
-    "HeisenbergElement",
-    "KGroupDescription",
-    "LambdaPoint",
-    "LatticeVector",
-    "ObstructionWitness",
-    "PrecisionError",
-    "PreconditionError",
-    "Pseudolattice",
-    "QTLineError",
-    "QuadReal",
-    "RangeError",
-    "ThetaCandidate",
-    "ThetaSolveResult",
-    "TrivialityVerdict",
-    "ah_group_law",
-    "ah_normal_form",
-    "alt_eval",
-    "approx_eq",
-    "chern_numeric",
-    "chern_symbolic",
-    "closed_form_pairing",
-    "coboundary",
-    "cocycle_defect",
-    "cocycle_identity_residuals",
-    "commutator_pairing",
-    "dichotomy_check",
-    "existence_cocycle",
-    "heisenberg_identity",
-    "heisenberg_inverse",
-    "heisenberg_multiply",
-    "k_group",
-    "lattice_golden",
-    "lattice_sqrt2",
-    "membership_multiplier",
-    "modulus_obstruction_demo",
-    "multiplier_residual",
-    "pic0_invariant",
-    "sigma_section",
-    "solve_theta",
-    "theta_residual",
-    "theta_residuals",
-    "tolerance",
-    "triviality_test",
-    "trivial_cocycle",
-    "verify_cocycle_identity",
-]
+
+def __getattr__(name: str):
+    """A public name, or one of the submodules in _EXPORTS, imported on first use
+    and stored in the package globals (PEP 562)."""
+    module = _HOME.get(name, name if name in _EXPORTS else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{module}")  # binds the submodule in these globals
+    if module != name:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

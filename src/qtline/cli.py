@@ -54,19 +54,17 @@ def _read_int(literal: str) -> int:
 
 def _read_coefficient(coef: str) -> Fraction:
     """Fraction(coef) behind two caps: each digit run before the "e" has at most
-    MAX_DECIMAL_EXPONENT digits, and a decimal exponent above MAX_DECIMAL_EXPONENT
-    is refused before its power of ten is built.  Leading zeros of the exponent
-    count against neither cap."""
+    MAX_DECIMAL_EXPONENT digits, and a decimal exponent of either sign whose size
+    is above MAX_DECIMAL_EXPONENT is refused before its power of ten is built.
+    Leading zeros of the exponent count against neither cap."""
     mantissa, _, tail = coef.lower().partition("e")
     if any(len(run) > MAX_DECIMAL_EXPONENT for run in re.findall(r"\d+", mantissa.replace("_", ""))):
         raise ValueError(_TOO_LONG)
-    exponent = tail.rstrip().replace("_", "").lstrip("0")
-    if exponent.isdecimal() and (
-        len(exponent) > len(str(MAX_DECIMAL_EXPONENT)) or int(exponent) > MAX_DECIMAL_EXPONENT
-    ):
+    exponent = re.fullmatch(r"[+-]?0*(\d+)", tail.rstrip().replace("_", ""))
+    if exponent and (len(exponent[1]) > len(str(MAX_DECIMAL_EXPONENT)) or int(exponent[1]) > MAX_DECIMAL_EXPONENT):
         raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
     if len(tail) > MAX_DECIMAL_EXPONENT:  # Fraction's int() would count the zeros
-        coef = re.sub(r"(?<=[eE])(?:0_?)+(?=\d)", "", coef)
+        coef = re.sub(r"([eE][+-]?)(?:0_?)+(?=\d)", r"\1", coef)
     return Fraction(coef)
 
 
@@ -90,7 +88,8 @@ def _parse_quadreal(text: str, d: int) -> QuadReal:
             raise FormatError(f"cannot parse denominator in {text!r}: {exc}") from exc
         if den == 0:
             raise FormatError(f"zero denominator in {text!r}")
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    # A sign right after an "e" that follows a digit or "." is the exponent's.
+    terms = re.findall(r"[+-]?(?:[^+-]|(?<=[\d.][eE])[+-])+", s)
     if not terms or "".join(terms) != s:
         raise FormatError(f"cannot parse quadratic-real expression {text!r}")
     a = Fraction(0)

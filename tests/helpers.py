@@ -3,7 +3,8 @@ Pic^0 invariant that serves as an oracle for the closed form, the value of
 a Heisenberg multiplier that cross-checks its exponent-space residual, the
 unwindowed witness scan that serves as an oracle for ``triviality_test``, and
 the field arithmetic of Q(sqrt(D)) (:class:`ExactReal`) that serves as the
-exact oracle for the library's integer kernels.
+exact oracle for the library's integer kernels, and a probe that runs code in
+a fresh interpreter (:func:`fresh_python`).
 
 All samplers take an explicit random.Random so every test is seed-pinned.
 Cocycle coefficients are kept small (degree <= 3, |coeffs| <= 1) so that the
@@ -16,8 +17,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 
@@ -322,3 +327,15 @@ def linear_triviality_test(a: Cocycle, bound: int) -> TrivialityVerdict:
             if abs(w - cmath.exp(_TWO_PI_I * candidate * theta)) <= eps:
                 return TrivialityVerdict.trivial(candidate)
     return TrivialityVerdict.unknown(bound)
+
+
+def fresh_python(code: str) -> str:
+    """stdout of ``python -S -c code`` in a new interpreter that imports qtline
+    from ``src/``: no site step, so sys.modules holds only what the code loads."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout

@@ -4,8 +4,6 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -18,7 +16,7 @@ from qtline import Cocycle, ExponentPoly, Pseudolattice, QuadReal, lattice_golde
 from qtline import cli
 from qtline.cli import _read_coefficient, main
 from qtline.jsonio import cocycle_to_json
-from helpers import exact_phase, theta_exact
+from helpers import exact_phase, fresh_python, theta_exact
 
 L1 = lattice_sqrt2()
 TWO_PI_I = 2j * math.pi
@@ -113,7 +111,13 @@ def test_cf_rejects_garbage(capsys):
 
 @pytest.mark.parametrize(
     "omega2, term",
-    [("1e1000000*sqrtD", "1e1000000*sqrtD"), ("1e4301", "1e4301"), ("1+1E1_000_000*sqrtD", "+1E1_000_000*sqrtD")],
+    [
+        ("1e1000000*sqrtD", "1e1000000*sqrtD"),
+        ("1e4301", "1e4301"),
+        ("1+1E1_000_000*sqrtD", "+1E1_000_000*sqrtD"),
+        ("1e-4301", "1e-4301"),
+        ("1e+4301", "1e+4301"),
+    ],
 )
 def test_cf_decimal_exponent_above_digit_limit_is_exit_1(capsys, omega2, term):
     # 1e1000000*sqrtD ran for about 18 s before its exit 2; the exponent now
@@ -368,6 +372,45 @@ def test_coefficients_are_read_by_fraction(coef):
         assert _read_coefficient(coef) == want
 
 
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(coef=st.text(alphabet="0123456789_./eE ٣d+-", max_size=12))
+def test_signed_coefficients_are_read_by_fraction(coef):
+    # the same as above with signs: the exponent cap holds for either sign
+    try:
+        want = Fraction(coef)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            _read_coefficient(coef)
+        return
+    if abs(int(coef.lower().partition("e")[2] or 0)) > 4300:
+        with pytest.raises(ValueError, match="^decimal exponent above 4300$"):
+            _read_coefficient(coef)
+    else:
+        assert _read_coefficient(coef) == want
+
+
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        ("1e-3", Fraction(1, 1000), 0),
+        ("2.5E+1*sqrtD", 0, 25),
+        ("1.e-1-2e+0*sqrtD", Fraction(1, 10), -2),
+        ("(-1E-1+sqrtD)/2", Fraction(-1, 20), Fraction(1, 2)),
+    ],
+)
+def test_cf_reads_signed_exponents(text, a, b):
+    # a sign right after an "e" that follows a digit or "." is the exponent's
+    assert cli._parse_quadreal(text, 2) == QuadReal(a, b, 2)
+
+
+def test_cf_signed_exponent_gives_the_decimal_answer(capsys):
+    argv = ["cf", "--D", "2", "--omega2", "sqrtD", "--omega1"]
+    assert main([*argv, "1e-3"]) == 0
+    signed = capsys.readouterr().out
+    assert main([*argv, "0.001"]) == 0
+    assert capsys.readouterr().out == signed
+
+
 @pytest.mark.parametrize(
     "coef, error",
     [
@@ -376,8 +419,11 @@ def test_coefficients_are_read_by_fraction(coef):
         ("1/" + "1" * 4301, "more than 4300 digits in one number"),
         ("1e4301", "decimal exponent above 4300"),
         ("1e" + "9" * 5000, "decimal exponent above 4300"),
+        ("1e-4301", "decimal exponent above 4300"),
+        ("1e+4301", "decimal exponent above 4300"),
+        ("1e-" + "0" * 5000 + "4301", "decimal exponent above 4300"),
     ],
-    ids=["integer", "decimal", "denominator", "exponent", "exponent-digits"],
+    ids=["integer", "decimal", "denominator", "exponent", "exponent-digits", "minus", "plus", "minus-zeros"],
 )
 def test_coefficient_caps(coef, error):
     with pytest.raises(ValueError, match=f"^{error}$"):
@@ -389,8 +435,10 @@ def test_coefficient_caps(coef, error):
     [
         ("1" * 4300 + "/" + "7" * 4300, Fraction(int("1" * 4300), int("7" * 4300))),
         ("1.5e" + "0" * 5000 + "1", Fraction(15)),
+        ("1e-4300", Fraction(1, 10**4300)),
+        ("1.5e-" + "0_" * 3000 + "1", Fraction(3, 20)),
     ],
-    ids=["runs-at-the-cap", "exponent-leading-zeros"],
+    ids=["runs-at-the-cap", "exponent-leading-zeros", "minus-at-the-cap", "minus-leading-zeros"],
 )
 def test_coefficient_within_the_caps_is_read(coef, want):
     # the digit cap counts only the runs before the "e"
@@ -680,16 +728,8 @@ def test_non_finite_exponent_is_exit_2(capsys, tmp_path, command):
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # Both cost start-up time in every one-shot process; qtline needs neither.
-    src = Path(__file__).resolve().parent.parent / "src"
     probe = "import qtline.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert fresh_python(probe).strip() == "[]"
 
 
 def test_cli_import_loads_every_module_the_startup_breakdown_times():
@@ -705,14 +745,7 @@ def test_cli_import_loads_every_module_the_startup_breakdown_times():
     )
     assert "qtline.cli" in modules
     probe = f"import qtline.cli, sys; print(sorted(set({modules!r}) - set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert fresh_python(probe).strip() == "[]"
 
 
 @pytest.mark.parametrize("im", [-200.0, 200.0])
