@@ -24,7 +24,9 @@ be decided numerically without a bound.  The scan steps the float phase
 frac(m*theta) by one add per |m| and folds it, x -> |frac(x) - 1/2|, which
 sends m and -m to the same point; one window around the fold of arg(w)/(2*pi),
 proven to hold every candidate the float acceptance test can accept, then
-stands for both, and only candidates in it reach the exponential.
+stands for both, and only candidates in it reach the exponential.  A step
+allocates no object: the loop counts down an ``itertools.repeat``, and m is
+formed from the steps left only when the window holds the phase.
 
 Branch caveat, by design: a different branch of log phi(omega1) shifts the
 invariant by a factor e^{2*pi*i*m*theta}.  The library always computes the
@@ -48,6 +50,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from itertools import repeat
+from operator import length_hint
 
 from .chern import AltForm, chern_symbolic
 from .cocycle import _TWO_PI_I, Cocycle
@@ -136,6 +140,8 @@ def pic0_invariant(a: Cocycle) -> complex:
 # Unit roundoff of a double, and the largest finite double.
 _U = 2.0**-53
 _FLOAT_MAX = sys.float_info.max
+# The most steps one itertools.repeat can count, a C ssize_t.
+_MAX_RUN = sys.maxsize
 
 
 def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[float, float]:
@@ -213,6 +219,13 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     Only inside it is the exponential formed, for m and then for -m, so the
     verdict is the one a scan evaluating every candidate would give (for
     m = 0 the test may run twice, as 0 and as -0, with the same answer).
+
+    The steps are counted by ``itertools.repeat(None, n)``, which allocates
+    nothing per step, where a ``range`` would build a new int for every m
+    past 256.  m itself is formed only inside the window, as the last index of
+    the run less the steps left in it (``operator.length_hint``).  A repeat
+    counts in a C ssize_t, so a bound past ``sys.maxsize - 1`` is scanned in
+    runs of at most ``sys.maxsize`` steps.
     """
     if bound < 1:
         raise PreconditionError("need bound >= 1")
@@ -227,15 +240,21 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     lo2, hi2 = (lo * lo if lo > 0.0 else 0.0), hi * hi
     s = theta % 1.0
     e = -0.5
-    for m in range(bound + 1):
-        if lo2 <= e * e <= hi2:
-            if abs(w - cmath.exp(_TWO_PI_I * m * theta)) <= eps:
-                return TrivialityVerdict.trivial(m)
-            if abs(w - cmath.exp(_TWO_PI_I * -m * theta)) <= eps:
-                return TrivialityVerdict.trivial(-m)
-        e += s
-        if e >= 0.5:
-            e -= 1.0
+    top = -1
+    while top < bound:
+        run = min(bound - top, _MAX_RUN)
+        top += run
+        steps = repeat(None, run)
+        for _ in steps:
+            if lo2 <= e * e <= hi2:
+                m = top - length_hint(steps)
+                if abs(w - cmath.exp(_TWO_PI_I * m * theta)) <= eps:
+                    return TrivialityVerdict.trivial(m)
+                if abs(w - cmath.exp(_TWO_PI_I * -m * theta)) <= eps:
+                    return TrivialityVerdict.trivial(-m)
+            e += s
+            if e >= 0.5:
+                e -= 1.0
     return TrivialityVerdict.unknown(bound)
 
 

@@ -65,7 +65,12 @@ class ThetaCandidate(_Frozen):
 
     def log_value(self, v: complex) -> complex:
         """Exponent E(v) with theta(v) = e^{2*pi*i*E(v)}, amplitude folded in."""
-        return self.unit_exponent(v) + self.alpha * v + self._log_amplitude
+        return self._log_value_from(self.unit_exponent(v), v)
+
+    def _log_value_from(self, unit: complex, v: complex) -> complex:
+        """:meth:`log_value` at v given unit = unit_exponent(v), so a caller
+        holding that value need not evaluate the polynomial again."""
+        return unit + self.alpha * v + self._log_amplitude
 
     def evaluate(self, v: complex) -> complex:
         return exp_2pi_i(self.log_value(v), "theta", v)
@@ -77,15 +82,27 @@ def theta_residuals(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int
     Formed by the shared sampled loop :func:`qtline.cocycle.sampled_residuals`
     on the exponents x of theta(v+l) and y of A_l(v) theta(v), so huge |theta|
     cannot overflow.
+
+    Where the candidate's unit exponent equals the cocycle's g, as for every
+    :func:`solve_theta` answer, g is evaluated once at v + l and once at v per
+    sample, and each value serves both the candidate's exponent and the
+    coboundary difference g(v + l) - g(v); the float operations are those of
+    :meth:`ThetaCandidate.log_value`, in the same order.  Any other candidate
+    costs two more polynomial evaluations per sample.
     """
-    kernel, g, log_value = a._kernel, a.g, t.log_value
+    kernel, g, unit, log_value_from = a._kernel, a.g, t.unit_exponent, t._log_value_from
     w1, w2 = a.lattice.omega1_float, a.lattice.omega2_float
 
     def pair(la: int, lb: int, v: complex) -> tuple[complex, complex]:
         w = v + (la * w1 + lb * w2)
-        return log_value(w), kernel(lb, v, g(w) - g(v)) + log_value(v)
+        return log_value_from(unit(w), w), kernel(lb, v, g(w) - g(v)) + log_value_from(unit(v), v)
 
-    return sampled_residuals(pair, samples, seed, (COORD_RANGE,) * 2)
+    def shared_pair(la: int, lb: int, v: complex) -> tuple[complex, complex]:
+        w = v + (la * w1 + lb * w2)
+        gw, gv = g(w), g(v)
+        return log_value_from(gw, w), kernel(lb, v, gw - gv) + log_value_from(gv, v)
+
+    return sampled_residuals(shared_pair if unit == g else pair, samples, seed, (COORD_RANGE,) * 2)
 
 
 def theta_residual(a: Cocycle, t: ThetaCandidate, samples: int = 100, seed: int = 0) -> float:

@@ -16,6 +16,7 @@ from qtline import (
     Pseudolattice,
     QuadReal,
     RangeError,
+    TrivialityVerdict,
     ah_group_law,
     ah_normal_form,
     alt_eval,
@@ -31,6 +32,7 @@ from qtline import (
     triviality_test,
     trivial_cocycle,
 )
+from qtline import picard
 from qtline.picard import _phase_window, principal_fold
 from helpers import (
     CERTIFY_LATTICES,
@@ -139,6 +141,15 @@ class TestTrivialityTest:
     def test_bound_validation(self, l1):
         with pytest.raises(PreconditionError):
             triviality_test(trivial_cocycle(l1), bound=0)
+
+    @pytest.mark.parametrize("bound", [2**63 - 1, 2**63, 10**30], ids=["2^63-1", "2^63", "10^30"])
+    def test_huge_bound_answers(self, l1, bound):
+        # bound + 1 steps do not fit one itertools.repeat from 2^63 - 1 on; the
+        # margin opens the whole circle, so 0..6 each run the acceptance test
+        a = witness_character(l1, 7)
+        assert triviality_test(a, bound) == TrivialityVerdict.trivial(7)
+        result = solve_theta(a, bound)
+        assert result.verdict == TrivialityVerdict.trivial(7) and result.solved
 
 
 def planted(lattice, m, offset, rng):
@@ -276,6 +287,29 @@ class TestWitnessWindow:
         verdict = triviality_test(a, 10**5)
         assert verdict.status == "unknown" and verdict.bound == 10**5
         assert counting.exp_calls <= 3
+
+    @pytest.mark.parametrize("lattice", CERTIFY_LATTICES, ids=LATTICE_IDS)
+    def test_scan_end_points(self, lattice):
+        # m = 0, bound and -bound answer with that witness, and one past the
+        # bound answers unknown: m as recovered from the steps left is exact
+        rng = random.Random(f"ends:{lattice.theta!r}")
+        for bound in (1, 2, 3, 255, 256, 257, 10**4):
+            for m in (0, bound, -bound, bound + 1, -bound - 1):
+                a = planted(lattice, m, 0.5 * EPS, rng)
+                want = TrivialityVerdict.trivial(m) if abs(m) <= bound else TrivialityVerdict.unknown(bound)
+                assert linear_triviality_test(a, bound) == want, (m, bound)
+                assert triviality_test(a, bound) == want, (m, bound)
+
+    @pytest.mark.parametrize("run", [1, 2, 3, 7])
+    def test_scan_in_runs(self, monkeypatch, l1, run):
+        # a bound past one repeat's count is scanned in runs; with runs this
+        # short every witness sits near a run's end or start
+        monkeypatch.setattr(picard, "_MAX_RUN", run)
+        rng = random.Random(f"runs:{run}")
+        for bound in (1, 2, 6, 7, 8, 20):
+            for m in range(-bound - 1, bound + 2):
+                a = planted(l1, m, 0.5 * EPS, rng)
+                assert triviality_test(a, bound) == linear_triviality_test(a, bound), (m, bound)
 
     def test_wide_tolerance_same_verdicts(self, monkeypatch):
         # eps = 0.3: the window is about 0.15 wide, so many candidates reach
@@ -521,6 +555,15 @@ class TestAppellHumbert:
             parity = -1.0 if alt_eval(data.e_form, x, y) % 2 else 1.0  # e^{pi i E(x,y)}
             rhs = data.chi(x) * data.chi(y) * parity
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+    def test_chi_value(self, l1):
+        # chi(a*omega1 + b*omega2) = c^b * (-1)^(s*a*b), with c on and off the unit circle
+        rng = random.Random(39)
+        for _ in range(300):
+            c = random_nonzero(rng)
+            s = rng.randint(-4, 4)
+            a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+            assert AHData(c, AltForm(s), l1).chi(LatticeVector(a, b)) == c**b * (-1) ** (s * a * b), (c, s, a, b)
 
     def test_classification_faithfulness(self, l1):
         # same class up to coboundary and a witness character <=> equal normal

@@ -225,6 +225,39 @@ def test_theta_samples_and_residuals(drawn, seed):
         assert theta_residuals(a, t, samples=SAMPLES, seed=seed) == residuals, (branch, lattice, amplitude)
         assert drawn == draws
         assert max(residuals) > 0.0, (branch, lattice, amplitude)
+    # Two unit exponents besides g itself: g plus a constant, which is not g
+    # and takes the general pair (y - x is as for g, up to rounding), and a copy
+    # of g, equal to it as a distinct object, which takes the shared pair.
+    for branch, lattice in itertools.product(BRANCHES, LATTICES):
+        s, c, g = BRANCHES[branch]
+        a = Cocycle(max(-1, min(1, s)), c, g, LATTICES[lattice])
+        for unit in (g + ExponentPoly((0.01 - 0.02j,)), ExponentPoly(g.coeffs)):
+            t = ThetaCandidate(amplitude=0.7 + 0.2j, alpha=0.3 - 0.05j, unit_exponent=unit)
+            draws, residuals = old_theta_loop(a, t, SAMPLES, seed)
+            drawn.clear()
+            assert theta_residuals(a, t, samples=SAMPLES, seed=seed) == residuals, (branch, lattice, unit)
+            assert drawn == draws
+            assert max(residuals) > 0.0, (branch, lattice, unit)
+
+
+def test_theta_pair_evaluates_g_once_per_point(monkeypatch):
+    """A candidate whose unit exponent equals g, the same object or not, costs
+    two polynomial evaluations per sample, both of g; any other costs four."""
+    calls = []
+    evaluate = ExponentPoly.__call__
+
+    def counting(poly, v):
+        calls.append(poly)
+        return evaluate(poly, v)
+
+    monkeypatch.setattr(ExponentPoly, "__call__", counting)
+    a = cocycle_for("s=0", "sqrt2")
+    other = a.g + ExponentPoly((0.01 - 0.02j,))
+    for unit, per_sample in ((a.g, 2), (ExponentPoly(a.g.coeffs), 2), (other, 4)):
+        calls.clear()
+        theta_residuals(a, ThetaCandidate(0.7 + 0.2j, 0.3 - 0.05j, unit), SAMPLES, 0)
+        assert len(calls) == per_sample * SAMPLES, unit
+        assert sum(poly is a.g for poly in calls) == 2 * SAMPLES, unit
 
 
 @pytest.mark.parametrize("seed", SEEDS)
