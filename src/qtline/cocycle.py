@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from collections.abc import Callable
 from functools import cached_property
 
@@ -288,6 +287,9 @@ def sampled_residuals(
         raise PreconditionError("need samples >= 1")
     if not all(coords):
         raise PreconditionError("need non-empty coordinate ranges")
+    # Imported here, its one use: constructing or evaluating a cocycle needs no RNG.
+    import random
+
     limit = resolvable_exponent()
     rng = random.Random(seed)
     bits, unit = rng.getrandbits, rng.random

@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .cocycle import Cocycle, ExponentPoly
 from .errors import FormatError
 from .numeric import QuadReal
 from .pseudolattice import Pseudolattice
-from .theta import ThetaCandidate
+
+if TYPE_CHECKING:
+    from .theta import ThetaCandidate
 
 
 def _is_finite_number(x: Any) -> bool:
@@ -129,6 +131,10 @@ def theta_from_json(obj: Any) -> ThetaCandidate:
         raise FormatError(
             f'theta candidate must have keys "amplitude", "alpha", "unit_exponent", got {obj!r}'
         )
+    # Imported here, its one runtime use: theta loads picard and chern, which
+    # decoding a cocycle or a lattice does not need.
+    from .theta import ThetaCandidate
+
     return ThetaCandidate(
         complex_from_json(obj["amplitude"], "amplitude"),
         complex_from_json(obj["alpha"], "alpha"),

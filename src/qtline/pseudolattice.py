@@ -18,7 +18,7 @@ One lazy walk, Pseudolattice._expansion, yields each partial quotient with its
 convergent p_k/q_k in turn; cf_terms, convergents, small_vectors and
 approximate_real all read it.  convergents turns each step into a Convergent, a
 tuple row, with no constructor call; approximate_real keeps its gap to the target
-on integers and stops reading once that gap is within eps.
+on integers and stops reading once that gap is within eps, tested only after it moves.
 A Pseudolattice is built on integers: it keeps omega1, omega2 over one integer
 denominator and theta as its Perron triple (P, N, Q), formed once from those
 integers with no field division.  The walk starts from that triple and the
@@ -199,22 +199,27 @@ class Pseudolattice(_Frozen):
 
         Greedy descent on the small vectors (p_k, -q_k), k < max_terms, read
         lazily: subtract each trunc(gap/vector) times until the gap, kept exactly
-        on integers, is at most eps.  It answers at every finite target: after the
-        first vector that fits, the gap is below the vectors, which shrink to zero.
+        on integers over the common denominator of target and eps, is at most eps.
+        It answers at every finite target: after the first vector that fits, the
+        gap is below the vectors, which shrink to zero.
         """
         if not (0.0 < eps < math.inf and math.isfinite(target)):
             raise PreconditionError("need a finite target and a finite eps > 0")
         # With omega_i = (a_i + b_i*sqrt(d))/den, target = t/t_den, eps = e/e_den
-        # and s = t_den*e_den, the gap target - (acc_a*omega1 + acc_b*omega2) is
-        # (g + y*sqrt(d))/(den*s), within eps when |g + y*sqrt(d)| <= bound.
+        # and s their common denominator, the larger power of two, the gap
+        # target - (acc_a*omega1 + acc_b*omega2) is (g + y*sqrt(d))/(den*s),
+        # within eps when |g + y*sqrt(d)| <= bound.
         (a1, b1, a2, b2, den), d = self._scaled, self.omega1.d
         (t, t_den), (e, e_den) = target.as_integer_ratio(), eps.as_integer_ratio()
-        s = t_den * e_den
-        g, y, bound = t * den * e_den, 0, e * den * t_den
+        s = max(t_den, e_den)
+        g, y, bound = t * (s // t_den) * den, 0, e * (s // e_den) * den
         acc_a = acc_b = 0
+        # The gap is tested at the start and after each step that moves it: a zero
+        # count leaves it as it was last tested.
+        count = 1
         for _, p, q in self._expansion(max_terms):
-            if _within(g, y, d, bound):
-                break
+            if count and _within(g, y, d, bound):
+                return LatticeVector(acc_a, acc_b)
             # The vector times den is x + z*sqrt(d), and gap/vector =
             # (g + y*sqrt(d))(x - z*sqrt(d))/((x^2 - d*z^2)*s) = (u + w*sqrt(d))/c.
             x, z = p * a1 - q * a2, p * b1 - q * b2
@@ -222,11 +227,12 @@ class Pseudolattice(_Frozen):
             count = surd_floor(u, w, d, c)
             # trunc = floor + 1 below 0, unless the quotient is an integer (w = 0, u/c whole)
             count += count < 0 and (w != 0 or u % c != 0)
-            acc_a, acc_b = acc_a + count * p, acc_b - count * q
-            g, y = g - count * x * s, y - count * z * s
-        if not _within(g, y, d, bound):
-            raise PreconditionError(f"could not reach {target} within {eps} using {max_terms} convergents")
-        return LatticeVector(acc_a, acc_b)
+            if count:
+                acc_a, acc_b = acc_a + count * p, acc_b - count * q
+                g, y = g - count * x * s, y - count * z * s
+        if count and _within(g, y, d, bound):
+            return LatticeVector(acc_a, acc_b)
+        raise PreconditionError(f"could not reach {target} within {eps} using {max_terms} convergents")
 
 
 def _within(g: int, y: int, d: int, bound: int) -> bool:

@@ -42,6 +42,20 @@ def test_exact_layer_loads_three_submodules():
     ]
 
 
+def test_jsonio_leaves_out_the_solver():
+    # theta_from_json imports ThetaCandidate where it builds one: decoding a cocycle
+    # or a lattice loads neither theta nor the picard and chern modules it imports
+    assert loaded_after("import qtline.jsonio") == [
+        "qtline", "qtline.cocycle", "qtline.errors", "qtline.jsonio", "qtline.numeric", "qtline.pseudolattice",
+    ]
+
+
+def test_cocycle_leaves_out_random():
+    # sampled_residuals, the one place that draws samples, imports random itself
+    probe = "from qtline import Cocycle; import sys; print('random' in sys.modules)"
+    assert fresh_python(probe).strip() == "False"
+
+
 def test_public_names_are_the_54():
     assert len(PUBLIC) == 54 and set(qtline.__all__) == set(PUBLIC)
 

@@ -15,6 +15,7 @@ from qtline import (
     RangeError,
     lattice_golden,
     lattice_sqrt2,
+    pseudolattice,
 )
 from qtline.numeric import surd_floor
 from helpers import CERTIFY_LATTICES, ExactReal, exact, exact_frac, real_value, surd_form, theta_exact
@@ -194,6 +195,12 @@ class TestDensity:
     # is rational: integer quotients -3 (target 3) and +2 (target -2) leave a gap of 0
     @example(Fraction(0), Fraction(1), Fraction(1), Fraction(1), 2, 3.0, 1e-3, 60)
     @example(Fraction(0), Fraction(1), Fraction(1), Fraction(1), 2, -2.0, 1e-3, 60)
+    # the gap is kept over the larger of the two power-of-two denominators
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 1 / 3, 0.125, 60)  # target's, 2^54
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, 0.3, 2**-1074, 60)  # eps's; out of terms
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, -0.0, 1e-3, 60)
+    # the rational first vector -1 leaves a gap of exactly eps from 3.125: (-3, 3)
+    @example(Fraction(0), Fraction(1), Fraction(1), Fraction(1), 2, 3.125, 0.125, 60)
     def test_approximate_real_matches_exact_values(self, a1, b1, a2, b2, d, target, eps, max_terms):
         omega1, omega2 = ExactReal(a1, b1, d), ExactReal(a2, b2, d)
         assume((omega2 / omega1).b != 0)
@@ -248,6 +255,28 @@ class TestDensity:
         # raised even where the target needs no term at all
         with pytest.raises(PreconditionError, match="need n >= 1"):
             l1.approximate_real(target, max_terms=0)
+
+    @pytest.mark.parametrize("max_terms", [5, 6, 8, 60])
+    def test_gap_is_tested_at_the_start_and_after_each_move(self, l1, monkeypatch, max_terms):
+        # From 0.3 on Z + Z*sqrt(2) the greedy descent takes the vectors (p_k, -q_k)
+        # 0, 1, -1, 1, -2, 0, -1, 1 times and is within 1e-3 after the eighth.  A zero
+        # count leaves the gap as it was last tested, so the stop test runs once at the
+        # start and once after each nonzero count, never twice on one gap, and with
+        # 5 or 6 terms the terms run out after a move and after a zero count.
+        counts = [0, 1, -1, 1, -2, 0, -1, 1][:max_terms]
+        tested = []
+        within = pseudolattice._within
+        monkeypatch.setattr(pseudolattice, "_within", lambda *gap: tested.append(gap) or within(*gap))
+        got = outcome(lambda: l1.approximate_real(0.3, 1e-3, max_terms))
+        vectors = l1.small_vectors(len(counts))
+        reached = len(counts) == 8
+        assert got == (
+            LatticeVector(sum(c * v.a for c, v in zip(counts, vectors)), sum(c * v.b for c, v in zip(counts, vectors)))
+            if reached
+            else f"PreconditionError: could not reach 0.3 within 0.001 using {max_terms} convergents"
+        )
+        assert len(tested) == 1 + sum(c != 0 for c in counts) == len(set(tested))
+        assert [within(*gap) for gap in tested] == [False] * (len(tested) - reached) + [True] * reached
 
 
 def outcome(call):
