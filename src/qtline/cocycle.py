@@ -96,6 +96,14 @@ def exponent_residual(x: complex, y: complex, limit: float) -> float:
     return r if x.imag <= 0.0 else min(1.0, math.exp(-2.0 * math.pi * x.imag)) * r
 
 
+def require_unit(c: complex) -> complex:
+    """c as a complex number in C^x; DomainError where it is zero or not finite."""
+    c = complex(c)
+    if c == 0 or not cmath.isfinite(c):
+        raise DomainError("character value c must be finite and nonzero")
+    return c
+
+
 def max_residual(residuals: list[float]) -> float:
     """The largest residual; RangeError if one is NaN, wherever it sits
     (max() alone returns or skips a NaN depending on its position)."""
@@ -180,11 +188,8 @@ class Cocycle(_Frozen):
         # type(...) is int rather than isinstance: bool is an int subclass.
         if type(s) is not int:
             raise DomainError("s must be an integer")
-        c = complex(c)
-        if c == 0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise DomainError("character value c must be finite and nonzero")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", require_unit(c))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lattice", lattice)
 

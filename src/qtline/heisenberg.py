@@ -36,7 +36,6 @@ import cmath
 import math
 import sys
 
-from .chern import chern_symbolic
 from .cocycle import (
     _TWO_PI_I,
     Cocycle,
@@ -128,24 +127,24 @@ class HeisenbergElement(_Frozen):
 
 
 def k_group(a: Cocycle) -> KGroupDescription:
-    s = chern_symbolic(a).s
-    if s == 0:
+    if a.s == 0:
         return KGroupDescription.full_torus()
-    return KGroupDescription.finite_group(abs(s))
+    return KGroupDescription.finite_group(abs(a.s))
 
 
-def _require_normal_form(a: Cocycle) -> None:
+def _require_normal_form(a: Cocycle, *points: LambdaPoint) -> None:
+    """The domain of the group operations: s != 0, g = 0, and lifts over (1/|s|)L."""
     if a.s == 0:
         raise PreconditionError("operation needs a cocycle with nonzero Chern class")
     if a.g:
         raise PreconditionError("operation needs normal form g = 0; strip the coboundary first")
+    _check_points(a, *points)
 
 
-def _check_point(a: Cocycle, x: LambdaPoint) -> None:
-    if x.s != abs(a.s):
-        raise DomainError(
-            f"lift denominator {x.s} does not match the stabilizer lattice (1/{abs(a.s)})L"
-        )
+def _check_points(a: Cocycle, *points: LambdaPoint) -> None:
+    for x in points:
+        if x.s != abs(a.s):
+            raise DomainError(f"lift denominator {x.s} does not match the stabilizer lattice (1/{abs(a.s)})L")
 
 
 def _kappa(a: Cocycle, x: LambdaPoint) -> int:
@@ -164,44 +163,42 @@ def membership_multiplier(a: Cocycle, x: LambdaPoint) -> HeisenbergElement:
     Satisfies A_l(v + x~)/A_l(v) = h(v+l)/h(v) for every l; see
     ``multiplier_residual`` for the numerical check.
     """
-    _require_normal_form(a)
-    _check_point(a, x)
+    _require_normal_form(a, x)
     return HeisenbergElement(point=x, scalar=1.0 + 0j)
 
 
 def multiplier_residual(a: Cocycle, elem: HeisenbergElement, samples: int = 50, seed: int = 0) -> float:
     """Max residual of A_l(v+x~)/A_l(v) = h(v+l)/h(v) over seeded samples, both ratios
     formed as exponents: a(l, v+x~) - a(l, v) against kappa*l/omega1, so neither side
-    leaves the float exp range however large the cocycle's values are at v."""
+    leaves the float exp range however large the cocycle's values are at v.  With
+    g = 0 the kernel takes no g difference."""
+    _require_normal_form(a, elem.point)
     xval = elem.point.real_value(a.lattice)
     kappa = _kappa(a, elem.point)
-    kernel, g = a._kernel, a.g
+    kernel = a._kernel
     w1, w2 = a.lattice.omega1_float, a.lattice.omega2_float
 
     def pair(la: int, lb: int, v: complex) -> tuple[complex, complex]:
-        shift, u = la * w1 + lb * w2, v + xval
-        return kernel(lb, u, g(u + shift) - g(u)) - kernel(lb, v, g(v + shift) - g(v)), kappa * shift / w1
+        return kernel(lb, v + xval, 0j) - kernel(lb, v, 0j), kappa * (la * w1 + lb * w2) / w1
 
     return max_residual(sampled_residuals(pair, samples, seed, (_LIFT_COORDS,) * 2, _LIFT_V_BOUND))
 
 
 def heisenberg_multiply(g1: HeisenbergElement, g2: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
     """(x1, h1).(x2, h2) = (x1+x2, h2(v+x1~)h1(v)), renormalized to h(0) = 1."""
-    _require_normal_form(a)
-    _check_point(a, g1.point)
-    _check_point(a, g2.point)
+    _require_normal_form(a, g1.point, g2.point)
     carried = _carried_phase(a, _kappa(a, g2.point), g1.point)
     return HeisenbergElement(point=g1.point + g2.point, scalar=g1.scalar * g2.scalar * carried)
 
 
 def heisenberg_identity(a: Cocycle) -> HeisenbergElement:
+    _require_normal_form(a)
     return HeisenbergElement(point=LambdaPoint(0, 0, abs(a.s)), scalar=1.0 + 0j)
 
 
 def heisenberg_inverse(g: HeisenbergElement, a: Cocycle) -> HeisenbergElement:
     """Inverse (-x, h(v - x~)^{-1}) in the normalized representation."""
-    _require_normal_form(a)
-    _check_point(a, g.point)
+    _require_normal_form(a, g.point)
     return HeisenbergElement(point=-g.point, scalar=_carried_phase(a, _kappa(a, g.point), g.point) / g.scalar)
 
 
@@ -211,8 +208,7 @@ def closed_form_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex
     for an |s| past the double range, which the float quotient cannot take."""
     if a.s == 0:
         raise PreconditionError("closed form needs a nonzero Chern class")
-    _check_point(a, x1)
-    _check_point(a, x2)
+    _check_points(a, x1, x2)
     if abs(a.s) > sys.float_info.max:
         raise RangeError(f"closed-form pairing needs |s| in the double range; s has {a.s.bit_length()} bits")
     cross = x1.alpha * x2.beta - x2.alpha * x1.beta
@@ -240,8 +236,7 @@ def commutator_pairing(a: Cocycle, x1: LambdaPoint, x2: LambdaPoint) -> complex:
     eps = tolerance()
     if a.s == 0:
         raise PreconditionError("commutator pairing needs a nonzero Chern class")
-    _check_point(a, x1)
-    _check_point(a, x2)
+    _check_points(a, x1, x2)
     n = abs(a.s)
     x1 = LambdaPoint(x1.alpha % n, x1.beta % n, n)
     x2 = LambdaPoint(x2.alpha % n, x2.beta % n, n)
@@ -317,7 +312,7 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyR
     Zero Chern class: K is the full torus and the pairing is identically 1;
     the report carries the max deviation from 1 over sampled lift pairs.
     """
-    s = chern_symbolic(a).s
+    s = a.s
     group = k_group(a)
     if s != 0:
         x1 = LambdaPoint(1, 0, abs(s))

@@ -53,8 +53,8 @@ import sys
 from itertools import repeat
 from operator import length_hint
 
-from .chern import AltForm, chern_symbolic
-from .cocycle import _TWO_PI_I, Cocycle
+from .chern import AltForm
+from .cocycle import _TWO_PI_I, Cocycle, require_unit
 from .errors import DomainError, PreconditionError, RangeError
 from .numeric import _Frozen, tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
@@ -132,7 +132,7 @@ def pic0_invariant(a: Cocycle) -> complex:
 
     For the pure character cocycle (0, c, 0) this returns c exactly.
     """
-    if chern_symbolic(a).s != 0:
+    if a.s != 0:
         raise PreconditionError("pic0_invariant needs a cocycle with zero Chern class")
     return _pic0_value(a)
 
@@ -230,7 +230,7 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     if bound < 1:
         raise PreconditionError("need bound >= 1")
     eps = tolerance()
-    if chern_symbolic(a).s != 0:
+    if a.s != 0:
         return TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
     w = _pic0_value(a)
     if abs(abs(w) - 1.0) > eps:
@@ -260,11 +260,15 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
 
 class AHData(_Frozen):
     """Normal form (chi, E), stored as (c, E): with chi(omega1) = 1 fixed, the
-    semicharacter chi is determined by c = chi(omega2) and the Chern form E."""
+    semicharacter chi is determined by c = chi(omega2) and the Chern form E.
+    DomainError for an infinite or NaN c; a zero c is let through, so the group
+    law's componentwise products stay defined on zero parts."""
 
     _fields = ("c", "e_form", "lattice")
 
     def __init__(self, c: complex, e_form: AltForm, lattice: Pseudolattice) -> None:
+        if c:
+            require_unit(c)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "e_form", e_form)
         object.__setattr__(self, "lattice", lattice)
@@ -283,9 +287,16 @@ class AHData(_Frozen):
         return self.c * (-1.0 if self.e_form.s % 2 else 1.0)
 
     def chi(self, l: LatticeVector) -> complex:
-        """Semicharacter value chi(omega1)^a * chi(omega2)^b * e^{pi*i*s*a*b}."""
+        """Semicharacter value chi(omega1)^a * chi(omega2)^b * e^{pi*i*s*a*b};
+        RangeError naming l where that power leaves the finite nonzero doubles."""
         sign = -1.0 if (self.e_form.s * l.a * l.b) % 2 else 1.0
-        return self.chi_omega1**l.a * self.c**l.b * sign
+        try:
+            value = self.chi_omega1**l.a * self.c**l.b * sign
+            if value != 0 and cmath.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise RangeError(f"chi at l=({l.a},{l.b}) is beyond the double range")
 
 
 def ah_normal_form(a: Cocycle) -> AHData:
@@ -294,11 +305,15 @@ def ah_normal_form(a: Cocycle) -> AHData:
     E is the Chern form; c is the Pic^0 invariant of a tensor the inverse of
     its quadratic-exponent section, which is the (c, g) part of a.
     """
-    return AHData(_pic0_value(a), chern_symbolic(a), a.lattice)
+    return AHData(_pic0_value(a), AltForm(a.s), a.lattice)
 
 
 def ah_group_law(x: AHData, y: AHData) -> AHData:
-    """(c1, E1) * (c2, E2) = (c1*c2, E1+E2)."""
+    """(c1, E1) * (c2, E2) = (c1*c2, E1+E2); DomainError where c1*c2 of two
+    units leaves C^x in doubles, as :meth:`Cocycle.tensor` refuses it."""
     if x.lattice != y.lattice:
         raise DomainError("group law requires matching pseudolattices")
-    return AHData(x.c * y.c, x.e_form + y.e_form, x.lattice)
+    c = x.c * y.c
+    if x.c and y.c:
+        require_unit(c)
+    return AHData(c, x.e_form + y.e_form, x.lattice)

@@ -90,6 +90,19 @@ class TestChernMap:
                 assert chern_numeric(a, x, y, v1) == want
                 assert chern_numeric(a, x, y, v2) == want
 
+    def test_non_integer_sum_is_consistency_error(self, l1, monkeypatch):
+        # a quarter unit on the term a(l1, v) alone, as a branch bug there would add
+        a = sigma_section(AltForm(2), l1)
+        e1, e2, v = LatticeVector(1, 0), LatticeVector(0, 1), 0.3 + 0.2j
+        exponent = Cocycle.exponent
+
+        def shifted(self, l, w):
+            return exponent(self, l, w) + (0.25 if (l, w) == (e1, v) else 0.0)
+
+        monkeypatch.setattr(Cocycle, "exponent", shifted)
+        with pytest.raises(ConsistencyError, match="is not near an integer"):
+            chern_numeric(a, e1, e2, v)
+
     def test_consistency_error_on_impossible_tolerance(self, l1, monkeypatch):
         # shrinking the tolerance below float dust trips the cross-check
         a = Cocycle(2, 1.3 + 0.7j, ExponentPoly((0j, 0.3 + 0.1j, 0.2 - 0.4j)), l1)

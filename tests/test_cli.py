@@ -102,6 +102,12 @@ def test_count_flag_above_cap_is_exit_2(capsys, s1_file, argv):
     assert code == 2 and "must be at most" in doc["error"]
 
 
+@pytest.mark.parametrize("omega1", ["(1+sqrtD)/0", "(1+sqrtD)/0_0"])
+def test_cf_zero_denominator_is_exit_1(capsys, omega1):
+    code, doc = run(capsys, "cf", "--D", "2", "--omega1", omega1, "--omega2", "sqrtD")
+    assert code == 1 and doc == {"error": f"zero denominator in {omega1!r}"}
+
+
 def test_cf_rejects_garbage(capsys):
     # one "*" at most, and only between a coefficient and sqrtD
     for omega2 in ["wibble+?", "2**sqrtD", "*sqrtD", "1+*sqrtD"]:

@@ -10,6 +10,7 @@ import pytest
 
 from qtline import (
     Cocycle,
+    ConsistencyError,
     DomainError,
     ExponentPoly,
     HeisenbergElement,
@@ -32,6 +33,7 @@ from qtline import (
     multiplier_residual,
     trivial_cocycle,
 )
+from qtline import heisenberg
 from qtline.numeric import TOLERANCE_ENV_VAR
 from helpers import exact, exact_phase, multiplier_value, random_chern_trivial, theta_exact
 
@@ -134,6 +136,42 @@ class TestMembership:
         with_g = Cocycle(2, 1.0, ExponentPoly((0j, 0.5 + 0j)), l1)
         with pytest.raises(PreconditionError):
             membership_multiplier(with_g, LambdaPoint(1, 1, 2))
+
+
+def unit(x):
+    return HeisenbergElement(x, 1.0 + 0j)
+
+
+# The five group operations, each called with one lift x where it takes any.
+GROUP_OPERATIONS = {
+    "membership_multiplier": lambda a, x: membership_multiplier(a, x),
+    "multiplier_residual": lambda a, x: multiplier_residual(a, unit(x)),
+    "heisenberg_multiply": lambda a, x: heisenberg_multiply(unit(x), unit(x), a),
+    "heisenberg_identity": lambda a, x: heisenberg_identity(a),
+    "heisenberg_inverse": lambda a, x: heisenberg_inverse(unit(x), a),
+}
+
+
+class TestDomainGate:
+    """Every group operation refuses what lies outside s != 0, g = 0 and lifts over (1/|s|)L."""
+
+    @pytest.mark.parametrize("op", GROUP_OPERATIONS)
+    def test_zero_chern_class(self, l1, op):
+        with pytest.raises(PreconditionError, match="nonzero Chern class"):
+            GROUP_OPERATIONS[op](trivial_cocycle(l1), LambdaPoint(0, 0, 1))
+
+    @pytest.mark.parametrize("op", GROUP_OPERATIONS)
+    def test_nonzero_g(self, l1, op):
+        # multiplier_residual once answered 2.0 here, for a true stabilizer
+        a = Cocycle(2, 1.0, ExponentPoly((0j, 0j, 0.1 + 0j)), l1)
+        with pytest.raises(PreconditionError, match="normal form g = 0"):
+            GROUP_OPERATIONS[op](a, LambdaPoint(1, 1, 2))
+
+    @pytest.mark.parametrize("op", [op for op in GROUP_OPERATIONS if op != "heisenberg_identity"])
+    def test_foreign_lift(self, l1, op):
+        # multiplier_residual once answered 1.93 for this lift over (1/3)L
+        with pytest.raises(DomainError, match=r"does not match the stabilizer lattice \(1/2\)L"):
+            GROUP_OPERATIONS[op](section(l1, 2), LambdaPoint(1, 1, 3))
 
 
 class TestRealValue:
@@ -433,6 +471,17 @@ class TestPairing:
     def test_requires_nonzero_chern(self, l1):
         with pytest.raises(PreconditionError):
             commutator_pairing(trivial_cocycle(l1), LambdaPoint(0, 0, 1), LambdaPoint(0, 0, 1))
+
+    def test_base_point_dependence_is_consistency_error(self, l1, monkeypatch):
+        # a quarter turn at the second probe alone, as a branch bug there would add
+        exp_2pi_i = heisenberg.exp_2pi_i
+
+        def shifted(exponent, kind, v):
+            return exp_2pi_i(exponent + (0.25 if v == heisenberg._V_PROBE_2 else 0.0), kind, v)
+
+        monkeypatch.setattr(heisenberg, "exp_2pi_i", shifted)
+        with pytest.raises(ConsistencyError, match="depends on the base point"):
+            commutator_pairing(section(l1, 3), LambdaPoint(1, 0, 3), LambdaPoint(0, 1, 3))
 
     def test_strips_coboundary_part(self, l1):
         plain = section(l1, 2)

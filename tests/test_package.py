@@ -50,6 +50,13 @@ def test_jsonio_leaves_out_the_solver():
     ]
 
 
+def test_heisenberg_leaves_out_chern():
+    # the group operations read the Chern integer as the cocycle's s
+    assert loaded_after("import qtline.heisenberg") == [
+        "qtline", "qtline.cocycle", "qtline.errors", "qtline.heisenberg", "qtline.numeric", "qtline.pseudolattice",
+    ]
+
+
 def test_cocycle_leaves_out_random():
     # sampled_residuals, the one place that draws samples, imports random itself
     probe = "from qtline import Cocycle; import sys; print('random' in sys.modules)"

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -564,6 +565,31 @@ class TestAppellHumbert:
             s = rng.randint(-4, 4)
             a, b = rng.randint(-6, 6), rng.randint(-6, 6)
             assert AHData(c, AltForm(s), l1).chi(LatticeVector(a, b)) == c**b * (-1) ** (s * a * b), (c, s, a, b)
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200, 1e-170, 1e150, 1e-160, 2.5 - 1j])
+    def test_group_law_leaves_c_x_where_tensor_does(self, l1, c):
+        # at 1e200 the law once gave c = inf + 0j, at 1e-200 c = 0j; 1e-170 squares
+        # to 0j too, while 1e-160 squares to a subnormal, still in C^x
+        a = Cocycle(1, c, ExponentPoly.zero(), l1)
+        x = ah_normal_form(a)
+        try:
+            product = a.tensor(a)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{exc}$"):
+                ah_group_law(x, x)
+        else:
+            assert ah_group_law(x, x) == ah_normal_form(product)
+
+    @pytest.mark.parametrize("c", [complex(math.inf, 0), complex(0, math.nan), math.inf], ids=["inf", "nan", "float-inf"])
+    def test_non_finite_c_rejected(self, l1, c):
+        with pytest.raises(DomainError, match="character value c must be finite and nonzero"):
+            AHData(c, AltForm(0), l1)
+
+    @pytest.mark.parametrize("c, l", [(1e200, (0, 3)), (1e200, (0, -3)), (1e200, (5, -2)), (1e-200, (0, 3)), (1e-200, (0, -3))])
+    def test_chi_beyond_double_range_is_range_error(self, l1, c, l):
+        # once a bare OverflowError, (nan+nanj) or 0j
+        with pytest.raises(RangeError, match=re.escape(f"chi at l=({l[0]},{l[1]}) is beyond the double range")):
+            AHData(c, AltForm(1), l1).chi(LatticeVector(*l))
 
     def test_classification_faithfulness(self, l1):
         # same class up to coboundary and a witness character <=> equal normal
