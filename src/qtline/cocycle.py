@@ -96,11 +96,12 @@ def exponent_residual(x: complex, y: complex, limit: float) -> float:
     return r if x.imag <= 0.0 else min(1.0, math.exp(-2.0 * math.pi * x.imag)) * r
 
 
-def require_unit(c: complex) -> complex:
-    """c as a complex number in C^x; DomainError where it is zero or not finite."""
+def require_unit(c: complex, what: str) -> complex:
+    """c as a complex number in C^x, the one check of every stored unit; DomainError
+    naming it as what (say "central scalar") where it is zero or not finite."""
     c = complex(c)
     if c == 0 or not cmath.isfinite(c):
-        raise DomainError("character value c must be finite and nonzero")
+        raise DomainError(f"{what} must be finite and nonzero")
     return c
 
 
@@ -189,7 +190,7 @@ class Cocycle(_Frozen):
         if type(s) is not int:
             raise DomainError("s must be an integer")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c", require_unit(c))
+        object.__setattr__(self, "c", require_unit(c, "character value c"))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lattice", lattice)
 

@@ -42,6 +42,7 @@ from .cocycle import (
     exp_2pi_i,
     max_residual,
     require_resolvable,
+    require_unit,
     resolvable_exponent,
     sampled_residuals,
 )
@@ -120,10 +121,8 @@ class HeisenbergElement(_Frozen):
     _fields = ("point", "scalar")
 
     def __init__(self, point: LambdaPoint, scalar: complex) -> None:
-        if scalar == 0 or not cmath.isfinite(scalar):
-            raise DomainError("central scalar must be finite and nonzero")
         object.__setattr__(self, "point", point)
-        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "scalar", require_unit(scalar, "central scalar"))
 
 
 def k_group(a: Cocycle) -> KGroupDescription:
@@ -336,7 +335,7 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyR
         # argument orders are different float expressions, so this is a nonvacuous
         # check of the symmetry.  The g values must meet limit themselves, or
         # their difference is rounding noise.
-        x1, x2 = LambdaPoint(a1, b1, den).real_value(lat), LambdaPoint(a2, b2, den).real_value(lat)
+        x1, x2 = lat.rounded_combination(a1, b1, den), lat.rounded_combination(a2, b2, den)
         g12, g21, g0, g1, g2 = g(v + x1 + x2), g(v + x2 + x1), g(v), g(v + x1), g(v + x2)
         require_resolvable(max(abs(g12), abs(g21), abs(g0), abs(g1), abs(g2)), limit)
         return 0j, (g12 + g0 - g1 - g2) - (g21 + g0 - g2 - g1)

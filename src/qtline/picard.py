@@ -260,16 +260,13 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
 
 class AHData(_Frozen):
     """Normal form (chi, E), stored as (c, E): with chi(omega1) = 1 fixed, the
-    semicharacter chi is determined by c = chi(omega2) and the Chern form E.
-    DomainError for an infinite or NaN c; a zero c is let through, so the group
-    law's componentwise products stay defined on zero parts."""
+    semicharacter chi is determined by c = chi(omega2) in C^x and the Chern
+    form E.  DomainError for a zero, infinite or NaN c, as :class:`Cocycle`."""
 
     _fields = ("c", "e_form", "lattice")
 
     def __init__(self, c: complex, e_form: AltForm, lattice: Pseudolattice) -> None:
-        if c:
-            require_unit(c)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", require_unit(c, "character value c"))
         object.__setattr__(self, "e_form", e_form)
         object.__setattr__(self, "lattice", lattice)
 
@@ -287,16 +284,20 @@ class AHData(_Frozen):
         return self.c * (-1.0 if self.e_form.s % 2 else 1.0)
 
     def chi(self, l: LatticeVector) -> complex:
-        """Semicharacter value chi(omega1)^a * chi(omega2)^b * e^{pi*i*s*a*b};
-        RangeError naming l where that power leaves the finite nonzero doubles."""
+        """chi(a*omega1 + b*omega2) = c^b * e^{pi*i*s*a*b}; RangeError naming l, or
+        its bit lengths past the digit limit, where c^b leaves the finite nonzero doubles."""
         sign = -1.0 if (self.e_form.s * l.a * l.b) % 2 else 1.0
         try:
-            value = self.chi_omega1**l.a * self.c**l.b * sign
+            value = self.c**l.b * sign
             if value != 0 and cmath.isfinite(value):
                 return value
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             pass
-        raise RangeError(f"chi at l=({l.a},{l.b}) is beyond the double range")
+        try:
+            at = f"l=({l.a},{l.b})"
+        except ValueError:
+            at = f"l with coordinates of {l.a.bit_length()} and {l.b.bit_length()} bits"
+        raise RangeError(f"chi at {at} is beyond the double range")
 
 
 def ah_normal_form(a: Cocycle) -> AHData:
@@ -309,11 +310,8 @@ def ah_normal_form(a: Cocycle) -> AHData:
 
 
 def ah_group_law(x: AHData, y: AHData) -> AHData:
-    """(c1, E1) * (c2, E2) = (c1*c2, E1+E2); DomainError where c1*c2 of two
-    units leaves C^x in doubles, as :meth:`Cocycle.tensor` refuses it."""
+    """(c1, E1) * (c2, E2) = (c1*c2, E1+E2); DomainError, from the constructor,
+    where c1*c2 leaves C^x in doubles, as :meth:`Cocycle.tensor` refuses it."""
     if x.lattice != y.lattice:
         raise DomainError("group law requires matching pseudolattices")
-    c = x.c * y.c
-    if x.c and y.c:
-        require_unit(c)
-    return AHData(c, x.e_form + y.e_form, x.lattice)
+    return AHData(x.c * y.c, x.e_form + y.e_form, x.lattice)

@@ -35,6 +35,7 @@ from .cocycle import (
     ExponentPoly,
     exp_2pi_i,
     max_residual,
+    require_unit,
     sampled_residuals,
 )
 from .errors import DomainError, PreconditionError
@@ -53,11 +54,9 @@ class ThetaCandidate(_Frozen):
     _fields = ("amplitude", "alpha", "unit_exponent")
 
     def __init__(self, amplitude: complex, alpha: complex, unit_exponent: ExponentPoly) -> None:
-        if not (cmath.isfinite(amplitude) and cmath.isfinite(alpha)):
-            raise DomainError("amplitude and alpha must be finite")
-        if amplitude == 0:
-            raise DomainError("amplitude must be nonzero (theta functions have no zeros)")
-        object.__setattr__(self, "amplitude", amplitude)
+        if not cmath.isfinite(alpha):
+            raise DomainError("alpha must be finite")
+        object.__setattr__(self, "amplitude", require_unit(amplitude, "amplitude"))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "unit_exponent", unit_exponent)
         # log(amplitude)/(2*pi*i) on the principal branch, kept out of equality, hashing and repr.

@@ -519,8 +519,14 @@ class TestAppellHumbert:
         def part():
             return rng.choice((0.0, -0.0, 1.0, -1.0, rng.uniform(-9.0, 9.0)))
 
+        def unit():
+            # c is in C^x: a factor equal to 0j is drawn again, +-0.0 parts stay
+            while (z := complex(part(), part())) == 0:
+                pass
+            return z
+
         for _ in range(3000):
-            cx, cy = complex(part(), part()), complex(part(), part())
+            cx, cy = unit(), unit()
             sx, sy = rng.randint(-3, 3), rng.randint(-3, 3)
             px, py = (-1.0 if sx % 2 else 1.0), (-1.0 if sy % 2 else 1.0)
             got = ah_group_law(AHData(cx, AltForm(sx), l1), AHData(cy, AltForm(sy), l1))
@@ -585,11 +591,36 @@ class TestAppellHumbert:
         with pytest.raises(DomainError, match="character value c must be finite and nonzero"):
             AHData(c, AltForm(0), l1)
 
-    @pytest.mark.parametrize("c, l", [(1e200, (0, 3)), (1e200, (0, -3)), (1e200, (5, -2)), (1e-200, (0, 3)), (1e-200, (0, -3))])
+    @pytest.mark.parametrize(
+        "c, l",
+        [
+            (1e200, (0, 3)),
+            (1e200, (0, -3)),
+            (1e200, (5, -2)),
+            (1e-200, (0, 3)),
+            (1e-200, (0, -3)),
+            # complex ** raises ZeroDivisionError for b < 0 where |c|**|b| underflows
+            (1e-200 + 0j, (0, -3)),
+            (1e-120 + 0j, (0, -3)),
+        ],
+    )
     def test_chi_beyond_double_range_is_range_error(self, l1, c, l):
         # once a bare OverflowError, (nan+nanj) or 0j
         with pytest.raises(RangeError, match=re.escape(f"chi at l=({l[0]},{l[1]}) is beyond the double range")):
             AHData(c, AltForm(1), l1).chi(LatticeVector(*l))
+
+    def test_chi_takes_any_omega1_coordinate(self, l1):
+        # chi(omega1) = 1, so a past the double range does not enter: once a RangeError
+        data = AHData(2, AltForm(1), l1)
+        assert repr(data.chi(LatticeVector(10**400, 1))) == "(2+0j)"
+        assert data.chi(LatticeVector(10**400 + 1, 1)) == -2
+        assert data.chi(LatticeVector(-(10**400) - 1, -1)) == -0.5
+
+    def test_chi_names_a_long_coordinate_by_its_bit_length(self, l1):
+        # formatting l past the digit limit once raised ValueError
+        b = 10**5000
+        with pytest.raises(RangeError, match=f"^chi at l with coordinates of 1 and {b.bit_length()} bits is beyond"):
+            AHData(2.0, AltForm(1), l1).chi(LatticeVector(1, b))
 
     def test_classification_faithfulness(self, l1):
         # same class up to coboundary and a witness character <=> equal normal

@@ -6,15 +6,21 @@ own class, refuses assignment and deletion, and prints as
 of that.
 """
 
+import importlib
+import math
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import qtline
 from qtline import (
+    AHData,
     AltForm,
     Cocycle,
     Convergent,
+    DomainError,
     ExponentPoly,
     HeisenbergElement,
     KGroupDescription,
@@ -22,6 +28,7 @@ from qtline import (
     LatticeVector,
     Pseudolattice,
     QuadReal,
+    ThetaCandidate,
     TrivialityVerdict,
     ah_normal_form,
     dichotomy_check,
@@ -32,6 +39,7 @@ from qtline import (
     solve_theta,
     trivial_cocycle,
 )
+from qtline.numeric import _Frozen
 from helpers import reduce_to_constant, theta_exact
 
 # Each factory builds a fresh, equal object on every call, with the name of one
@@ -58,6 +66,40 @@ FACTORIES = {
         "modulus",
     ),
 }
+
+
+def _frozen_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_classes(sub)
+
+
+def test_every_value_class_has_a_factory():
+    # a value class left out of FACTORIES would skip the equality,
+    # immutability and pickle checks below
+    for info in pkgutil.iter_modules(qtline.__path__):
+        importlib.import_module(f"qtline.{info.name}")
+    defined = {cls.__name__ for cls in _frozen_classes(_Frozen) if cls.__module__.startswith("qtline.")}
+    assert not defined - set(FACTORIES), sorted(defined - set(FACTORIES))
+
+
+# One builder per class that stores a value of C^x, from that value.
+UNIT_HOLDERS = {
+    "Cocycle": lambda c: Cocycle(0, c, ExponentPoly.zero(), lattice_sqrt2()),
+    "AHData": lambda c: AHData(c, AltForm(0), lattice_sqrt2()),
+    "HeisenbergElement": lambda c: HeisenbergElement(LambdaPoint(0, 1, 2), c),
+    "ThetaCandidate": lambda c: ThetaCandidate(c, 0.0, ExponentPoly.zero()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_HOLDERS))
+@pytest.mark.parametrize(
+    "value", [0, 0j, math.nan, math.inf, complex(1, math.inf)], ids=["0", "0j", "nan", "inf", "1+infj"]
+)
+def test_unit_values_keep_one_rule(name, value):
+    with pytest.raises(DomainError, match="must be finite and nonzero"):
+        UNIT_HOLDERS[name](value)
+    assert UNIT_HOLDERS[name](-1.0) == UNIT_HOLDERS[name](-1 + 0j)
 
 
 @pytest.fixture(params=sorted(FACTORIES))
