@@ -96,10 +96,25 @@ def exponent_residual(x: complex, y: complex, limit: float) -> float:
     return r if x.imag <= 0.0 else min(1.0, math.exp(-2.0 * math.pi * x.imag)) * r
 
 
+def require_number(z: complex, what: str) -> complex:
+    """z as a complex number, the one check of every stored complex value; DomainError
+    naming it as what (say "amplitude") where z is no number: a str or bool, which
+    complex() would parse or take as 1, or a value complex() refuses.  An int past the
+    double range reads as infinite, for the caller's own finiteness check."""
+    if not isinstance(z, (str, bool)):
+        try:
+            return complex(z)
+        except OverflowError:
+            return complex(math.inf)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} must be a number")
+
+
 def require_unit(c: complex, what: str) -> complex:
     """c as a complex number in C^x, the one check of every stored unit; DomainError
-    naming it as what (say "central scalar") where it is zero or not finite."""
-    c = complex(c)
+    naming it as what (say "central scalar") where it is no number, zero or not finite."""
+    c = require_number(c, what)
     if c == 0 or not cmath.isfinite(c):
         raise DomainError(f"{what} must be finite and nonzero")
     return c
@@ -123,7 +138,7 @@ class ExponentPoly(_Frozen):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[complex, ...] = ()) -> None:
-        cs = [complex(z) for z in coeffs]
+        cs = [require_number(z, "exponent polynomial coefficient") for z in coeffs]
         if not all(cmath.isfinite(z) for z in cs):
             raise DomainError("exponent polynomial coefficients must be finite")
         while cs and cs[-1] == 0:

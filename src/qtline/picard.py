@@ -148,7 +148,8 @@ def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[flo
     """(lo, hi): candidates m and -m, |m| <= bound, can pass ``triviality_test``'s
     float acceptance test |w - e^{2*pi*i*m*theta}| <= eps only if
     lo <= |e_m| <= hi, where e_m is the scan's stepped phase: e_0 = -1/2 and
-    e_{m+1} = fl(e_m + s), less 1 once it reaches 1/2, with s = theta % 1.0.
+    e_{m+1} = fl(e_m + s) where e_m < t, else fl(e_m + s1), with s = theta % 1.0,
+    s1 = fl(s - 1) and t = fl(1/2 - s): one add, its step chosen before it.
     So e_m is frac(m*theta) - 1/2 up to drift, and |e_m| its fold.
 
     Derivation, in the standard model fl(x op y) = (x op y)(1 + d), |d| <= u =
@@ -168,15 +169,19 @@ def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[flo
     * Exponent.  y/(2*pi) is within 3.01u*N*|theta| of m*theta.  (For
       N >= 2^53, where m would round to a double, the margin below is over 1.)
     * Stepped phase.  s is theta less an integer to u/2: fmod is exact, and
-      for theta < 0 adding 1.0 rounds once.  Each fl(e + s) lies below 2 in
-      magnitude, so it is off by at most u, and taking 1 off a sum in
-      [1/2, 3/2] is exact (Sterbenz).  So e_m stays in [-1/2, 1/2], and
-      d(e_m + 1/2 - m*theta) <= 1.5u*N.
+      for theta < 0 adding 1.0 rounds once.  s1 is s - 1 to u/2, and exact
+      for s >= 1/2 (Sterbenz); t is 1/2 - s to u/4, and exact for s >= 1/4.
+      So e < t gives e + s < 1/2 + u/4, which rounds to at most 1/2, and
+      e >= t gives e + s1 >= -1/2 - 3u/4, which rounds to at least
+      -1/2 - u: a branch taken on the rounded t keeps e_m in [-1/2 - u, 1/2].
+      Each sum then lies below 1 in magnitude, so the add is off by at most
+      u/2, and a step by at most 1.5u: d(e_m + 1/2 - m*theta) <= 1.5u*N.
     * Fold.  F(x) = |frac(x) - 1/2| = 1/2 - d(x) is even and 1-Lipschitz mod 1,
-      and F(e_m + 1/2) = |e_m| exactly.  So m's window d(m*theta - t) <= h and
-      -m's window d(m*theta + t) <= h, with t = phi/(2*pi), both lie in
-      |F(m*theta) - F(t)| <= h, which is their union and no more.
-    * Centre.  cmath.phase(w)/(2*pi) is within 2.3u of t, and
+      and F(e_m + 1/2) is |e_m| to 2u (exactly for e_m >= -1/2).  So m's
+      window d(m*theta - p) <= h and -m's window d(m*theta + p) <= h, with
+      p = phi/(2*pi), both lie in |F(m*theta) - F(p)| <= h, which is their
+      union and no more.
+    * Centre.  cmath.phase(w)/(2*pi) is within 2.3u of p, and
       tau = |(that % 1.0) - 1/2| adds 0.75u; forming half, lo and hi at most
       1.1u more.
     * Squared test.  The scan reads fl(lo^2) <= fl(e_m^2) <= fl(hi^2), with
@@ -185,9 +190,9 @@ def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[flo
       candidate the window does.
 
     An accepted m or -m thus has ||e_m| - tau| <= G + 3.01u*N*|theta| +
-    1.5u*N + 8.3u, under half = G + 8u*(N*(|theta| + 1) + 2).  Where
+    1.5u*N + 10.3u, under half = G + 8u*(N*(|theta| + 1) + 2).  Where
     E >= 4*sqrt(rho), rho = 0 among them, G is taken as 1 without dividing.
-    Whenever half >= 1/2, lo <= 0 and hi >= 1/2 hold every |e_m| in [0, 1/2]:
+    Whenever half >= 1/2 + u, lo <= 0 and hi >= 1/2 + u hold every |e_m|:
     the whole circle, so a tolerance of about 2 or more lets every candidate
     reach the acceptance test.  A bound past the double range enters the
     margin as the largest double: no candidate beyond it can be formed as a
@@ -210,12 +215,13 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     m = 0, 1, -1, 2, -2, ... so the minimal |m| wins; unknown when no
     |m| <= bound matches.
 
-    The scan costs one add and one multiply per |m|, and one window test:
-    the phase e = frac(m*theta) - 1/2 is stepped by s = theta % 1.0 (taking
-    1 off once it reaches 1/2, which is exact), and e*e is tested against the
-    squared folded window of :func:`_phase_window`, a proven superset of the
-    candidates m and -m the acceptance test |w - e^{2*pi*i*m*theta}| <= eps
-    can accept.
+    The scan costs one add, one compare and one multiply per |m|, and one
+    window test: the phase e = frac(m*theta) - 1/2 is stepped by one add of
+    s = theta % 1.0, or of s - 1 where e + s would reach 1/2 (chosen before
+    the add, by e < 1/2 - s, so nothing is taken off after it), and e*e is
+    tested against the squared folded window of :func:`_phase_window`, a
+    proven superset of the candidates m and -m the acceptance test
+    |w - e^{2*pi*i*m*theta}| <= eps can accept.
     Only inside it is the exponential formed, for m and then for -m, so the
     verdict is the one a scan evaluating every candidate would give (for
     m = 0 the test may run twice, as 0 and as -0, with the same answer).
@@ -227,6 +233,9 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     counts in a C ssize_t, so a bound past ``sys.maxsize - 1`` is scanned in
     runs of at most ``sys.maxsize`` steps.
     """
+    # type(...) is int rather than isinstance: bool is an int subclass.
+    if type(bound) is not int:
+        raise PreconditionError("bound must be an integer")
     if bound < 1:
         raise PreconditionError("need bound >= 1")
     eps = tolerance()
@@ -239,6 +248,7 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     lo, hi = _phase_window(w, theta, bound, eps)
     lo2, hi2 = (lo * lo if lo > 0.0 else 0.0), hi * hi
     s = theta % 1.0
+    s1, t = s - 1.0, 0.5 - s
     e = -0.5
     top = -1
     while top < bound:
@@ -252,9 +262,7 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
                     return TrivialityVerdict.trivial(m)
                 if abs(w - cmath.exp(_TWO_PI_I * -m * theta)) <= eps:
                     return TrivialityVerdict.trivial(-m)
-            e += s
-            if e >= 0.5:
-                e -= 1.0
+            e += s if e < t else s1
     return TrivialityVerdict.unknown(bound)
 
 

@@ -35,6 +35,7 @@ from .cocycle import (
     ExponentPoly,
     exp_2pi_i,
     max_residual,
+    require_number,
     require_unit,
     sampled_residuals,
 )
@@ -54,9 +55,11 @@ class ThetaCandidate(_Frozen):
     _fields = ("amplitude", "alpha", "unit_exponent")
 
     def __init__(self, amplitude: complex, alpha: complex, unit_exponent: ExponentPoly) -> None:
+        alpha = require_number(alpha, "alpha")
         if not cmath.isfinite(alpha):
             raise DomainError("alpha must be finite")
-        object.__setattr__(self, "amplitude", require_unit(amplitude, "amplitude"))
+        amplitude = require_unit(amplitude, "amplitude")
+        object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "unit_exponent", unit_exponent)
         # log(amplitude)/(2*pi*i) on the principal branch, kept out of equality, hashing and repr.

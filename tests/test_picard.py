@@ -143,6 +143,13 @@ class TestTrivialityTest:
         with pytest.raises(PreconditionError):
             triviality_test(trivial_cocycle(l1), bound=0)
 
+    @pytest.mark.parametrize("bound", [1.5, 10.0, "5", True, None], ids=["1.5", "10.0", "'5'", "True", "None"])
+    def test_bound_must_be_an_integer(self, l1, bound):
+        # a bool is an int subclass, and True would scan as bound 1
+        for search in (triviality_test, solve_theta):
+            with pytest.raises(PreconditionError, match="bound must be an integer"):
+                search(trivial_cocycle(l1), bound)
+
     @pytest.mark.parametrize("bound", [2**63 - 1, 2**63, 10**30], ids=["2^63-1", "2^63", "10^30"])
     def test_huge_bound_answers(self, l1, bound):
         # bound + 1 steps do not fit one itertools.repeat from 2^63 - 1 on; the
@@ -160,19 +167,24 @@ def planted(lattice, m, offset, rng):
     return Cocycle(0, target + offset * cmath.exp(1j * rng.uniform(-math.pi, math.pi)), ExponentPoly.zero(), lattice)
 
 
-def stepped_folds(theta, ms):
-    """|e_m| for each m of the ascending non-negative ms: triviality_test's
-    stepped phase e_m, frac(m*theta) - 1/2 up to drift, walked once."""
+def stepped_phases(theta, ms):
+    """e_m for each m of the ascending non-negative ms: triviality_test's
+    stepped phase, frac(m*theta) - 1/2 up to drift, walked once with one add
+    per step of s, or of s - 1 where e_m >= 1/2 - s."""
     s = theta % 1.0
+    s1, t = s - 1.0, 0.5 - s
     e = -0.5
     k = 0
     for m in ms:
         for _ in range(m - k):
-            e += s
-            if e >= 0.5:
-                e -= 1.0
+            e += s if e < t else s1
         k = m
-        yield abs(e)
+        yield e
+
+
+def stepped_folds(theta, ms):
+    """|e_m| for each m of the ascending non-negative ms: the fold the scan's window test reads."""
+    return (abs(e) for e in stepped_phases(theta, ms))
 
 
 def in_window(fold, window):
@@ -255,13 +267,15 @@ class TestWitnessWindow:
     @pytest.mark.parametrize("lattice", CERTIFY_LATTICES + EDGE_LATTICES, ids=LATTICE_IDS + EDGE_IDS)
     def test_stepped_phase_drift(self, lattice):
         # the derivation's step bound: |e_m| is within 1.5u*m of the exact fold
-        # |frac(m*theta) - 1/2| of the double theta, up to m = 10^6
+        # |frac(m*theta) - 1/2| of the double theta, up to m = 10^6, and e_m
+        # stays in [-1/2 - u, 1/2], where the step is chosen on the rounded 1/2 - s
         rng = random.Random(f"drift:{lattice.theta!r}")
         theta = Fraction(lattice.theta)
         ms = sorted({0, 1, 10**6} | {rng.randint(0, 10**6) for _ in range(200)})
-        for m, fold in zip(ms, stepped_folds(lattice.theta, ms)):
+        for m, e in zip(ms, stepped_phases(lattice.theta, ms)):
             exact = abs(m * theta % 1 - Fraction(1, 2))
-            assert abs(Fraction(fold) - exact) <= Fraction(3, 2) * m * Fraction(2.0**-53), m
+            assert abs(Fraction(abs(e)) - exact) <= Fraction(3, 2) * m * Fraction(2.0**-53), m
+            assert -0.5 - 2.0**-53 <= e <= 0.5, m
 
     @pytest.mark.parametrize("lattice", EDGE_LATTICES, ids=EDGE_IDS)
     def test_edge_lattices_same_verdict_as_linear_scan(self, lattice):
@@ -334,6 +348,21 @@ class TestWitnessWindow:
         assert whole_circle(_phase_window(0j, l1.theta, 10, 2.0))
         verdict = triviality_test(a, 10)
         assert verdict == linear_triviality_test(a, 10) and verdict.witness == 0
+
+
+class TestWrapBoundary:
+    @pytest.mark.parametrize("lattice", CERTIFY_LATTICES + EDGE_LATTICES, ids=LATTICE_IDS + EDGE_IDS)
+    def test_witnesses_at_the_wrap_boundary(self, lattice):
+        # at m = q_k - 1, q_k, q_k + 1 for each convergent denominator q_k <= 10^5,
+        # e_m or e_m + s sits next to +-1/2, where the step s or s - 1 is chosen
+        # on the rounded 1/2 - s; bounds that stop on the witness and just past it
+        rng = random.Random(f"wrap:{lattice.theta!r}")
+        qs = sorted({c.q for c in lattice.convergents(40) if c.q <= 10**5})
+        for m in sorted({q + d for q in qs for d in (-1, 0, 1)}):
+            m *= rng.choice([-1, 1])
+            a = planted(lattice, m, rng.choice([0.5 * EPS, EPS * (1 - 1e-9), EPS * (1 + 1e-9)]), rng)
+            for bound in (max(abs(m), 1), abs(m) + 2):
+                assert triviality_test(a, bound) == linear_triviality_test(a, bound), (m, bound)
 
 
 def squared_test(fold, window):

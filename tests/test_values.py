@@ -102,6 +102,38 @@ def test_unit_values_keep_one_rule(name, value):
     assert UNIT_HOLDERS[name](-1.0) == UNIT_HOLDERS[name](-1 + 0j)
 
 
+# One builder per stored complex value, with the name its message gives it.
+NUMBER_HOLDERS = {
+    "Cocycle": (UNIT_HOLDERS["Cocycle"], "character value c"),
+    "AHData": (UNIT_HOLDERS["AHData"], "character value c"),
+    "HeisenbergElement": (UNIT_HOLDERS["HeisenbergElement"], "central scalar"),
+    "ThetaCandidate.amplitude": (UNIT_HOLDERS["ThetaCandidate"], "amplitude"),
+    "ThetaCandidate.alpha": (lambda z: ThetaCandidate(1.0, z, ExponentPoly.zero()), "alpha"),
+    "ExponentPoly": (lambda z: ExponentPoly((1.0, z)), "exponent polynomial coefficient"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_HOLDERS))
+@pytest.mark.parametrize(
+    "value",
+    ["2", " 1e-3 ", "1j", b"1", True, False, None, [1.0], object()],
+    ids=["'2'", "' 1e-3 '", "'1j'", "b'1'", "True", "False", "None", "list", "object"],
+)
+def test_complex_values_are_numbers(name, value):
+    # complex() parses a str and takes a bool as 1 or 0; neither is a number here
+    build, what = NUMBER_HOLDERS[name]
+    with pytest.raises(DomainError, match=f"^{what} must be a number$"):
+        build(value)
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_HOLDERS))
+def test_an_int_past_the_double_range_is_not_finite(name):
+    build, what = NUMBER_HOLDERS[name]
+    with pytest.raises(DomainError, match=f"^{what}s? must be finite"):
+        build(-(10**400))
+    assert build(Fraction(1, 2)) == build(0.5)
+
+
 @pytest.fixture(params=sorted(FACTORIES))
 def factory(request):
     return FACTORIES[request.param]
