@@ -30,7 +30,7 @@ import cmath
 
 from .cocycle import Cocycle, ExponentPoly
 from .errors import ConsistencyError, RangeError
-from .numeric import _Frozen, tolerance
+from .numeric import _Frozen, require_int, require_number, tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 # A rounded four-term sum farther than this from an integer means a malformed
@@ -44,7 +44,7 @@ class AltForm(_Frozen):
     _fields = ("s",)
 
     def __init__(self, s: int) -> None:
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", require_int(s, "s"))
 
     def __add__(self, other: AltForm) -> AltForm:
         return AltForm(self.s + other.s)
@@ -64,6 +64,7 @@ def chern_symbolic(a: Cocycle) -> AltForm:
 
 def chern_numeric(a: Cocycle, l1: LatticeVector, l2: LatticeVector, v: complex) -> int:
     """Chern class via the four-term exponent sum at the sample point v."""
+    v = require_number(v, "v")
     eps = tolerance()
     lat = a.lattice
     try:

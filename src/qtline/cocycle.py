@@ -34,7 +34,7 @@ from collections.abc import Callable
 from functools import cached_property
 
 from .errors import DomainError, PrecisionError, PreconditionError, RangeError
-from .numeric import _Frozen, tolerance
+from .numeric import _Frozen, require_count, require_int, require_number, require_unit, tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 # Hard cap on exponent-polynomial degree: keeps |exponents| small enough that
@@ -94,30 +94,6 @@ def exponent_residual(x: complex, y: complex, limit: float) -> float:
     r = abs(1.0 - cmath.exp(z))
     # Where Im x <= 0, |A| >= 1 and the factor min(1, |A|^-1) is 1.
     return r if x.imag <= 0.0 else min(1.0, math.exp(-2.0 * math.pi * x.imag)) * r
-
-
-def require_number(z: complex, what: str) -> complex:
-    """z as a complex number, the one check of every stored complex value; DomainError
-    naming it as what (say "amplitude") where z is no number: a str or bool, which
-    complex() would parse or take as 1, or a value complex() refuses.  An int past the
-    double range reads as infinite, for the caller's own finiteness check."""
-    if not isinstance(z, (str, bool)):
-        try:
-            return complex(z)
-        except OverflowError:
-            return complex(math.inf)
-        except (TypeError, ValueError):
-            pass
-    raise DomainError(f"{what} must be a number")
-
-
-def require_unit(c: complex, what: str) -> complex:
-    """c as a complex number in C^x, the one check of every stored unit; DomainError
-    naming it as what (say "central scalar") where it is no number, zero or not finite."""
-    c = require_number(c, what)
-    if c == 0 or not cmath.isfinite(c):
-        raise DomainError(f"{what} must be finite and nonzero")
-    return c
 
 
 def max_residual(residuals: list[float]) -> float:
@@ -201,10 +177,7 @@ class Cocycle(_Frozen):
     _fields = ("s", "c", "g", "lattice")
 
     def __init__(self, s: int, c: complex, g: ExponentPoly, lattice: Pseudolattice) -> None:
-        # type(...) is int rather than isinstance: bool is an int subclass.
-        if type(s) is not int:
-            raise DomainError("s must be an integer")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", require_int(s, "s"))
         object.__setattr__(self, "c", require_unit(c, "character value c"))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lattice", lattice)
@@ -278,8 +251,7 @@ def coboundary(g: ExponentPoly, beta: complex = 0.0, lattice: Pseudolattice | No
     """
     if lattice is None:
         raise DomainError("coboundary requires a pseudolattice")
-    full = g + ExponentPoly.linear(beta) if beta != 0 else g
-    return Cocycle(0, 1.0, full, lattice)
+    return Cocycle(0, 1.0, g + ExponentPoly.linear(beta), lattice)
 
 
 def cocycle_defect(a: Cocycle, l1: LatticeVector, l2: LatticeVector) -> int:
@@ -304,8 +276,8 @@ def sampled_residuals(
     as its own rejection loop (CPython's _randbelow_with_getrandbits): getrandbits(k)
     with k = n.bit_length(), not (n - 1).bit_length(), drawn again while it is >= n.
     Reordering these draws would change the samples of every seed."""
-    if samples < 1:
-        raise PreconditionError("need samples >= 1")
+    require_count(samples, "samples")
+    require_int(seed, "seed")
     if not all(coords):
         raise PreconditionError("need non-empty coordinate ranges")
     # Imported here, its one use: constructing or evaluating a cocycle needs no RNG.

@@ -42,12 +42,11 @@ from .cocycle import (
     exp_2pi_i,
     max_residual,
     require_resolvable,
-    require_unit,
     resolvable_exponent,
     sampled_residuals,
 )
 from .errors import ConsistencyError, DomainError, PrecisionError, PreconditionError, RangeError
-from .numeric import _Frozen, approx_eq, tolerance
+from .numeric import _Frozen, approx_eq, require_count, require_int, require_unit, tolerance
 from .pseudolattice import Pseudolattice
 
 # Fixed base points for the v-independence cross-check.
@@ -66,13 +65,9 @@ class LambdaPoint(_Frozen):
     _fields = ("alpha", "beta", "s")
 
     def __init__(self, alpha: int, beta: int, s: int) -> None:
-        # type(...) is int rather than isinstance: bool is an int subclass.
-        if not (type(s) is int and s >= 1):
-            raise DomainError("LambdaPoint denominator must be a positive integer")
-        if type(alpha) is not int or type(beta) is not int:
-            raise DomainError("LambdaPoint coordinates must be integers")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        require_count(s, "LambdaPoint denominator", DomainError)
+        object.__setattr__(self, "alpha", require_int(alpha, "LambdaPoint coordinate alpha"))
+        object.__setattr__(self, "beta", require_int(beta, "LambdaPoint coordinate beta"))
         object.__setattr__(self, "s", s)
 
     def real_value(self, lattice: Pseudolattice) -> float:
@@ -311,6 +306,8 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyR
     Zero Chern class: K is the full torus and the pairing is identically 1;
     the report carries the max deviation from 1 over sampled lift pairs.
     """
+    require_count(samples, "samples")
+    require_int(seed, "seed")
     s = a.s
     group = k_group(a)
     if s != 0:

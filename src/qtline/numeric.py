@@ -1,4 +1,4 @@
-"""Exact real-quadratic input values and integer kernels, plus the float tolerance policy.
+"""Exact real-quadratic input values and integer kernels, the tolerance policy and the argument gates.
 
 Lattice data is kept exact: a :class:`QuadReal` is a validated record
 ``a + b*sqrt(D)`` of the field Q(sqrt(D)) with rational ``a, b`` and
@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from fractions import Fraction
 
-from .errors import DomainError, FormatError, RangeError
+from .errors import DomainError, FormatError, PreconditionError, QTLineError, RangeError
 
 TOLERANCE_ENV_VAR = "QTLINE_TOLERANCE"
 # Bounds the O(sqrt(D)) square-free test of a new radicand.
@@ -85,9 +86,56 @@ def tolerance() -> float:
 
 
 def approx_eq(x: complex, y: complex) -> bool:
-    """True iff ``|x - y| <= eps + eps * max(|x|, |y|)``."""
+    """True iff ``|x - y| <= eps + eps * max(|x|, |y|) < inf``: a NaN or an infinity equals nothing."""
+    x, y = require_number(x, "x"), require_number(y, "y")
     eps = tolerance()
-    return abs(x - y) <= eps + eps * max(abs(x), abs(y))
+    return abs(x - y) <= eps + eps * max(abs(x), abs(y)) < math.inf
+
+
+def require_int(x: int, what: str, error: type[QTLineError] = DomainError) -> int:
+    """x where it is an int, the one integer gate; else error (DomainError for a value) naming what."""
+    # type(...) is int rather than isinstance: bool is an int subclass.
+    if type(x) is not int:
+        raise error(f"{what} must be an integer")
+    return x
+
+
+def require_count(n: int, what: str, error: type[QTLineError] = PreconditionError) -> None:
+    """Raise error unless n is an int >= 1: the one count rule, with no upper cap."""
+    if require_int(n, what, error) < 1:
+        raise error(f"need {what} >= 1")
+
+
+def require_real(x: float, what: str) -> float:
+    """x as a float, read by :func:`require_number` where numbers.Real holds it; else DomainError."""
+    if type(x) is float:  # skips the ABC check, which costs more than the rest
+        return x
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{what} must be a real number")
+    return require_number(x, what).real
+
+
+def require_number(z: complex, what: str) -> complex:
+    """z as a complex number, an int past the double range as infinite; DomainError naming it
+    as what (say "amplitude") where z is no number: a str or bool, which complex() would
+    parse or take as 1, or a value complex() refuses."""
+    if not isinstance(z, (str, bool)):
+        try:
+            return complex(z)
+        except OverflowError:
+            return complex(math.inf)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} must be a number")
+
+
+def require_unit(c: complex, what: str) -> complex:
+    """c as a complex number in C^x, the one check of every stored unit; DomainError
+    naming it as what (say "central scalar") where it is no number, zero or not finite."""
+    c = require_number(c, what)
+    if c == 0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise DomainError(f"{what} must be finite and nonzero")
+    return c
 
 
 # Memoized: every QuadReal checks its radicand, and inputs of one field share it.

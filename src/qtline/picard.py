@@ -54,9 +54,9 @@ from itertools import repeat
 from operator import length_hint
 
 from .chern import AltForm
-from .cocycle import _TWO_PI_I, Cocycle, require_unit
+from .cocycle import _TWO_PI_I, Cocycle
 from .errors import DomainError, PreconditionError, RangeError
-from .numeric import _Frozen, tolerance
+from .numeric import _Frozen, require_count, require_unit, tolerance
 from .pseudolattice import LatticeVector, Pseudolattice
 
 DEFAULT_WITNESS_BOUND = 10_000
@@ -233,11 +233,7 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     counts in a C ssize_t, so a bound past ``sys.maxsize - 1`` is scanned in
     runs of at most ``sys.maxsize`` steps.
     """
-    # type(...) is int rather than isinstance: bool is an int subclass.
-    if type(bound) is not int:
-        raise PreconditionError("bound must be an integer")
-    if bound < 1:
-        raise PreconditionError("need bound >= 1")
+    require_count(bound, "bound")
     eps = tolerance()
     if a.s != 0:
         return TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)

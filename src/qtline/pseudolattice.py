@@ -39,6 +39,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
 from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
+from .numeric import require_count, require_int, require_real
 
 # object.__setattr__ looked up once: LatticeVector is built per small vector, and
 # a Pseudolattice per request.
@@ -53,11 +54,8 @@ class LatticeVector(_Frozen):
     _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
-        # type(...) is int rather than isinstance: bool is an int subclass.
-        if type(a) is not int or type(b) is not int:
-            raise DomainError("lattice coordinates must be integers")
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set(self, "a", require_int(a, "lattice coordinate a"))
+        _set(self, "b", require_int(b, "lattice coordinate b"))
 
     def __add__(self, other: LatticeVector) -> LatticeVector:
         return LatticeVector(self.a + other.a, self.b + other.b)
@@ -166,8 +164,7 @@ class Pseudolattice(_Frozen):
     def _expansion(self, n: int) -> Iterator[tuple[int, int, int]]:
         """(a_k, p_k, q_k) for k = 0 .. n-1, computed one at a time as they are read:
         each partial quotient with its convergent p_k/q_k (p_{-1}/q_{-1} = 1/0)."""
-        if n < 1:
-            raise PreconditionError("need n >= 1")
+        require_count(n, "n")
         p, big_n, q = self._perron
         r = math.isqrt(big_n)
         num, num_prev, den, den_prev = 1, 0, 0, 1
@@ -201,8 +198,9 @@ class Pseudolattice(_Frozen):
         lazily: subtract each trunc(gap/vector) times until the gap, kept exactly
         on integers over the common denominator of target and eps, is at most eps.
         It answers at every finite target: after the first vector that fits, the
-        gap is below the vectors, which shrink to zero.
+        gap is below the vectors, which shrink to zero.  target and eps are read by require_real.
         """
+        target, eps = require_real(target, "target"), require_real(eps, "eps")
         if not (0.0 < eps < math.inf and math.isfinite(target)):
             raise PreconditionError("need a finite target and a finite eps > 0")
         # With omega_i = (a_i + b_i*sqrt(d))/den, target = t/t_den, eps = e/e_den

@@ -35,12 +35,10 @@ from .cocycle import (
     ExponentPoly,
     exp_2pi_i,
     max_residual,
-    require_number,
-    require_unit,
     sampled_residuals,
 )
 from .errors import DomainError, PreconditionError
-from .numeric import _Frozen, tolerance
+from .numeric import _Frozen, require_count, require_number, require_unit, tolerance
 from .picard import DEFAULT_WITNESS_BOUND, TrivialityVerdict, principal_fold, triviality_test
 from .pseudolattice import LatticeVector
 
@@ -162,8 +160,7 @@ def modulus_obstruction_demo(a: Cocycle, terms: int = 6) -> ObstructionWitness:
     increasing; terms whose factor would overflow a double are dropped.
     """
     eps = tolerance()
-    if terms < 1:
-        raise PreconditionError("need terms >= 1")
+    require_count(terms, "terms")
     if a.s != 0:
         raise PreconditionError("modulus obstruction applies to zero Chern class only")
     modulus = abs(a.c)

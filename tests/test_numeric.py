@@ -10,25 +10,33 @@ from hypothesis import example, given, settings, strategies as st
 
 import qtline
 from qtline import (
+    AltForm,
     Cocycle,
     DomainError,
     ExponentPoly,
     FormatError,
     LambdaPoint,
     LatticeVector,
+    PreconditionError,
     Pseudolattice,
     QTLineError,
     QuadReal,
     RangeError,
     approx_eq,
     chern_numeric,
+    coboundary,
     commutator_pairing,
     dichotomy_check,
+    lattice_golden,
     lattice_sqrt2,
+    membership_multiplier,
     modulus_obstruction_demo,
+    multiplier_residual,
     solve_theta,
+    theta_residuals,
     tolerance,
     triviality_test,
+    verify_cocycle_identity,
 )
 from qtline import numeric
 from qtline.numeric import MAX_RADICAND, TOLERANCE_ENV_VAR
@@ -367,3 +375,80 @@ def test_no_public_callable_takes_a_tolerance():
             if inspect.isfunction(func) and "tol" in inspect.signature(func).parameters:
                 takers.append(label)
     assert takers == []
+
+
+class TestArgumentGates:
+    """One gate per kind of scalar argument (README, "Argument contract"); each
+    case here answered or raised a bare builtin exception before the gates."""
+
+    @pytest.mark.parametrize("s", ["x", True, 1.5])
+    def test_alt_form_s_is_an_integer(self, s):
+        # AltForm stored 'x', True and 1.5
+        with pytest.raises(DomainError, match="^s must be an integer$"):
+            AltForm(s)
+
+    def test_chern_numeric_v_is_a_number(self):
+        a = Cocycle(2, 1.0, ExponentPoly.zero(), lattice_sqrt2())
+        with pytest.raises(DomainError, match="^v must be a number$"):
+            chern_numeric(a, LatticeVector(1, 0), LatticeVector(0, 1), "x")
+
+    def test_approx_eq_takes_numbers(self):
+        with pytest.raises(DomainError, match="^x must be a number$"):
+            approx_eq("a", "b")
+        with pytest.raises(DomainError, match="^y must be a number$"):
+            approx_eq(1.0, [])
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 0)])
+    def test_approx_eq_equates_no_infinity(self, x):
+        # |inf - 1| <= eps + eps*inf held, so approx_eq(inf, 1.0) was True
+        assert not approx_eq(x, 1.0) and not approx_eq(1.0, x) and not approx_eq(x, x)
+
+    @pytest.mark.parametrize("s", [0, 2])
+    @pytest.mark.parametrize("samples", [2.5, True, "3"])
+    def test_dichotomy_checks_samples_on_either_branch(self, s, samples):
+        # with s != 0 nothing is sampled, and samples=2.5 answered a report
+        a = Cocycle(s, 1.0, ExponentPoly.zero(), lattice_sqrt2())
+        with pytest.raises(PreconditionError, match="^samples must be an integer$"):
+            dichotomy_check(a, samples=samples)
+        with pytest.raises(DomainError, match="^seed must be an integer$"):
+            dichotomy_check(a, seed=str(samples))
+
+    @pytest.mark.parametrize("seed", [[], "x", 1.5, True, None])
+    def test_seeds_are_integers(self, seed):
+        # random.Random took 'x', 1.5, True and None, and raised a bare TypeError for []
+        lat = lattice_sqrt2()
+        a, lifted = Cocycle(0, 1.0, ExponentPoly.zero(), lat), Cocycle(2, 1.0, ExponentPoly.zero(), lat)
+        checks = [
+            lambda: verify_cocycle_identity(a, samples=5, seed=seed),
+            lambda: theta_residuals(a, solve_theta(a).candidate, samples=5, seed=seed),
+            lambda: multiplier_residual(lifted, membership_multiplier(lifted, LambdaPoint(1, 0, 2)), 5, seed),
+            lambda: dichotomy_check(a, samples=5, seed=seed),
+        ]
+        for check in checks:
+            with pytest.raises(DomainError, match="^seed must be an integer$"):
+                check()
+
+    @pytest.mark.parametrize("count", [1.5, 2.5, True, "3", None])
+    def test_counts_are_integers(self, count):
+        # a float count raised a bare TypeError from range or <, True ran as 1
+        lat = lattice_golden()
+        runs = {
+            "samples": lambda: verify_cocycle_identity(Cocycle(1, 1.0, ExponentPoly.zero(), lat), samples=count),
+            "terms": lambda: modulus_obstruction_demo(Cocycle(0, 2.0, ExponentPoly.zero(), lat), terms=count),
+            "n": lambda: lat.convergents(count),
+            "bound": lambda: triviality_test(Cocycle(0, 1.0, ExponentPoly.zero(), lat), count),
+        }
+        for what, run in runs.items():
+            with pytest.raises(PreconditionError, match=f"^{what} must be an integer$"):
+                run()
+
+    def test_a_lift_denominator_is_a_positive_integer(self):
+        for s, message in [(0, "need LambdaPoint denominator >= 1"), (2.0, "LambdaPoint denominator must be an integer")]:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                LambdaPoint(1, 0, s)
+
+    def test_a_false_coboundary_slope_is_no_number(self):
+        # beta != 0 was False for beta=False, which then built the cocycle of g alone
+        with pytest.raises(DomainError, match="must be a number"):
+            coboundary(ExponentPoly((0, 1.0)), False, lattice_sqrt2())
+        assert coboundary(ExponentPoly((0, 1.0)), 0, lattice_sqrt2()).g == ExponentPoly((0, 1.0))

@@ -250,6 +250,29 @@ class TestDensity:
         vec = lat.approximate_real(target, eps=1e-3)
         assert (abs(real_value(lat, vec) - Fraction(target)) - Fraction(1e-3)).sign() <= 0
 
+    @pytest.mark.parametrize(
+        "target, eps", [(Fraction(1, 3), 0.25), (Fraction(2, 3), 0.125), (0.3, Fraction(1, 10)), (2, 1)]
+    )
+    def test_rational_target_and_eps_are_read_as_doubles(self, l1, target, eps):
+        # a power-of-two denominator was assumed: (1/3, 0.25) answered (0, 0), 1/3 away,
+        # and (2/3, 0.125) a point 0.25 away
+        vec = l1.approximate_real(target, eps)
+        assert vec == l1.approximate_real(float(target), float(eps))
+        assert (abs(real_value(l1, vec) - Fraction(float(target))) - Fraction(float(eps))).sign() <= 0
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [(10**400, PreconditionError), (-(10**400), PreconditionError), (True, DomainError), ("0.5", DomainError),
+         (0.5 + 0j, DomainError)],
+        ids=["10**400", "-10**400", "True", "'0.5'", "0.5+0j"],
+    )
+    def test_a_target_is_a_finite_real(self, l1, target, error):
+        # 10**400 raised a bare OverflowError from math.isfinite
+        with pytest.raises(error):
+            l1.approximate_real(target)
+        with pytest.raises(error):
+            l1.approximate_real(0.5, eps=target)
+
     @pytest.mark.parametrize("target", [0.0, 0.5])
     def test_no_terms_is_a_precondition_error(self, l1, target):
         # raised even where the target needs no term at all
