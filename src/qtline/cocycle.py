@@ -124,6 +124,8 @@ class ExponentPoly(_Frozen):
         object.__setattr__(self, "coeffs", tuple(cs))
         # Highest degree first, the order Horner's rule reads; not a field.
         object.__setattr__(self, "_horner", tuple(reversed(cs)))
+        # g_1, read by every Pic^0 fold; not a field.
+        object.__setattr__(self, "linear_coefficient", cs[1] if len(cs) > 1 else 0j)
 
     @classmethod
     def zero(cls) -> ExponentPoly:
@@ -136,10 +138,6 @@ class ExponentPoly(_Frozen):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def linear_coefficient(self) -> complex:
-        return self.coeffs[1] if len(self.coeffs) > 1 else 0j
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -209,12 +207,13 @@ class Cocycle(_Frozen):
         return kernel
 
     def exponent(self, l: LatticeVector, v: complex) -> complex:
-        """Closed-form exponent a(l, v) with A_l(v) = e^{2*pi*i*a(l, v)}."""
-        g = self.g
+        """Closed-form exponent a(l, v) with A_l(v) = e^{2*pi*i*a(l, v)}; v is read by require_number."""
+        v, g = require_number(v, "v"), self.g
         return self._kernel(l.b, v, g(v + self.lattice.float_value(l)) - g(v) if g else 0j)
 
     def evaluate(self, l: LatticeVector, v: complex) -> complex:
-        """Numerical value A_l(v); always nonzero."""
+        """Numerical value A_l(v); always nonzero.  v is read by require_number."""
+        v = require_number(v, "v")
         return exp_2pi_i(self.exponent(l, v), "cocycle", v, l)
 
     def tensor(self, other: Cocycle) -> Cocycle:

@@ -39,9 +39,9 @@ class _Frozen:
     """Immutable value object: ``==``, ``hash`` and ``repr`` over the class's ``_fields``.
 
     Only instances of the same class compare equal.  Each ``__init__`` sets its
-    attributes with ``object.__setattr__``, past the raising ``__setattr__``;
-    attributes outside ``_fields`` (cached derived values) take no part in
-    equality, hashing or ``repr``.
+    attributes with ``object.__setattr__`` (or straight into the instance dict),
+    past the raising ``__setattr__``; attributes outside ``_fields`` (cached
+    derived values) take no part in equality, hashing or ``repr``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -174,7 +174,11 @@ class QuadReal(_Frozen):
     def __init__(self, a: Fraction, b: Fraction, d: int) -> None:
         a, b = _as_fraction(a), _as_fraction(b)
         if not isinstance(d, int) or not 2 <= d <= MAX_RADICAND or not _is_square_free(d):
-            raise DomainError(f"radicand must be a square-free integer in [2, {MAX_RADICAND}], got {d!r}")
+            try:
+                got = repr(d)
+            except ValueError:  # an int past the interpreter's digit limit
+                got = f"an integer of {d.bit_length()} bits"
+            raise DomainError(f"radicand must be a square-free integer in [2, {MAX_RADICAND}], got {got}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)

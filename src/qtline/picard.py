@@ -80,22 +80,25 @@ class TrivialityVerdict(_Frozen):
         reason: str | None = None,
         bound: int | None = None,
     ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "bound", bound)
+        # Stored straight into the instance dict, past the raising __setattr__:
+        # every answered triviality_test builds one.
+        fields = self.__dict__
+        fields["status"] = status
+        fields["witness"] = witness
+        fields["reason"] = reason
+        fields["bound"] = bound
 
     @classmethod
     def trivial(cls, witness: int) -> TrivialityVerdict:
-        return cls(status="trivial", witness=witness)
+        return cls("trivial", witness)
 
     @classmethod
     def nontrivial(cls, reason: str) -> TrivialityVerdict:
-        return cls(status="nontrivial", reason=reason)
+        return cls("nontrivial", None, reason)
 
     @classmethod
     def unknown(cls, bound: int) -> TrivialityVerdict:
-        return cls(status="unknown", bound=bound)
+        return cls("unknown", None, None, bound)
 
     @property
     def is_trivial(self) -> bool:
@@ -108,6 +111,9 @@ class TrivialityVerdict(_Frozen):
 
 REASON_NONZERO_CHERN = "nonzero Chern class"
 REASON_MODULUS = "character modulus off the unit circle"
+# The two fixed nontrivial verdicts, built once: a verdict is immutable.
+_NONZERO_CHERN = TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
+_MODULUS = TrivialityVerdict.nontrivial(REASON_MODULUS)
 
 
 def principal_fold(a: Cocycle) -> int:
@@ -140,6 +146,8 @@ def pic0_invariant(a: Cocycle) -> complex:
 # Unit roundoff of a double, and the largest finite double.
 _U = 2.0**-53
 _FLOAT_MAX = sys.float_info.max
+# The constants of _phase_window's margins, and 2*pi, each formed once and exact.
+_4U, _8U, _1_MINUS_4U, _TWO_PI = 4.0 * _U, 8.0 * _U, 1.0 - 4.0 * _U, 2.0 * math.pi
 # The most steps one itertools.repeat can count, a C ssize_t.
 _MAX_RUN = sys.maxsize
 
@@ -198,11 +206,11 @@ def _phase_window(w: complex, theta: float, bound: int, eps: float) -> tuple[flo
     margin as the largest double: no candidate beyond it can be formed as a
     float.
     """
-    big_e = eps / (1.0 - 4.0 * _U) + 4.0 * _U
+    big_e = eps / _1_MINUS_4U + _4U
     root = 4.0 * math.sqrt(abs(w))
-    margin = 8.0 * _U * ((bound if bound < _FLOAT_MAX else _FLOAT_MAX) * (abs(theta) + 1.0) + 2.0)
+    margin = _8U * ((bound if bound < _FLOAT_MAX else _FLOAT_MAX) * (abs(theta) + 1.0) + 2.0)
     half = (big_e / root if big_e < root else 1.0) + margin
-    tau = abs(cmath.phase(w) / (2.0 * math.pi) % 1.0 - 0.5)
+    tau = abs(cmath.phase(w) / _TWO_PI % 1.0 - 0.5)
     return tau - half, tau + half
 
 
@@ -234,12 +242,12 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     runs of at most ``sys.maxsize`` steps.
     """
     require_count(bound, "bound")
-    eps = tolerance()
     if a.s != 0:
-        return TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
+        return _NONZERO_CHERN
+    eps = tolerance()
     w = _pic0_value(a)
     if abs(abs(w) - 1.0) > eps:
-        return TrivialityVerdict.nontrivial(REASON_MODULUS)
+        return _MODULUS
     theta = a.lattice.theta
     lo, hi = _phase_window(w, theta, bound, eps)
     lo2, hi2 = (lo * lo if lo > 0.0 else 0.0), hi * hi
@@ -248,7 +256,7 @@ def triviality_test(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> Trivialit
     e = -0.5
     top = -1
     while top < bound:
-        run = min(bound - top, _MAX_RUN)
+        run = bound - top if bound - top < _MAX_RUN else _MAX_RUN
         top += run
         steps = repeat(None, run)
         for _ in steps:

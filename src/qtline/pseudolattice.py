@@ -102,8 +102,8 @@ class Pseudolattice(_Frozen):
     omega2/omega1 is irrational (so L is dense in R rather than discrete).
     It keeps the coefficients of omega1, omega2 over one denominator, theta
     as the integer Perron triple (P + sqrt(N))/Q, and omega1, omega2 as
-    doubles; theta (the double) is cached on first use.  Only omega1 and
-    omega2 take part in equality, hashing and repr.
+    doubles; theta (the double) and theta in fixed point are cached on first
+    use.  Only omega1 and omega2 take part in equality, hashing, repr and pickling.
     """
 
     _fields = ("omega1", "omega2")
@@ -131,6 +131,10 @@ class Pseudolattice(_Frozen):
         _set(self, "omega1_float", quad_float(a1, b1, d, den))
         _set(self, "omega2_float", quad_float(a2, b2, d, den))
 
+    def __reduce__(self) -> tuple:
+        # Pickled as its fields and rebuilt by the constructor: no cached value travels.
+        return (type(self), (self.omega1, self.omega2))
+
     @property
     def d(self) -> int:
         return self.omega1.d
@@ -147,24 +151,47 @@ class Pseudolattice(_Frozen):
         a1, b1, a2, b2, scale = self._scaled
         return quad_float(a * a1 + b * a2, a * b1 + b * b2, self.d, scale * den)
 
+    @cached_property
+    def _theta_bits(self) -> tuple[int, int]:
+        """(k, t) with t = floor(theta*2^k), k = 128 at first: theta in fixed point,
+        which :meth:`frac_combination` widens where it needs more bits."""
+        p, n, q = self._perron
+        return 128, surd_floor(p << 128, 1 << 128, n, q)
+
     def frac_combination(self, a: int, b: int, den: int = 1) -> float:
         """frac(x), x = (a + b*theta)/den for integers and den > 0, within 2^-64 + 2^-54
         (half an ulp at 1) of the exact value in [0, 1) at every size, so it may
-        round to 1.0: floor(x*2^64) is exact from x = (a*Q + b*P + b*sqrt(N))/(den*Q),
-        and its residue mod 2^64, over 2^64, is rounded once."""
+        round to 1.0: floor(x*2^64) is exact, and its residue mod 2^64, over 2^64,
+        is rounded once.
+
+        floor(x*2^64) is read from the fixed-point theta t = floor(theta*2^k):
+        theta is irrational, so b*theta*2^k lies strictly between b*t and b*(t + 1)
+        (or is 0 for b = 0), and x*2^64 between (a*2^k + b*t)/(den*2^(k-64)) and
+        (a*2^k + b*t + b)/(den*2^(k-64)).  Where both ends have one floor, so does
+        x*2^64; else k doubles, and the wider t is kept for later calls.  The width
+        is |b|/(den*2^(k-64)) and x*2^64 is no integer for b != 0, so the loop ends."""
         if den <= 0:
             raise PreconditionError("need den > 0")
-        p, n, q = self._perron
-        return surd_floor((a * q + b * p) << 64, b << 64, n, den * q) % 2**64 / 2**64
+        k, t = self._theta_bits
+        while True:
+            num, shift = (a << k) + b * t, k - 64
+            low = (num >> shift) // den
+            if low == ((num + b) >> shift) // den:
+                return (low & (2**64 - 1)) / 2**64
+            k *= 2
+            p, n, q = self._perron
+            t = surd_floor(p << k, 1 << k, n, q)
+            _set(self, "_theta_bits", (k, t))
 
     def float_value(self, l: LatticeVector) -> float:
         """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""
         return l.a * self.omega1_float + l.b * self.omega2_float
 
-    def _expansion(self, n: int) -> Iterator[tuple[int, int, int]]:
+    def _expansion(self, n: int, what: str = "n") -> Iterator[tuple[int, int, int]]:
         """(a_k, p_k, q_k) for k = 0 .. n-1, computed one at a time as they are read:
-        each partial quotient with its convergent p_k/q_k (p_{-1}/q_{-1} = 1/0)."""
-        require_count(n, "n")
+        each partial quotient with its convergent p_k/q_k (p_{-1}/q_{-1} = 1/0).
+        n passes the count rule under the caller's name for it, what."""
+        require_count(n, what)
         p, big_n, q = self._perron
         r = math.isqrt(big_n)
         num, num_prev, den, den_prev = 1, 0, 0, 1
@@ -215,7 +242,7 @@ class Pseudolattice(_Frozen):
         # The gap is tested at the start and after each step that moves it: a zero
         # count leaves it as it was last tested.
         count = 1
-        for _, p, q in self._expansion(max_terms):
+        for _, p, q in self._expansion(max_terms, "max_terms"):
             if count and _within(g, y, d, bound):
                 return LatticeVector(acc_a, acc_b)
             # The vector times den is x + z*sqrt(d), and gap/vector =

@@ -64,7 +64,8 @@ class ThetaCandidate(_Frozen):
         object.__setattr__(self, "_log_amplitude", cmath.log(amplitude) / _TWO_PI_I)
 
     def log_value(self, v: complex) -> complex:
-        """Exponent E(v) with theta(v) = e^{2*pi*i*E(v)}, amplitude folded in."""
+        """Exponent E(v) with theta(v) = e^{2*pi*i*E(v)}, amplitude folded in; v is read by require_number."""
+        v = require_number(v, "v")
         return self._log_value_from(self.unit_exponent(v), v)
 
     def _log_value_from(self, unit: complex, v: complex) -> complex:
@@ -73,6 +74,8 @@ class ThetaCandidate(_Frozen):
         return unit + self.alpha * v + self._log_amplitude
 
     def evaluate(self, v: complex) -> complex:
+        """theta(v); v is read by require_number."""
+        v = require_number(v, "v")
         return exp_2pi_i(self.log_value(v), "theta", v)
 
 

@@ -57,6 +57,22 @@ CERTIFY_LATTICES = [
 ]
 
 
+# Beyond the certify lattices: theta = 10^17*sqrt(2) >= 2^53, a double with
+# theta % 1.0 == 0, and theta = 1 + sqrt(2)/10^6, with frac(theta) ~ 1.4e-6.
+EDGE_LATTICES = [
+    Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(0), Fraction(10**17), 2)),
+    Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(1), Fraction(1, 10**6), 2)),
+]
+
+
+def surd_frac_combination(lat: Pseudolattice, a: int, b: int, den: int = 1) -> float:
+    """``Pseudolattice.frac_combination`` by one surd_floor, the oracle of its fixed-point
+    kernel: floor(x*2^64) for x = (a*Q + b*P + b*sqrt(N))/(den*Q), whose isqrt grows with
+    b, and its residue mod 2^64 over 2^64."""
+    p, n, q = lat._perron
+    return surd_floor((a * q + b * p) << 64, b << 64, n, den * q) % 2**64 / 2**64
+
+
 class ExactReal(QuadReal):
     """A QuadReal with the arithmetic of the field Q(sqrt(d)): ``+ - * /`` with
     another QuadReal of the same d or an int/Fraction, ``norm``, ``reciprocal``,

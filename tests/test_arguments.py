@@ -4,11 +4,14 @@ returns or raises a QTLineError, within a short deadline per draw, and raises
 one where the draw is not of the parameter's kind (a bool, a str, None or a
 list anywhere, a float for an int, a complex for a float).
 
-The calls are the names of ``qtline._EXPORTS`` and the public methods of
-``Pseudolattice``.  Each one with a scalar parameter has a strategy in CALLS
-(valid arguments, object ones built by ``test_values.FACTORIES``) or a named
-exclusion with its reason in EXCLUDED.  Huge valid counts are left out: the
-library has no caps, so ``samples=2**63`` runs as long as it is asked to.
+The calls are the names of ``qtline._EXPORTS`` and the public methods of the
+exported classes.  Each one with a scalar parameter has a
+strategy in CALLS (valid arguments, object ones built by
+``test_values.FACTORIES``) or a named exclusion with its reason in EXCLUDED.
+Huge valid counts are left out: the library has no caps, so
+``samples=2**63`` runs as long as it is asked to.  An int parameter that is a
+value, not a count, also draws an int past the interpreter's digit limit,
+whose ``repr`` raises.
 """
 
 import inspect
@@ -58,6 +61,9 @@ HOSTILE = [
     None, "3", "x", b"3", True, False, 1.5, 2.5, 0, 0.0, -0.0, -1, math.inf, -math.inf, math.nan, [], complex("nan"),
 ]
 HOSTILE_REAL = HOSTILE + [10**400, -(10**400)]
+# Int parameters that count work; every other int parameter is a value.
+COUNTS = {"samples", "n", "terms", "bound", "max_terms"}
+HOSTILE_VALUE_INT = HOSTILE + [10**5000]
 # The types of draw each kind of parameter may take; any other draw must raise.
 OF_KIND = {"int": (int,), "float": (int, float), "complex": (int, float, complex)}
 DEADLINE_S = 2.0
@@ -111,12 +117,16 @@ CALLS = {
     "Pseudolattice.cf_terms": lambda: (lattice().cf_terms, {"n": 5}),
     "Pseudolattice.convergents": lambda: (lattice().convergents, {"n": 5}),
     "Pseudolattice.small_vectors": lambda: (lattice().small_vectors, {"n": 5}),
+    "Cocycle.exponent": lambda: (make("Cocycle").exponent, {"l": make("LatticeVector"), "v": 0.3 + 0.2j}),
+    "Cocycle.evaluate": lambda: (make("Cocycle").evaluate, {"l": make("LatticeVector"), "v": 0.3 + 0.2j}),
     "Pseudolattice.approximate_real": lambda: (
         lattice().approximate_real, {"target": 0.3, "eps": 1e-3, "max_terms": 60}
     ),
     "ThetaCandidate": lambda: (
         ThetaCandidate, {"amplitude": 1.0, "alpha": 0.5, "unit_exponent": make("ExponentPoly")}
     ),
+    "ThetaCandidate.log_value": lambda: (make("ThetaCandidate").log_value, {"v": 0.3 + 0.2j}),
+    "ThetaCandidate.evaluate": lambda: (make("ThetaCandidate").evaluate, {"v": 0.3 + 0.2j}),
     "modulus_obstruction_demo": lambda: (
         modulus_obstruction_demo, {"a": Cocycle(0, 2.0, ExponentPoly.zero(), lattice()), "terms": 6}
     ),
@@ -144,9 +154,10 @@ EXCLUDED = {
 
 def public_calls() -> dict:
     calls = {name: getattr(qtline, name) for names in qtline._EXPORTS.values() for name in names}
-    for name, member in vars(Pseudolattice).items():
-        if not name.startswith("_") and inspect.isfunction(member):
-            calls[f"Pseudolattice.{name}"] = member
+    for cls in [call for call in list(calls.values()) if inspect.isclass(call)]:
+        for name, member in vars(cls).items():
+            if not name.startswith("_") and inspect.isfunction(member):
+                calls[f"{cls.__name__}.{name}"] = member
     return calls
 
 
@@ -204,25 +215,39 @@ def deadline(seconds: float, what: str):
         signal.signal(signal.SIGALRM, previous)
 
 
+def draws(param: str, annotation: str) -> list:
+    if annotation != "int":
+        return HOSTILE_REAL
+    return HOSTILE if param in COUNTS else HOSTILE_VALUE_INT
+
+
+def shown(value) -> str:
+    """repr(value), or the bit length of an int past the digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
+
+
 CASES = [
     (name, param, annotation, value)
     for name in sorted(CALLS)
     for param, annotation in scalar_parameters(PUBLIC[name])
-    for value in (HOSTILE if annotation == "int" else HOSTILE_REAL)
+    for value in draws(param, annotation)
 ]
 
 
 @pytest.mark.parametrize(
-    "name, param, annotation, value", CASES, ids=[f"{n}-{p}-{v!r}"[:60] for n, p, _, v in CASES]
+    "name, param, annotation, value", CASES, ids=[f"{n}-{p}-{shown(v)}"[:60] for n, p, _, v in CASES]
 )
 def test_hostile_scalar_returns_or_raises_a_library_error(name, param, annotation, value):
     call, kwargs = CALLS[name]()
     kwargs[param] = value
     # a bool is an int subclass, and no scalar of any kind here
     of_kind = type(value) in OF_KIND[annotation]
-    with deadline(DEADLINE_S, f"{name}({param}={value!r})"):
+    with deadline(DEADLINE_S, f"{name}({param}={shown(value)})"):
         try:
             call(**kwargs)
         except QTLineError:
             return
-    assert of_kind, f"{name}({param}={value!r}) returned"
+    assert of_kind, f"{name}({param}={shown(value)}) returned"

@@ -687,6 +687,16 @@ def test_bad_tolerance_env_is_json_error(capsys, monkeypatch, witness_file, raw,
     assert code == expected_code and "tolerance" in doc["error"].lower()
 
 
+@pytest.mark.parametrize("command", ["trivial", "theta-solve"])
+def test_bad_tolerance_env_is_not_read_for_a_nonzero_chern_class(capsys, monkeypatch, s2_file, witness_file, command):
+    # a nonzero Chern class is nontrivial with no tolerance; a zero one reads it
+    monkeypatch.setenv("QTLINE_TOLERANCE", "abc")
+    code, doc = run(capsys, command, "--cocycle", s2_file)
+    assert code == 0 and doc["status"] == "nontrivial"
+    code, doc = run(capsys, command, "--cocycle", witness_file)
+    assert code == 1 and doc == {"error": "QTLINE_TOLERANCE must be a float, got 'abc'"}
+
+
 @pytest.mark.parametrize(
     "text",
     [

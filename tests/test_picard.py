@@ -33,10 +33,12 @@ from qtline import (
     triviality_test,
     trivial_cocycle,
 )
-from qtline import picard
-from qtline.picard import _phase_window, principal_fold
+from qtline import FormatError, picard
+from qtline.numeric import TOLERANCE_ENV_VAR
+from qtline.picard import REASON_NONZERO_CHERN, _phase_window, principal_fold
 from helpers import (
     CERTIFY_LATTICES,
+    EDGE_LATTICES,
     Character,
     character_cocycle,
     exact_phase,
@@ -160,6 +162,27 @@ class TestTrivialityTest:
         assert result.verdict == TrivialityVerdict.trivial(7) and result.solved
 
 
+class TestMalformedTolerance:
+    """eps is read after the Chern check: a nonzero Chern class is nontrivial with no
+    tolerance, so it answers under a bad QTLINE_TOLERANCE, and a zero one reports it."""
+
+    @pytest.mark.parametrize("raw", ["abc", "inf"])
+    def test_a_nonzero_chern_class_reads_no_tolerance(self, l1, monkeypatch, raw):
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, raw)
+        a = Cocycle(2, 1.0, ExponentPoly.zero(), l1)
+        assert triviality_test(a) == TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
+        result = solve_theta(a)
+        assert not result.solved and result.verdict == TrivialityVerdict.nontrivial(REASON_NONZERO_CHERN)
+
+    @pytest.mark.parametrize("raw, error", [("abc", FormatError), ("inf", DomainError)])
+    def test_a_zero_chern_class_reports_it(self, l1, monkeypatch, raw, error):
+        monkeypatch.setenv(TOLERANCE_ENV_VAR, raw)
+        for a in (trivial_cocycle(l1), Cocycle(0, 2.0, ExponentPoly.zero(), l1)):
+            for search in (triviality_test, solve_theta):
+                with pytest.raises(error):
+                    search(a)
+
+
 def planted(lattice, m, offset, rng):
     """Pure character whose invariant sits offset away, in a random direction,
     from the value e^{2*pi*i*m*theta} the acceptance test forms for m."""
@@ -197,14 +220,6 @@ def whole_circle(window):
     """The window holds every fold in [0, 1/2]: every candidate runs the acceptance test."""
     lo, hi = window
     return lo <= 0.0 and hi >= 0.5
-
-
-# Beyond the certify lattices: theta = 10^17*sqrt(2) >= 2^53, a double with
-# theta % 1.0 == 0, and theta = 1 + sqrt(2)/10^6, with frac(theta) ~ 1.4e-6.
-EDGE_LATTICES = [
-    Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(0), Fraction(10**17), 2)),
-    Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(1), Fraction(1, 10**6), 2)),
-]
 
 
 class CountingCmath:

@@ -1,4 +1,6 @@
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,7 +20,17 @@ from qtline import (
     pseudolattice,
 )
 from qtline.numeric import surd_floor
-from helpers import CERTIFY_LATTICES, ExactReal, exact, exact_frac, real_value, surd_form, theta_exact
+from helpers import (
+    CERTIFY_LATTICES,
+    EDGE_LATTICES,
+    ExactReal,
+    exact,
+    exact_frac,
+    real_value,
+    surd_form,
+    surd_frac_combination,
+    theta_exact,
+)
 
 mp.mp.dps = 60
 
@@ -276,7 +288,7 @@ class TestDensity:
     @pytest.mark.parametrize("target", [0.0, 0.5])
     def test_no_terms_is_a_precondition_error(self, l1, target):
         # raised even where the target needs no term at all
-        with pytest.raises(PreconditionError, match="need n >= 1"):
+        with pytest.raises(PreconditionError, match="need max_terms >= 1"):
             l1.approximate_real(target, max_terms=0)
 
     @pytest.mark.parametrize("max_terms", [5, 6, 8, 60])
@@ -560,3 +572,77 @@ def test_frac_combination_uses_no_quadreal_arithmetic(monkeypatch):
         monkeypatch.setattr(QuadReal, name, refuse, raising=False)
     fresh = [Pseudolattice(lat.omega1, lat.omega2) for lat in CERTIFY_LATTICES]
     assert [[lat.frac_combination(*arg) for arg in args] for lat in fresh] == want
+
+
+# The fixed-point kernel against its surd_floor oracle: the certify and edge
+# lattices, the golden ratio and a radicand near 10^6.
+FOLD_LATTICES = CERTIFY_LATTICES + EDGE_LATTICES + [
+    lattice_golden(),
+    Pseudolattice(QuadReal.rational(1, 999983), QuadReal(Fraction(2, 3), Fraction(-5, 7), 999983)),
+]
+
+
+def fold_draws(rng, count, max_bits=400):
+    """(a, b, den): b = 0, +-1 or up to 2^max_bits of either sign, a up to 2^200, den past 2^64."""
+    for _ in range(count):
+        bits = rng.choice([k for k in (1, 8, 40, 63, 64, 65, 128, 400) if k <= max_bits])
+        b = rng.choice([0, 1, -1, rng.randint(-(2**bits), 2**bits)])
+        a = rng.randint(-(2 ** rng.choice([1, 64, 200])), 2 ** rng.choice([1, 64, 200]))
+        den = rng.choice([1, 2, 7, rng.randint(1, 2 ** rng.choice([10, 64, 100]))])
+        yield a, b, den
+
+
+def fresh(lat):
+    return Pseudolattice(lat.omega1, lat.omega2)
+
+
+@pytest.mark.parametrize("index", range(len(FOLD_LATTICES)))
+def test_frac_combination_is_the_surd_floor_formula(index):
+    # one fresh lattice for small b, whose 128-bit theta covers them, and one
+    # that every size of b reaches, which widens it
+    small, every = fresh(FOLD_LATTICES[index]), fresh(FOLD_LATTICES[index])
+    rng = random.Random(index)
+    for a, b, den in fold_draws(rng, 1500, max_bits=40):
+        assert small.frac_combination(a, b, den) == surd_frac_combination(small, a, b, den), (a, b, den)
+    for a, b, den in fold_draws(rng, 1500):
+        assert every.frac_combination(a, b, den) == surd_frac_combination(every, a, b, den), (a, b, den)
+    assert small._theta_bits[0] == 128 < every._theta_bits[0]
+
+
+@pytest.mark.parametrize("index", range(len(FOLD_LATTICES)))
+def test_frac_combination_answers_do_not_depend_on_call_order(index):
+    draws = list(fold_draws(random.Random(1000 + index), 300, max_bits=60))
+    cold, widened = fresh(FOLD_LATTICES[index]), fresh(FOLD_LATTICES[index])
+    widened.frac_combination(3, -(2**400) - 1, 5)
+    assert widened._theta_bits[0] > 128
+    assert [widened.frac_combination(*draw) for draw in draws] == [cold.frac_combination(*draw) for draw in draws]
+
+
+def test_the_fixed_point_theta_is_no_part_of_a_lattice_value():
+    cold, warm = fresh(CERTIFY_LATTICES[0]), fresh(CERTIFY_LATTICES[0])
+    warm.frac_combination(0, 10**150)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    copy = pickle.loads(pickle.dumps(warm))
+    assert copy == cold and "_theta_bits" not in vars(copy)
+    assert copy.frac_combination(0, 10**150) == warm.frac_combination(0, 10**150)
+
+
+@pytest.mark.parametrize("index", range(len(FOLD_LATTICES)))
+def test_frac_combination_at_the_floor_boundaries(index):
+    # With p/q a convergent of theta, b = +-q, a = r -+ p and den = 2^64, x*2^64 is
+    # r +- (q*theta - p): within 1/q of the integer r, on either side.  For r >= 1,
+    # frac(x) is floor(x*2^64)/2^64, a small multiple of 2^-64 that the double keeps,
+    # so a floor one off changes the answer.  Past q ~ 2^64 the 128-bit bracket, of
+    # width q/2^128, holds r and must widen.  Each call starts from a fresh lattice.
+    lat = FOLD_LATTICES[index]
+    widened = 0
+    for conv in lat.convergents(200):
+        if conv.q > 2**130:
+            break
+        for r in (1, 2, 5):
+            for sign in (1, -1):
+                a, b, cold = r - sign * conv.p, sign * conv.q, fresh(lat)
+                assert cold.frac_combination(a, b, 2**64) == surd_frac_combination(cold, a, b, 2**64), (a, b)
+                widened += cold._theta_bits[0] > 128
+    assert widened >= 12
