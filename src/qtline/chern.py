@@ -44,7 +44,7 @@ class AltForm(_Frozen):
     _fields = ("s",)
 
     def __init__(self, s: int) -> None:
-        object.__setattr__(self, "s", require_int(s, "s"))
+        super().__init__(require_int(s, "s"))
 
     def __add__(self, other: AltForm) -> AltForm:
         return AltForm(self.s + other.s)
@@ -68,14 +68,10 @@ def chern_numeric(a: Cocycle, l1: LatticeVector, l2: LatticeVector, v: complex) 
     eps = tolerance()
     lat = a.lattice
     try:
-        terms = (
-            a.exponent(l2, v + lat.float_value(l1)),
-            a.exponent(l1, v),
-            -a.exponent(l2, v),
-            -a.exponent(l1, v + lat.float_value(l2)),
-        )
+        shift1, shift2 = lat.float_value(l1), lat.float_value(l2)
     except OverflowError as exc:  # an integer coordinate beyond the double range
         raise RangeError(f"four-term sum cannot be formed: {exc}") from exc
+    terms = (a.exponent(l2, v + shift1), a.exponent(l1, v), -a.exponent(l2, v), -a.exponent(l1, v + shift2))
     total = sum(terms)
     if not cmath.isfinite(total):
         raise RangeError(f"four-term sum {total!r} is not finite")

@@ -121,11 +121,9 @@ class ExponentPoly(_Frozen):
             cs.pop()
         if len(cs) - 1 > MAX_DEGREE:
             raise DomainError(f"exponent polynomial degree {len(cs) - 1} exceeds cap {MAX_DEGREE}")
-        object.__setattr__(self, "coeffs", tuple(cs))
-        # Highest degree first, the order Horner's rule reads; not a field.
-        object.__setattr__(self, "_horner", tuple(reversed(cs)))
-        # g_1, read by every Pic^0 fold; not a field.
-        object.__setattr__(self, "linear_coefficient", cs[1] if len(cs) > 1 else 0j)
+        # Derived, not fields: _horner is highest degree first, the order Horner's
+        # rule reads, and linear_coefficient is g_1, read by every Pic^0 fold.
+        super().__init__(tuple(cs), _horner=tuple(reversed(cs)), linear_coefficient=cs[1] if len(cs) > 1 else 0j)
 
     @classmethod
     def zero(cls) -> ExponentPoly:
@@ -175,22 +173,20 @@ class Cocycle(_Frozen):
     _fields = ("s", "c", "g", "lattice")
 
     def __init__(self, s: int, c: complex, g: ExponentPoly, lattice: Pseudolattice) -> None:
-        object.__setattr__(self, "s", require_int(s, "s"))
-        object.__setattr__(self, "c", require_unit(c, "character value c"))
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "lattice", lattice)
-
-    def __reduce__(self) -> tuple:
-        # Pickled as its fields: the cached kernel below is a closure.
-        return (type(self), (self.s, self.c, self.g, self.lattice))
+        super().__init__(require_int(s, "s"), require_unit(c, "character value c"), g, lattice)
 
     @cached_property
     def _kernel(self) -> Callable[[int, complex, complex], complex]:
         """The one exponent formula: kernel(b, v, dg) = a(l, v) for l = a*omega1 + b*omega2
         and dg = g(v + l) - g(v), the cocycle's constants bound on first use.  The
         character contributes (b*log c)/(2*pi*i); dg comes from the caller, so one g
-        value can serve two exponents, and is ignored when g = 0."""
-        s, log_c, has_g = self.s, cmath.log(self.c), bool(self.g)
+        value can serve two exponents, and is ignored when g = 0.  s is bound as a
+        double, which s * x rounds it to anyway; RangeError where it has none."""
+        try:
+            s = float(self.s)
+        except OverflowError as exc:
+            raise RangeError(f"s of {self.s.bit_length()} bits is beyond the double range") from exc
+        log_c, has_g = cmath.log(self.c), bool(self.g)
         has_c = log_c != 0
         w2, two_w1 = self.lattice.omega2_float, 2.0 * self.lattice.omega1_float
 
@@ -207,9 +203,14 @@ class Cocycle(_Frozen):
         return kernel
 
     def exponent(self, l: LatticeVector, v: complex) -> complex:
-        """Closed-form exponent a(l, v) with A_l(v) = e^{2*pi*i*a(l, v)}; v is read by require_number."""
+        """Closed-form exponent a(l, v) with A_l(v) = e^{2*pi*i*a(l, v)}; v is read by require_number.
+        RangeError where a coordinate of l is beyond the double range."""
         v, g = require_number(v, "v"), self.g
-        return self._kernel(l.b, v, g(v + self.lattice.float_value(l)) - g(v) if g else 0j)
+        kernel = self._kernel
+        try:
+            return kernel(l.b, v, g(v + self.lattice.float_value(l)) - g(v) if g else 0j)
+        except OverflowError as exc:
+            raise RangeError(f"exponent cannot be formed: {exc}") from exc
 
     def evaluate(self, l: LatticeVector, v: complex) -> complex:
         """Numerical value A_l(v); always nonzero.  v is read by require_number."""

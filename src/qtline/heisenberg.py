@@ -66,9 +66,9 @@ class LambdaPoint(_Frozen):
 
     def __init__(self, alpha: int, beta: int, s: int) -> None:
         require_count(s, "LambdaPoint denominator", DomainError)
-        object.__setattr__(self, "alpha", require_int(alpha, "LambdaPoint coordinate alpha"))
-        object.__setattr__(self, "beta", require_int(beta, "LambdaPoint coordinate beta"))
-        object.__setattr__(self, "s", s)
+        super().__init__(
+            require_int(alpha, "LambdaPoint coordinate alpha"), require_int(beta, "LambdaPoint coordinate beta"), s
+        )
 
     def real_value(self, lattice: Pseudolattice) -> float:
         """(alpha*omega1 + beta*omega2)/s rounded once to the nearest double, on integers."""
@@ -89,8 +89,7 @@ class KGroupDescription(_Frozen):
     _fields = ("finite", "modulus")
 
     def __init__(self, finite: bool, modulus: int | None = None) -> None:
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(finite, modulus)
 
     @classmethod
     def finite_group(cls, modulus: int) -> KGroupDescription:
@@ -116,8 +115,7 @@ class HeisenbergElement(_Frozen):
     _fields = ("point", "scalar")
 
     def __init__(self, point: LambdaPoint, scalar: complex) -> None:
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "scalar", require_unit(scalar, "central scalar"))
+        super().__init__(point, require_unit(scalar, "central scalar"))
 
 
 def k_group(a: Cocycle) -> KGroupDescription:
@@ -274,22 +272,6 @@ class DichotomyReport(_Frozen):
         "max_pairing_deviation",
     )
 
-    def __init__(
-        self,
-        chern_s: int,
-        k_group: KGroupDescription,
-        witness_pair: tuple[LambdaPoint, LambdaPoint] | None,
-        witness_value: complex | None,
-        witness_differs_from_one: bool | None,
-        max_pairing_deviation: float | None,
-    ) -> None:
-        object.__setattr__(self, "chern_s", chern_s)
-        object.__setattr__(self, "k_group", k_group)
-        object.__setattr__(self, "witness_pair", witness_pair)
-        object.__setattr__(self, "witness_value", witness_value)
-        object.__setattr__(self, "witness_differs_from_one", witness_differs_from_one)
-        object.__setattr__(self, "max_pairing_deviation", max_pairing_deviation)
-
 
 def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyReport:
     """Exhibit whichever side of the finite/full-torus dichotomy applies.
@@ -314,14 +296,7 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyR
         x1 = LambdaPoint(1, 0, abs(s))
         x2 = LambdaPoint(0, 1, abs(s))
         value = commutator_pairing(a, x1, x2)
-        return DichotomyReport(
-            chern_s=s,
-            k_group=group,
-            witness_pair=(x1, x2),
-            witness_value=value,
-            witness_differs_from_one=abs(s) != 1,
-            max_pairing_deviation=None,
-        )
+        return DichotomyReport(s, group, (x1, x2), value, abs(s) != 1, None)
 
     g, lat, limit = a.g, a.lattice, resolvable_exponent()
 
@@ -338,11 +313,4 @@ def dichotomy_check(a: Cocycle, samples: int = 100, seed: int = 0) -> DichotomyR
         return 0j, (g12 + g0 - g1 - g2) - (g21 + g0 - g2 - g1)
 
     deviations = sampled_residuals(pair, samples, seed, (_LIFT_DENOMINATORS,) + (_LIFT_COORDS,) * 4, _LIFT_V_BOUND)
-    return DichotomyReport(
-        chern_s=0,
-        k_group=group,
-        witness_pair=None,
-        witness_value=None,
-        witness_differs_from_one=None,
-        max_pairing_deviation=max_residual(deviations),
-    )
+    return DichotomyReport(0, group, None, None, None, max_residual(deviations))

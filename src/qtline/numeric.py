@@ -15,7 +15,11 @@ not.  Analytic values (cocycle and theta evaluations) are ordinary
 (:func:`tolerance`).
 
 The value classes of the package derive from :class:`_Frozen`, which gives
-them immutability, equality, hashing and ``repr`` over a per-class field list.
+them immutability, equality, hashing and ``repr`` over a per-class field list,
+one store for their fields (its ``__init__``, called once by each constructor
+after its gates) and one pickle rule (the field values, rebuilt through the
+constructor).  ``QuadReal``, ``LatticeVector``, ``Pseudolattice`` and
+``TrivialityVerdict`` store their fields directly, as they are built per request.
 """
 
 from __future__ import annotations
@@ -36,15 +40,29 @@ _FLOAT_BITS = 117
 
 
 class _Frozen:
-    """Immutable value object: ``==``, ``hash`` and ``repr`` over the class's ``_fields``.
+    """Immutable value object: ``==``, ``hash``, ``repr`` and pickling over the class's ``_fields``.
 
-    Only instances of the same class compare equal.  Each ``__init__`` sets its
-    attributes with ``object.__setattr__`` (or straight into the instance dict),
-    past the raising ``__setattr__``; attributes outside ``_fields`` (cached
-    derived values) take no part in equality, hashing or ``repr``.
+    ``_Frozen(*values, **derived)`` stores ``values`` in ``_fields`` order, then
+    the derived values by name, each with ``object.__setattr__``, past the
+    raising ``__setattr__``.  A subclass constructor runs its argument gates
+    and makes this one call; a class with no gates and no defaults has no
+    constructor of its own and is built positionally.  Derived and cached
+    attributes (outside ``_fields``) take no part in equality, hashing,
+    ``repr`` or pickling: an instance pickles as its field values and
+    unpickles through its class's constructor, so its gates run again and no
+    cache travels.  Only instances of the same class compare equal.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object, **derived: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._values())
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -152,12 +170,13 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x: Fraction, what: str) -> Fraction:
+    """x as a Fraction where it is a Fraction or an int other than a bool; else DomainError naming what."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    raise DomainError(f"{what} must be an int or a Fraction, got {type(x).__name__}")
 
 
 class QuadReal(_Frozen):
@@ -172,20 +191,21 @@ class QuadReal(_Frozen):
     _fields = ("a", "b", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int) -> None:
-        a, b = _as_fraction(a), _as_fraction(b)
+        a, b = _as_fraction(a, "QuadReal coefficient a"), _as_fraction(b, "QuadReal coefficient b")
         if not isinstance(d, int) or not 2 <= d <= MAX_RADICAND or not _is_square_free(d):
             try:
                 got = repr(d)
             except ValueError:  # an int past the interpreter's digit limit
                 got = f"an integer of {d.bit_length()} bits"
             raise DomainError(f"radicand must be a square-free integer in [2, {MAX_RADICAND}], got {got}")
+        # Stored directly, not through _Frozen.__init__: exact_cf builds two per request.
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
     @classmethod
-    def rational(cls, value, d: int) -> QuadReal:
-        return cls(_as_fraction(value), Fraction(0), d)
+    def rational(cls, value: Fraction, d: int) -> QuadReal:
+        return cls(value, Fraction(0), d)
 
     @classmethod
     def sqrt(cls, d: int) -> QuadReal:

@@ -80,8 +80,8 @@ class TrivialityVerdict(_Frozen):
         reason: str | None = None,
         bound: int | None = None,
     ) -> None:
-        # Stored straight into the instance dict, past the raising __setattr__:
-        # every answered triviality_test builds one.
+        # Stored straight into the instance dict, not through _Frozen.__init__:
+        # every trivial or unknown answer of triviality_test builds one.
         fields = self.__dict__
         fields["status"] = status
         fields["witness"] = witness
@@ -278,9 +278,7 @@ class AHData(_Frozen):
     _fields = ("c", "e_form", "lattice")
 
     def __init__(self, c: complex, e_form: AltForm, lattice: Pseudolattice) -> None:
-        object.__setattr__(self, "c", require_unit(c, "character value c"))
-        object.__setattr__(self, "e_form", e_form)
-        object.__setattr__(self, "lattice", lattice)
+        super().__init__(require_unit(c, "character value c"), e_form, lattice)
 
     @property
     def chi_omega1(self) -> complex:

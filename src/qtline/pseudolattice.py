@@ -41,8 +41,7 @@ from .errors import DomainError, PreconditionError
 from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
 from .numeric import require_count, require_int, require_real
 
-# object.__setattr__ looked up once: LatticeVector is built per small vector, and
-# a Pseudolattice per request.
+# object.__setattr__ looked up once, for the direct stores of the two classes below.
 _set = object.__setattr__
 # tuple.__new__ looked up once: convergents builds one Convergent row per term with it.
 _row = tuple.__new__
@@ -54,6 +53,7 @@ class LatticeVector(_Frozen):
     _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
+        # Stored directly, not through _Frozen.__init__: built per small vector.
         _set(self, "a", require_int(a, "lattice coordinate a"))
         _set(self, "b", require_int(b, "lattice coordinate b"))
 
@@ -82,6 +82,8 @@ class Convergent(_Frozen, namedtuple("_ConvergentRow", ("p", "q", "index"))):
 
     __slots__ = ()
     _fields = ("p", "q", "index")
+    # The row's __new__ holds the values; _Frozen.__init__ would store them again.
+    __init__ = object.__init__
 
     # _Frozen's __eq__ answers NotImplemented to a plain tuple, whose reflected
     # comparison would then find them equal, and __ne__ would resolve to tuple's.
@@ -123,6 +125,7 @@ class Pseudolattice(_Frozen):
         # q != 0 as omega1 != 0 and sqrt(d) is irrational.  Dividing by +-gcd leaves
         # q > 0 and a, b, q in lowest terms: theta over its least denominator.
         g = math.gcd(a, b, q) if q > 0 else -math.gcd(a, b, q)
+        # Stored directly, not through _Frozen.__init__: exact_cf builds one per request.
         _set(self, "omega1", omega1)
         _set(self, "omega2", omega2)
         _set(self, "_perron", perron_form(a // g, b // g, d, q // g))
@@ -130,10 +133,6 @@ class Pseudolattice(_Frozen):
         _set(self, "_scaled", (a1, b1, a2, b2, den))
         _set(self, "omega1_float", quad_float(a1, b1, d, den))
         _set(self, "omega2_float", quad_float(a2, b2, d, den))
-
-    def __reduce__(self) -> tuple:
-        # Pickled as its fields and rebuilt by the constructor: no cached value travels.
-        return (type(self), (self.omega1, self.omega2))
 
     @property
     def d(self) -> int:

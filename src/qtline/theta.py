@@ -39,7 +39,7 @@ from .cocycle import (
 )
 from .errors import DomainError, PreconditionError
 from .numeric import _Frozen, require_count, require_number, require_unit, tolerance
-from .picard import DEFAULT_WITNESS_BOUND, TrivialityVerdict, principal_fold, triviality_test
+from .picard import DEFAULT_WITNESS_BOUND, principal_fold, triviality_test
 from .pseudolattice import LatticeVector
 
 # q_k >= F_{k+1} and F_92 > 700 * 2^53 >= _EXP_LIMIT / growth for every double
@@ -57,11 +57,8 @@ class ThetaCandidate(_Frozen):
         if not cmath.isfinite(alpha):
             raise DomainError("alpha must be finite")
         amplitude = require_unit(amplitude, "amplitude")
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "unit_exponent", unit_exponent)
-        # log(amplitude)/(2*pi*i) on the principal branch, kept out of equality, hashing and repr.
-        object.__setattr__(self, "_log_amplitude", cmath.log(amplitude) / _TWO_PI_I)
+        # _log_amplitude, log(amplitude)/(2*pi*i) on the principal branch, is derived.
+        super().__init__(amplitude, alpha, unit_exponent, _log_amplitude=cmath.log(amplitude) / _TWO_PI_I)
 
     def log_value(self, v: complex) -> complex:
         """Exponent E(v) with theta(v) = e^{2*pi*i*E(v)}, amplitude folded in; v is read by require_number."""
@@ -118,10 +115,6 @@ class ThetaSolveResult(_Frozen):
 
     _fields = ("candidate", "verdict")
 
-    def __init__(self, candidate: ThetaCandidate | None, verdict: TrivialityVerdict) -> None:
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "verdict", verdict)
-
     @property
     def solved(self) -> bool:
         return self.candidate is not None
@@ -136,21 +129,15 @@ def solve_theta(a: Cocycle, bound: int = DEFAULT_WITNESS_BOUND) -> ThetaSolveRes
     """
     verdict = triviality_test(a, bound=bound)
     if not verdict.is_trivial:
-        return ThetaSolveResult(candidate=None, verdict=verdict)
+        return ThetaSolveResult(None, verdict)
     alpha = (verdict.witness - principal_fold(a)) / a.lattice.omega1_float
-    candidate = ThetaCandidate(amplitude=1.0 + 0j, alpha=alpha, unit_exponent=a.g)
-    return ThetaSolveResult(candidate=candidate, verdict=verdict)
+    return ThetaSolveResult(ThetaCandidate(1.0 + 0j, alpha, a.g), verdict)
 
 
 class ObstructionWitness(_Frozen):
     """Small lattice vectors with the diverging modulus factors they force."""
 
     _fields = ("vectors", "factors", "modulus")
-
-    def __init__(self, vectors: tuple[LatticeVector, ...], factors: tuple[float, ...], modulus: float) -> None:
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "modulus", modulus)
 
 
 def modulus_obstruction_demo(a: Cocycle, terms: int = 6) -> ObstructionWitness:
@@ -179,4 +166,4 @@ def modulus_obstruction_demo(a: Cocycle, terms: int = 6) -> ObstructionWitness:
             vectors.append(l)
     del vectors[terms:]
     factors = tuple(math.exp(-l.b * growth) for l in vectors)
-    return ObstructionWitness(vectors=tuple(vectors), factors=factors, modulus=modulus)
+    return ObstructionWitness(tuple(vectors), factors, modulus)

@@ -1,16 +1,17 @@
 """The library's argument contract (README, "Argument contract"): every public
-call given a hostile scalar in one of its int, float or complex parameters
-returns or raises a QTLineError, within a short deadline per draw, and raises
-one where the draw is not of the parameter's kind (a bool, a str, None or a
-list anywhere, a float for an int, a complex for a float).
+call given a hostile scalar in one of its int, Fraction, float or complex
+parameters returns or raises a QTLineError, within a short deadline per draw,
+and raises one where the draw is not of the parameter's kind (a bool, a str,
+None or a list anywhere, a float for an int or a Fraction, a complex for a
+float).
 
 The calls are the names of ``qtline._EXPORTS`` and the public methods of the
 exported classes.  Each one with a scalar parameter has a
 strategy in CALLS (valid arguments, object ones built by
 ``test_values.FACTORIES``) or a named exclusion with its reason in EXCLUDED.
 Huge valid counts are left out: the library has no caps, so
-``samples=2**63`` runs as long as it is asked to.  An int parameter that is a
-value, not a count, also draws an int past the interpreter's digit limit,
+``samples=2**63`` runs as long as it is asked to.  An int or Fraction parameter
+that is a value, not a count, also draws an int past the interpreter's digit limit,
 whose ``repr`` raises.
 """
 
@@ -54,18 +55,18 @@ from qtline import (
 )
 from test_values import FACTORIES
 
-SCALARS = {"int", "float", "complex"}
+SCALARS = {"int", "Fraction", "float", "complex"}
 # One at a time in place of a valid argument; the float and complex parameters
 # also get ints past the double range.
 HOSTILE = [
     None, "3", "x", b"3", True, False, 1.5, 2.5, 0, 0.0, -0.0, -1, math.inf, -math.inf, math.nan, [], complex("nan"),
 ]
 HOSTILE_REAL = HOSTILE + [10**400, -(10**400)]
-# Int parameters that count work; every other int parameter is a value.
+# Int parameters that count work; every other int or Fraction parameter is a value.
 COUNTS = {"samples", "n", "terms", "bound", "max_terms"}
 HOSTILE_VALUE_INT = HOSTILE + [10**5000]
 # The types of draw each kind of parameter may take; any other draw must raise.
-OF_KIND = {"int": (int,), "float": (int, float), "complex": (int, float, complex)}
+OF_KIND = {"int": (int,), "Fraction": (int, Fraction), "float": (int, float), "complex": (int, float, complex)}
 DEADLINE_S = 2.0
 
 
@@ -145,7 +146,10 @@ EXCLUDED = {
     **{name: _ERROR for name in qtline._EXPORTS["errors"]},
     **{
         name: _RECORD
-        for name in ("TrivialityVerdict", "KGroupDescription", "DichotomyReport", "ThetaSolveResult", "ObstructionWitness")
+        for name in (
+            "TrivialityVerdict", "KGroupDescription", "DichotomyReport", "ThetaSolveResult", "ObstructionWitness",
+            "Convergent",
+        )
     },
     "Pseudolattice.rounded_combination": _KERNEL,
     "Pseudolattice.frac_combination": _KERNEL,
@@ -216,7 +220,7 @@ def deadline(seconds: float, what: str):
 
 
 def draws(param: str, annotation: str) -> list:
-    if annotation != "int":
+    if annotation in ("float", "complex"):
         return HOSTILE_REAL
     return HOSTILE if param in COUNTS else HOSTILE_VALUE_INT
 

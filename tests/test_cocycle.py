@@ -129,6 +129,35 @@ class TestEvaluate:
         with pytest.raises(RangeError):
             a.evaluate(LatticeVector(0, 200), 5j)
 
+    @pytest.mark.parametrize(
+        "l", [(0, 10**400), (10**400, 0), (0, -(10**309)), (0, 10**200)], ids=["b", "a", "-b", "b-squared"]
+    )
+    def test_coordinates_beyond_double_range_are_range_error(self, l1, l):
+        # a bare OverflowError from the coordinates' float conversions used to escape
+        a = Cocycle(2, 1 + 1j, ExponentPoly((0j, 0.1)), l1)
+        for method in (a.exponent, a.evaluate):
+            with pytest.raises(RangeError, match="^exponent cannot be formed: "):
+                method(LatticeVector(*l), 0.1 + 0.2j)
+
+    @pytest.mark.parametrize("s", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    def test_s_beyond_double_range_is_range_error(self, l1, s):
+        a = Cocycle(s, 1.0, ExponentPoly.zero(), l1)
+        for call in (
+            lambda: a.exponent(LatticeVector(0, 1), 0.1),
+            lambda: a.evaluate(LatticeVector(0, 1), 0.1),
+            lambda: verify_cocycle_identity(a, samples=3),
+        ):
+            with pytest.raises(RangeError, match="^s of 1329 bits is beyond the double range$"):
+                call()
+
+    @pytest.mark.parametrize("s", [3, -(2**60) - 1, 10**300])
+    def test_s_bound_as_a_double_keeps_every_bit(self, l1, s):
+        # s * x rounds an int s to a double before it multiplies, as float(s) * x does
+        a = Cocycle(s, 1.0, ExponentPoly.zero(), l1)
+        w1, w2 = l1.omega1_float, l1.omega2_float
+        for b, v in [(1, 0.3 + 0.2j), (-7, -1.5 + 4j), (2, 1e-300j)]:
+            assert a.exponent(LatticeVector(0, b), v) == s * (b * b * w2 + 2.0 * b * v) / (2.0 * w1)
+
     def test_zero_character_rejected(self, l1):
         with pytest.raises(DomainError):
             Cocycle(0, 0.0, ExponentPoly.zero(), l1)

@@ -415,6 +415,13 @@ class TestPairing:
         with pytest.raises(RangeError, match="double range"):
             closed_form_pairing(section(l1, n), LambdaPoint(1, n - 1, n), LambdaPoint(0, 1, n))
 
+    def test_multiplier_residual_s_beyond_double_range_is_range_error(self, l1):
+        # a bare OverflowError from the exponent kernel used to escape
+        n = 10**400
+        a = section(l1, n)
+        with pytest.raises(RangeError, match="^s of 1329 bits is beyond the double range$"):
+            multiplier_residual(a, membership_multiplier(a, LambdaPoint(1, 0, n)), samples=3)
+
     def test_closed_form_bit_identical_below_s(self, l1):
         # with |cross| < |s| the reduction is the identity: the old expression exactly
         for s in (-7, -3, 2, 5, 200):

@@ -78,7 +78,7 @@ class TestArithmetic:
             sqrt2(1, 1) * QuadReal.sqrt(5)
 
     def test_float_coefficients_rejected(self):
-        with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+        with pytest.raises(DomainError, match="^QuadReal coefficient a must be an int or a Fraction, got float$"):
             QuadReal(0.5, 0, 2)
 
     def test_non_square_free_radicand_rejected(self):

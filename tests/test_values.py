@@ -6,11 +6,13 @@ own class, refuses assignment and deletion, and prints as
 of that.
 """
 
+import ast
 import importlib
 import math
 import pickle
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +167,88 @@ def test_pickle_round_trip(factory):
     make, _ = factory
     x = make()
     assert pickle.loads(pickle.dumps(x)) == x
+
+
+# A warm use per class that caches derived values; every other class gets repr and hash.
+WARM = {
+    "Pseudolattice": lambda x: (x.theta, x.frac_combination(3, 10**40, 7), list(x.convergents(3))),
+    "ExponentPoly": lambda x: x(0.3 + 0.1j),
+    "Cocycle": lambda x: (x.evaluate(LatticeVector(1, 2), 0.3 + 0.1j), x.lattice.theta),
+    "ThetaCandidate": lambda x: x.evaluate(0.3 + 0.1j),
+    "AHData": lambda x: (x.chi(LatticeVector(1, 2)), x.lattice.theta),
+    "Character": lambda x: (x(LatticeVector(1, 2)), x.lattice.theta),
+}
+
+
+def state(x):
+    """The attributes of x, and of the values it holds, all the way down."""
+    if isinstance(x, _Frozen) and hasattr(x, "__dict__"):
+        return {name: state(value) for name, value in vars(x).items()}
+    if isinstance(x, tuple):  # a Convergent, which has no __dict__, among them
+        return tuple(state(value) for value in x)
+    return x
+
+
+def test_pickle_carries_fields_and_no_cache(factory):
+    # each value unpickles through its constructor: no cached or derived value
+    # travels, and the constructor rebuilds the derived ones
+    make, _ = factory
+    x = make()
+    WARM.get(type(x).__name__, lambda x: (repr(x), hash(x)))(x)
+    copy, fresh = pickle.loads(pickle.dumps(x)), make()
+    assert copy == fresh
+    assert state(copy) == state(fresh)
+
+
+def test_no_value_class_writes_its_own_pickle_rule():
+    own = [
+        cls.__name__
+        for cls in _frozen_classes(_Frozen)
+        if {"__reduce__", "__reduce_ex__", "__getstate__", "__setstate__"} & vars(cls).keys()
+    ]
+    assert not own, own
+
+
+SOURCE = Path(qtline.__file__).parent
+# The stores past _Frozen's raising __setattr__ other than _Frozen.__init__ itself:
+# the direct stores of the four classes built per benchmark request, the alias
+# they use, and the widening of a lattice's fixed-point theta.
+DIRECT_STORES = {
+    ("numeric", "_Frozen.__init__"),
+    ("numeric", "QuadReal.__init__"),
+    ("pseudolattice", "<module>"),
+    ("pseudolattice", "LatticeVector.__init__"),
+    ("pseudolattice", "Pseudolattice.__init__"),
+    ("pseudolattice", "Pseudolattice.frac_combination"),
+    ("picard", "TrivialityVerdict.__init__"),
+}
+
+
+def direct_stores(node: ast.AST, where: str) -> set[str]:
+    """Where, under node, object.__setattr__, a _set( call, __dict__ or vars( appears."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found |= direct_stores(child, child.name if where == "<module>" else f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Attribute) and (
+            child.attr == "__dict__" or (child.attr == "__setattr__" and ast.unparse(child.value) == "object")
+        ):
+            found.add(where)
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in ("_set", "vars"):
+            found.add(where)
+        found |= direct_stores(child, where)
+    return found
+
+
+def test_values_are_stored_in_the_named_places_only():
+    # chern, cocycle, heisenberg and theta store through _Frozen.__init__ alone
+    found = {
+        (path.stem, where)
+        for path in sorted(SOURCE.glob("*.py"))
+        for where in direct_stores(ast.parse(path.read_text()), "<module>")
+    }
+    assert found == DIRECT_STORES
 
 
 def test_objects_of_other_classes_are_unequal():
