@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NoReturn
 
 from . import jsonio
 from .chern import chern_numeric, chern_symbolic
@@ -25,6 +24,11 @@ from .numeric import QuadReal, approx_eq
 from .picard import DEFAULT_WITNESS_BOUND, ah_normal_form, triviality_test
 from .pseudolattice import LatticeVector, Pseudolattice
 from .theta import solve_theta, theta_residuals
+
+# typing is read by type checkers only: importing it costs every process start-up.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Callable, NoReturn
 
 # Caps on the per-request work counts: continued-fraction terms, residual
 # samples and triviality-search bound.

@@ -18,14 +18,17 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
 
 from .cocycle import Cocycle, ExponentPoly
 from .errors import FormatError
 from .numeric import QuadReal
 from .pseudolattice import Pseudolattice
 
+# typing is read by type checkers only: importing it costs every process start-up.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Any
+
     from .theta import ThetaCandidate
 
 

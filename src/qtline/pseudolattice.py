@@ -14,11 +14,11 @@ which is checkable in floats and, exactly, on the integers of omega1, omega2.
 The continued fraction runs on integers, theta = (P + sqrt(N))/Q and then
 a = floor((P + isqrt(N))/Q), P' = aQ - P, Q' = (N - P'^2)/Q (Perron), so no
 partial quotient, on which every later convergent depends, meets a float.
-One lazy walk, Pseudolattice._expansion, yields each partial quotient with its
-convergent p_k/q_k in turn; cf_terms, convergents, small_vectors and
-approximate_real all read it.  convergents turns each step into a Convergent, a
-tuple row, with no constructor call; approximate_real keeps its gap to the target
-on integers and stops reading once that gap is within eps, tested only after it moves.
+One lazy walk, Pseudolattice._expansion, yields (p_k, q_k, k), a Convergent's fields,
+for each partial quotient a_k: convergents maps tuple.__new__ over it, cf_terms reads
+a_k = (q_k - q_{k-2}) // q_{k-1} back (a_0 = p_0), and small_vectors and
+approximate_real read it too.  approximate_real keeps its gap to the target on
+integers and stops reading once that gap is within eps, tested only after it moves.
 A Pseudolattice is built on integers: it keeps omega1, omega2 over one integer
 denominator and theta as its Perron triple (P, N, Q), formed once from those
 integers with no field division.  The walk starts from that triple and the
@@ -36,6 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, PreconditionError
 from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
@@ -43,7 +44,7 @@ from .numeric import require_count, require_int, require_real
 
 # object.__setattr__ looked up once, for the direct stores of the two classes below.
 _set = object.__setattr__
-# tuple.__new__ looked up once: convergents builds one Convergent row per term with it.
+# tuple.__new__ looked up once: convergents maps it over the walk's (p, q, k) records.
 _row = tuple.__new__
 
 
@@ -187,35 +188,39 @@ class Pseudolattice(_Frozen):
         return l.a * self.omega1_float + l.b * self.omega2_float
 
     def _expansion(self, n: int, what: str = "n") -> Iterator[tuple[int, int, int]]:
-        """(a_k, p_k, q_k) for k = 0 .. n-1, computed one at a time as they are read:
-        each partial quotient with its convergent p_k/q_k (p_{-1}/q_{-1} = 1/0).
+        """(p_k, q_k, k), a Convergent's fields, for k = 0 .. n-1, each computed as it is
+        read from the partial quotient a_k of the Perron recurrence (p_{-1}/q_{-1} = 1/0).
         n passes the count rule under the caller's name for it, what."""
         require_count(n, what)
         p, big_n, q = self._perron
         r = math.isqrt(big_n)
         num, num_prev, den, den_prev = 1, 0, 0, 1
-        for _ in range(n):
+        for k in range(n):
             # surd_floor(p, 1, N, q), inlined with isqrt(N) hoisted: the per-term hot path.
             a = (p + r) // q if q > 0 else (p + r + 1) // q
             num, num_prev = a * num + num_prev, num
             den, den_prev = a * den + den_prev, den
-            yield a, num, den
+            yield num, den, k
             # The tail is (P' + sqrt(N))/Q'; Q' = 0 would make N = P'^2 a square.
             p = a * q - p
             q = (big_n - p * p) // q
 
     def cf_terms(self, n: int) -> list[int]:
-        """First n partial quotients of theta, via the integer recurrence."""
-        return [a for a, _, _ in self._expansion(n)]
+        """First n partial quotients of theta, read back: a_0 = p_0, a_k = (q_k - q_{k-2}) // q_{k-1}."""
+        terms, den, den_prev = [], 0, 1
+        for p, q, k in self._expansion(n):
+            terms.append((q - den_prev) // den if k else p)
+            den, den_prev = q, den
+        return terms
 
     def convergents(self, n: int) -> list[Convergent]:
-        """First n convergents p_k/q_k of theta (k = 0 .. n-1)."""
-        return [_row(Convergent, (p, q, k)) for k, (_, p, q) in enumerate(self._expansion(n))]
+        """First n convergents p_k/q_k of theta (k = 0 .. n-1), one tuple row per walk record."""
+        return list(map(_row, repeat(Convergent), self._expansion(n)))
 
     def small_vectors(self, n: int) -> list[LatticeVector]:
         """Vectors (p_k, -q_k) whose real values p_k*omega1 - q_k*omega2
         shrink strictly to zero while |q_k| grows."""
-        return [LatticeVector(p, -q) for _, p, q in self._expansion(n)]
+        return [LatticeVector(p, -q) for p, q, _ in self._expansion(n)]
 
     def approximate_real(self, target: float, eps: float = 1e-3, max_terms: int = 60) -> LatticeVector:
         """A lattice vector whose real value is within eps of target.
@@ -241,7 +246,7 @@ class Pseudolattice(_Frozen):
         # The gap is tested at the start and after each step that moves it: a zero
         # count leaves it as it was last tested.
         count = 1
-        for _, p, q in self._expansion(max_terms, "max_terms"):
+        for p, q, _ in self._expansion(max_terms, "max_terms"):
             if count and _within(g, y, d, bound):
                 return LatticeVector(acc_a, acc_b)
             # The vector times den is x + z*sqrt(d), and gap/vector =

@@ -110,6 +110,9 @@ CALLS = {
         },
     ),
     "QuadReal": lambda: (QuadReal, {"a": Fraction(1, 2), "b": 3, "d": 5}),
+    "QuadReal.rational": lambda: (QuadReal.rational, {"value": Fraction(1, 2), "d": 5}),
+    "QuadReal.sqrt": lambda: (QuadReal.sqrt, {"d": 5}),
+    "ExponentPoly.linear": lambda: (ExponentPoly.linear, {"slope": 0.5 - 1j, "constant": 0.25}),
     "approx_eq": lambda: (approx_eq, {"x": 1.0, "y": 1.0}),
     "AHData": lambda: (AHData, {"c": 1j, "e_form": make("AltForm"), "lattice": lattice()}),
     "triviality_test": lambda: (triviality_test, {"a": trivial_cocycle(lattice()), "bound": 100}),
@@ -148,20 +151,24 @@ EXCLUDED = {
         name: _RECORD
         for name in (
             "TrivialityVerdict", "KGroupDescription", "DichotomyReport", "ThetaSolveResult", "ObstructionWitness",
-            "Convergent",
+            "Convergent", "TrivialityVerdict.trivial", "TrivialityVerdict.nontrivial",
+            "TrivialityVerdict.unknown", "KGroupDescription.finite_group", "KGroupDescription.full_torus",
         )
     },
+    "ExponentPoly.zero": "a constant, which takes no argument",
     "Pseudolattice.rounded_combination": _KERNEL,
     "Pseudolattice.frac_combination": _KERNEL,
 }
 
 
 def public_calls() -> dict:
+    """The exports, and each public method and classmethod of the exported classes
+    (a classmethod bound to its class, so that its signature has no cls)."""
     calls = {name: getattr(qtline, name) for names in qtline._EXPORTS.values() for name in names}
     for cls in [call for call in list(calls.values()) if inspect.isclass(call)]:
         for name, member in vars(cls).items():
-            if not name.startswith("_") and inspect.isfunction(member):
-                calls[f"{cls.__name__}.{name}"] = member
+            if not name.startswith("_") and (inspect.isfunction(member) or isinstance(member, classmethod)):
+                calls[f"{cls.__name__}.{name}"] = getattr(cls, name)
     return calls
 
 

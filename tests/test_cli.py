@@ -748,6 +748,12 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert fresh_python(probe).strip() == "[]"
 
 
+def test_cli_import_leaves_out_typing():
+    # cli and jsonio name typing's types only in annotations, which
+    # `from __future__ import annotations` leaves unevaluated
+    assert fresh_python("import qtline.cli, sys; print('typing' in sys.modules)").strip() == "False"
+
+
 def test_cli_import_loads_every_module_the_startup_breakdown_times():
     # perfbench/cli_oneshot.py reads each of its MODULES from `-X importtime`
     # of `import qtline.cli`; a module that import leaves out has no sample,

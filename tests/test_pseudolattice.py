@@ -155,6 +155,10 @@ class TestConvergents:
         assert all(qs[i] < qs[i + 1] for i in range(1, len(qs) - 1))
 
 
+def refuse_work(*args):
+    raise AssertionError("work done before the count was checked")
+
+
 def _theta_mpf(lat):
     def to_mpf(x):
         return mp.mpf(x.a.numerator) / x.a.denominator + (mp.mpf(x.b.numerator) / x.b.denominator) * mp.sqrt(x.d)
@@ -286,8 +290,9 @@ class TestDensity:
             l1.approximate_real(0.5, eps=target)
 
     @pytest.mark.parametrize("target", [0.0, 0.5])
-    def test_no_terms_is_a_precondition_error(self, l1, target):
-        # raised even where the target needs no term at all
+    def test_no_terms_is_a_precondition_error(self, l1, target, monkeypatch):
+        # raised even where the target needs no term at all, before any stop test
+        monkeypatch.setattr(pseudolattice, "_within", refuse_work)
         with pytest.raises(PreconditionError, match="need max_terms >= 1"):
             l1.approximate_real(target, max_terms=0)
 
@@ -358,10 +363,9 @@ def greedy_descent(vectors, values, target, eps):
     return acc
 
 
-def eager_convergents(lat, n):
-    """(p_k, q_k) for k < n from the former loops: every partial quotient by the
-    integer recurrence first, then the convergent recurrence over that list.
-    Test oracle only."""
+def eager_terms(lat, n):
+    """The first n partial quotients by the integer recurrence, from theta's exact
+    value rather than the lattice's Perron triple.  Test oracle only."""
     p, big_n, q = surd_form(theta_exact(lat))
     terms = []
     for _ in range(n):
@@ -369,6 +373,14 @@ def eager_convergents(lat, n):
         terms.append(k)
         p = k * q - p
         q = (big_n - p * p) // q
+    return terms
+
+
+def eager_convergents(lat, n):
+    """(p_k, q_k) for k < n from the former loops: every partial quotient by the
+    integer recurrence first, then the convergent recurrence over that list.
+    Test oracle only."""
+    terms = eager_terms(lat, n)
     p_prev, p = 1, terms[0]
     q_prev, q = 0, 1
     out = [(p, q)]
@@ -441,7 +453,9 @@ class TestIntegerRecurrence:
 
     @pytest.mark.parametrize("method", ["cf_terms", "convergents", "small_vectors"])
     @pytest.mark.parametrize("n", [0, -3])
-    def test_every_reader_needs_positive_n(self, l2, method, n):
+    def test_every_reader_needs_positive_n(self, l2, method, n, monkeypatch):
+        # before any work: the walk has not yet read theta's Perron triple
+        monkeypatch.setattr(Pseudolattice, "_perron", property(refuse_work), raising=False)
         with pytest.raises(PreconditionError, match="need n >= 1"):
             getattr(l2, method)(n)
 
@@ -524,6 +538,38 @@ def test_construction_and_walk_use_no_quadreal_arithmetic(monkeypatch):
         monkeypatch.setattr(QuadReal, name, refuse, raising=False)
     fresh = (lattice_sqrt2(), lattice_golden())
     assert [(lat.convergents(100), lat.approximate_real(2.345, 1e-9), lat.theta) for lat in fresh] == want
+
+
+# The walk's record (p_k, q_k, k) at depth 640: a huge first term, a golden
+# start (q_0 = q_1) with a_0 = 0, a negative sqrt(D) coefficient, D = 999983 and
+# the four certify lattices (the golden ratio among them).
+WALK_LATTICES = [
+    pytest.param(
+        Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(10**30 + 12345), Fraction(1), 2)),
+        id="huge-first-term",
+    ),
+    pytest.param(
+        Pseudolattice(QuadReal.rational(1, 5), QuadReal(Fraction(-1, 2), Fraction(1, 2), 5)), id="inverse-golden"
+    ),
+    pytest.param(Pseudolattice(QuadReal.rational(1, 2), QuadReal(Fraction(0), Fraction(-1), 2)), id="minus-sqrt2"),
+    pytest.param(
+        Pseudolattice(QuadReal.rational(1, 999983), QuadReal(Fraction(2, 3), Fraction(-5, 7), 999983)), id="D999983"
+    ),
+    *(pytest.param(lat, id=f"certify-{i}") for i, lat in enumerate(CERTIFY_LATTICES)),
+]
+
+
+@pytest.mark.parametrize("lat", WALK_LATTICES)
+def test_walk_readers_match_eager_loops_at_depth_640(lat):
+    """cf_terms reads each a_k back from the denominators; convergents and
+    small_vectors read the record as it is."""
+    assert lat.cf_terms(640) == eager_terms(lat, 640)
+    want = eager_convergents(lat, 640)
+    got = lat.convergents(640)
+    assert all(type(c) is Convergent for c in got)
+    assert got == [Convergent(p, q, k) for k, (p, q) in enumerate(want)]
+    assert all(c != (p, q, k) and not c == (p, q, k) for k, (c, (p, q)) in enumerate(zip(got, want)))
+    assert lat.small_vectors(640) == [LatticeVector(p, -q) for p, q in want]
 
 
 def test_convergents_build_rows_without_the_constructor(monkeypatch):
