@@ -5,12 +5,18 @@ Exit codes: 0 success (single JSON document on stdout), 1 malformed input
 the library.  All randomness is controlled by explicit --seed flags, so
 identical argv produces byte-identical stdout, whatever integer digit limit
 the caller set: a request runs under Python's default (4300 digits).
+
+A ``qtline`` process (``entry``) whose stdout cannot take the answer (closed,
+a pipe whose reader has gone, a full disk) says so in one line on stderr and
+exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -286,7 +292,9 @@ _COMMANDS = (
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qtline", description=__doc__)
+    # --help states the request's contract: the docstring without its last
+    # paragraph, which is about the process (empty under -OO)
+    parser = _Parser(prog="qtline", description=(__doc__ or "").rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
@@ -324,5 +332,32 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(saved_limit)
 
 
+def _unwritable(why: object) -> int:
+    print(f"qtline: cannot write the answer to stdout: {why}", file=sys.stderr)
+    return 3
+
+
+def entry() -> NoReturn:
+    """The process entry of the ``qtline`` script and ``python -m qtline.cli``:
+    main on sys.argv, then exit with its code."""
+    if sys.stdout is None:  # the process started with stdout closed
+        code = _unwritable("stdout is closed")
+    else:
+        try:
+            code = main()
+            sys.stdout.flush()
+        except OSError as exc:  # main answers every error of reading its input, so this is stdout's
+            # shutdown flushes stdout again: let it reach devnull, not a second report
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = _unwritable(exc)
+    # The answer is written and nothing left is needed: moving every object to
+    # the permanent generation spares shutdown's full collections a walk over
+    # the whole heap.  Cyclic garbage left now is never finalized; Python does
+    # not promise __del__ at exit, qtline defines none and opens files only
+    # under `with`.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()
