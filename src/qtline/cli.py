@@ -54,6 +54,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:  # malformed flags -> exit 1, not 2
         raise FormatError(message)
 
+    def _print_message(self, message: str, file: Any = None) -> None:
+        (file or sys.stderr).write(message)  # argparse drops a failed write; entry answers it
+
 
 def _read_int(literal: str) -> int:
     """int(literal) of at most MAX_DECIMAL_EXPONENT digits: json.load's parse_int and the "(...)/den" reader."""
@@ -344,7 +347,10 @@ def entry() -> NoReturn:
         code = _unwritable("stdout is closed")
     else:
         try:
-            code = main()
+            try:
+                code = main()
+            except SystemExit as exc:  # the parser answered --help
+                code = exc.code
             sys.stdout.flush()
         except OSError as exc:  # main answers every error of reading its input, so this is stdout's
             # shutdown flushes stdout again: let it reach devnull, not a second report

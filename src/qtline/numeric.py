@@ -16,10 +16,9 @@ not.  Analytic values (cocycle and theta evaluations) are ordinary
 
 The value classes of the package derive from :class:`_Frozen`, which gives
 them immutability, equality, hashing and ``repr`` over a per-class field list,
-one store for their fields (its ``__init__``, called once by each constructor
-after its gates) and one pickle rule (the field values, rebuilt through the
-constructor).  ``QuadReal``, ``LatticeVector``, ``Pseudolattice`` and
-``TrivialityVerdict`` store their fields directly, as they are built per request.
+one store (``_store``, generated with the class from its ``_fields`` and
+``_derived`` names, and called once by each constructor after its gates) and
+one pickle rule (the field values, rebuilt through the constructor).
 """
 
 from __future__ import annotations
@@ -42,24 +41,34 @@ _FLOAT_BITS = 117
 class _Frozen:
     """Immutable value object: ``==``, ``hash``, ``repr`` and pickling over the class's ``_fields``.
 
-    ``_Frozen(*values, **derived)`` stores ``values`` in ``_fields`` order, then
-    the derived values by name, each with ``object.__setattr__``, past the
-    raising ``__setattr__``.  A subclass constructor runs its argument gates
-    and makes this one call; a class with no gates and no defaults has no
-    constructor of its own and is built positionally.  Derived and cached
-    attributes (outside ``_fields``) take no part in equality, hashing,
-    ``repr`` or pickling: an instance pickles as its field values and
-    unpickles through its class's constructor, so its gates run again and no
-    cache travels.  Only instances of the same class compare equal.
+    A subclass with an instance dict and fields of its own gets
+    ``_store(self, *_fields, *_derived, /)`` when it is created: one generated
+    function that writes its arguments into the instance dict, past the raising
+    ``__setattr__``.  A constructor runs its gates and calls it once; a class
+    with no constructor has it as ``__init__``.  Derived and cached attributes
+    take no part in equality, hashing, ``repr`` or pickling: an instance
+    pickles as its field values and unpickles through its class's constructor,
+    so its gates run again and no cache travels.  Only instances of the same
+    class compare equal.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()  # values a constructor derives, stored after the fields
 
-    def __init__(self, *values: object, **derived: object) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls) -> None:
+        if not cls.__dictoffset__ or "_fields" not in vars(cls):
+            return  # a slotted tuple row, or a subclass that keeps its parent's store
+        names = cls._fields + cls._derived
+        obj, values = "self", "values"
+        while {obj, values} & set(names):  # the locals apart from every field, which would overwrite them
+            obj, values = f"{obj}_", f"{values}_"
+        source = f"def _store({obj}, {''.join(f'{name}, ' for name in names)}/):\n    {values} = {obj}.__dict__\n"
+        namespace: dict = {}
+        exec(source + "".join(f"    {values}[{name!r}] = {name}\n" for name in names), namespace)
+        if cls.__init__ is object.__init__:
+            cls.__init__ = namespace["_store"]  # no constructor: the store builds it
+        cls._store = namespace["_store"]
 
     def __reduce__(self) -> tuple:
         return (self.__class__, self._values())
@@ -198,10 +207,7 @@ class QuadReal(_Frozen):
             except ValueError:  # an int past the interpreter's digit limit
                 got = f"an integer of {d.bit_length()} bits"
             raise DomainError(f"radicand must be a square-free integer in [2, {MAX_RADICAND}], got {got}")
-        # Stored directly, not through _Frozen.__init__: exact_cf builds two per request.
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        self._store(a, b, d)
 
     @classmethod
     def rational(cls, value: Fraction, d: int) -> QuadReal:

@@ -80,13 +80,7 @@ class TrivialityVerdict(_Frozen):
         reason: str | None = None,
         bound: int | None = None,
     ) -> None:
-        # Stored straight into the instance dict, not through _Frozen.__init__:
-        # every trivial or unknown answer of triviality_test builds one.
-        fields = self.__dict__
-        fields["status"] = status
-        fields["witness"] = witness
-        fields["reason"] = reason
-        fields["bound"] = bound
+        self._store(status, witness, reason, bound)
 
     @classmethod
     def trivial(cls, witness: int) -> TrivialityVerdict:
@@ -278,7 +272,7 @@ class AHData(_Frozen):
     _fields = ("c", "e_form", "lattice")
 
     def __init__(self, c: complex, e_form: AltForm, lattice: Pseudolattice) -> None:
-        super().__init__(require_unit(c, "character value c"), e_form, lattice)
+        self._store(require_unit(c, "character value c"), e_form, lattice)
 
     @property
     def chi_omega1(self) -> complex:

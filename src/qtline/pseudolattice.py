@@ -42,8 +42,6 @@ from .errors import DomainError, PreconditionError
 from .numeric import QuadReal, _Frozen, over_common_denominator, perron_form, quad_float, surd_floor
 from .numeric import require_count, require_int, require_real
 
-# object.__setattr__ looked up once, for the direct stores of the two classes below.
-_set = object.__setattr__
 # tuple.__new__ looked up once: convergents maps it over the walk's (p, q, k) records.
 _row = tuple.__new__
 
@@ -54,9 +52,7 @@ class LatticeVector(_Frozen):
     _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
-        # Stored directly, not through _Frozen.__init__: built per small vector.
-        _set(self, "a", require_int(a, "lattice coordinate a"))
-        _set(self, "b", require_int(b, "lattice coordinate b"))
+        self._store(require_int(a, "lattice coordinate a"), require_int(b, "lattice coordinate b"))
 
     def __add__(self, other: LatticeVector) -> LatticeVector:
         return LatticeVector(self.a + other.a, self.b + other.b)
@@ -83,8 +79,6 @@ class Convergent(_Frozen, namedtuple("_ConvergentRow", ("p", "q", "index"))):
 
     __slots__ = ()
     _fields = ("p", "q", "index")
-    # The row's __new__ holds the values; _Frozen.__init__ would store them again.
-    __init__ = object.__init__
 
     # _Frozen's __eq__ answers NotImplemented to a plain tuple, whose reflected
     # comparison would then find them equal, and __ne__ would resolve to tuple's.
@@ -110,6 +104,8 @@ class Pseudolattice(_Frozen):
     """
 
     _fields = ("omega1", "omega2")
+    # _scaled is (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
+    _derived = ("_perron", "_scaled", "omega1_float", "omega2_float")
 
     def __init__(self, omega1: QuadReal, omega2: QuadReal) -> None:
         d = omega1.d
@@ -126,14 +122,10 @@ class Pseudolattice(_Frozen):
         # q != 0 as omega1 != 0 and sqrt(d) is irrational.  Dividing by +-gcd leaves
         # q > 0 and a, b, q in lowest terms: theta over its least denominator.
         g = math.gcd(a, b, q) if q > 0 else -math.gcd(a, b, q)
-        # Stored directly, not through _Frozen.__init__: exact_cf builds one per request.
-        _set(self, "omega1", omega1)
-        _set(self, "omega2", omega2)
-        _set(self, "_perron", perron_form(a // g, b // g, d, q // g))
-        # (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
-        _set(self, "_scaled", (a1, b1, a2, b2, den))
-        _set(self, "omega1_float", quad_float(a1, b1, d, den))
-        _set(self, "omega2_float", quad_float(a2, b2, d, den))
+        self._store(
+            omega1, omega2, perron_form(a // g, b // g, d, q // g), (a1, b1, a2, b2, den),
+            quad_float(a1, b1, d, den), quad_float(a2, b2, d, den),
+        )
 
     @property
     def d(self) -> int:
@@ -181,7 +173,7 @@ class Pseudolattice(_Frozen):
             k *= 2
             p, n, q = self._perron
             t = surd_floor(p << k, 1 << k, n, q)
-            _set(self, "_theta_bits", (k, t))
+            self.__dict__["_theta_bits"] = (k, t)
 
     def float_value(self, l: LatticeVector) -> float:
         """Double-precision a*omega1 + b*omega2, the shift fed to exponent evaluation."""

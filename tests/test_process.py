@@ -86,10 +86,12 @@ def _full(run):
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("stdout", [_closed, _broken_pipe, _full], ids=["closed", "broken_pipe", "full"])
-def test_unwritable_stdout_is_one_line_on_stderr_and_exit_3(stdout, unbuffered):
+@pytest.mark.parametrize("argv", [CF, ["--help"], ["cf", "--help"]], ids=["cf", "help", "cf_help"])
+def test_unwritable_stdout_is_one_line_on_stderr_and_exit_3(argv, stdout, unbuffered):
     # one report, from the entry: no traceback, and none again from
-    # shutdown's flush of a buffered stdout (which would exit 120)
-    proc, why = stdout(lambda **options: run_process(CF, unbuffered=unbuffered, **options))
+    # shutdown's flush of a buffered stdout (which would exit 120); a --help
+    # whose text is lost (argparse drops the failed write) does not exit 0
+    proc, why = stdout(lambda **options: run_process(argv, unbuffered=unbuffered, **options))
     assert (proc.returncode, proc.stderr.decode()) == (3, f"qtline: cannot write the answer to stdout: {why}\n")
 
 
