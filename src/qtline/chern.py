@@ -44,7 +44,7 @@ class AltForm(_Frozen):
     _fields = ("s",)
 
     def __init__(self, s: int) -> None:
-        self._store(require_int(s, "s"))
+        self._store(s=require_int(s, "s"))
 
     def __add__(self, other: AltForm) -> AltForm:
         return AltForm(self.s + other.s)

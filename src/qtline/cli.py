@@ -48,6 +48,10 @@ _CAPS = {"n": MAX_TERMS, "samples": MAX_SAMPLES, "bound": MAX_BOUND}
 # integer literal, which main sets for every request.
 MAX_DECIMAL_EXPONENT = 4300
 _TOO_LONG = f"more than {MAX_DECIMAL_EXPONENT} digits in one number"
+# Most characters read from a --cocycle or --theta document: eight lattice integers
+# of MAX_DECIMAL_EXPONENT digits make a cocycle of about 35,000, and the largest
+# golden document has 539.  A longer one (or an endless file) is refused undecoded.
+MAX_DOCUMENT_CHARS = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,11 +142,14 @@ def _reject_constant(name: str) -> NoReturn:
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_read_int, parse_constant=_reject_constant)
+            text = fh.read(MAX_DOCUMENT_CHARS + 1)
+        if len(text) <= MAX_DOCUMENT_CHARS:
+            return json.loads(text, parse_int=_read_int, parse_constant=_reject_constant)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, NaN/Infinity, nesting
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    raise FormatError(f"{path} is longer than {MAX_DOCUMENT_CHARS} characters")
 
 
 def _cmd_cf(_: None, args: argparse.Namespace) -> Any:

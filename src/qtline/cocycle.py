@@ -112,9 +112,6 @@ class ExponentPoly(_Frozen):
     """
 
     _fields = ("coeffs",)
-    # _horner is the coefficients highest degree first, the order Horner's rule
-    # reads, and linear_coefficient is g_1, read by every Pic^0 fold.
-    _derived = ("_horner", "linear_coefficient")
 
     def __init__(self, coeffs: tuple[complex, ...] = ()) -> None:
         cs = [require_number(z, "exponent polynomial coefficient") for z in coeffs]
@@ -124,7 +121,9 @@ class ExponentPoly(_Frozen):
             cs.pop()
         if len(cs) - 1 > MAX_DEGREE:
             raise DomainError(f"exponent polynomial degree {len(cs) - 1} exceeds cap {MAX_DEGREE}")
-        self._store(tuple(cs), tuple(reversed(cs)), cs[1] if len(cs) > 1 else 0j)
+        # _horner is the coefficients highest degree first, the order Horner's rule
+        # reads, and linear_coefficient is g_1, read by every Pic^0 fold.
+        self._store(coeffs=tuple(cs), _horner=tuple(reversed(cs)), linear_coefficient=cs[1] if len(cs) > 1 else 0j)
 
     @classmethod
     def zero(cls) -> ExponentPoly:
@@ -174,7 +173,7 @@ class Cocycle(_Frozen):
     _fields = ("s", "c", "g", "lattice")
 
     def __init__(self, s: int, c: complex, g: ExponentPoly, lattice: Pseudolattice) -> None:
-        self._store(require_int(s, "s"), require_unit(c, "character value c"), g, lattice)
+        self._store(s=require_int(s, "s"), c=require_unit(c, "character value c"), g=g, lattice=lattice)
 
     @cached_property
     def _kernel(self) -> Callable[[int, complex, complex], complex]:

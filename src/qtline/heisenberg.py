@@ -67,7 +67,7 @@ class LambdaPoint(_Frozen):
     def __init__(self, alpha: int, beta: int, s: int) -> None:
         require_count(s, "LambdaPoint denominator", DomainError)
         alpha = require_int(alpha, "LambdaPoint coordinate alpha")
-        self._store(alpha, require_int(beta, "LambdaPoint coordinate beta"), s)
+        self._store(alpha=alpha, beta=require_int(beta, "LambdaPoint coordinate beta"), s=s)
 
     def real_value(self, lattice: Pseudolattice) -> float:
         """(alpha*omega1 + beta*omega2)/s rounded once to the nearest double, on integers."""
@@ -88,7 +88,7 @@ class KGroupDescription(_Frozen):
     _fields = ("finite", "modulus")
 
     def __init__(self, finite: bool, modulus: int | None = None) -> None:
-        self._store(finite, modulus)
+        self._store(finite=finite, modulus=modulus)
 
     @classmethod
     def finite_group(cls, modulus: int) -> KGroupDescription:
@@ -114,7 +114,7 @@ class HeisenbergElement(_Frozen):
     _fields = ("point", "scalar")
 
     def __init__(self, point: LambdaPoint, scalar: complex) -> None:
-        self._store(point, require_unit(scalar, "central scalar"))
+        self._store(point=point, scalar=require_unit(scalar, "central scalar"))
 
 
 def k_group(a: Cocycle) -> KGroupDescription:

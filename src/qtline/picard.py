@@ -80,7 +80,7 @@ class TrivialityVerdict(_Frozen):
         reason: str | None = None,
         bound: int | None = None,
     ) -> None:
-        self._store(status, witness, reason, bound)
+        self._store(status=status, witness=witness, reason=reason, bound=bound)
 
     @classmethod
     def trivial(cls, witness: int) -> TrivialityVerdict:
@@ -272,7 +272,7 @@ class AHData(_Frozen):
     _fields = ("c", "e_form", "lattice")
 
     def __init__(self, c: complex, e_form: AltForm, lattice: Pseudolattice) -> None:
-        self._store(require_unit(c, "character value c"), e_form, lattice)
+        self._store(c=require_unit(c, "character value c"), e_form=e_form, lattice=lattice)
 
     @property
     def chi_omega1(self) -> complex:

@@ -52,7 +52,7 @@ class LatticeVector(_Frozen):
     _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
-        self._store(require_int(a, "lattice coordinate a"), require_int(b, "lattice coordinate b"))
+        self._store(a=require_int(a, "lattice coordinate a"), b=require_int(b, "lattice coordinate b"))
 
     def __add__(self, other: LatticeVector) -> LatticeVector:
         return LatticeVector(self.a + other.a, self.b + other.b)
@@ -79,6 +79,7 @@ class Convergent(_Frozen, namedtuple("_ConvergentRow", ("p", "q", "index"))):
 
     __slots__ = ()
     _fields = ("p", "q", "index")
+    __init__ = object.__init__  # the row's __new__ holds the values; it has no dict to store into
 
     # _Frozen's __eq__ answers NotImplemented to a plain tuple, whose reflected
     # comparison would then find them equal, and __ne__ would resolve to tuple's.
@@ -104,8 +105,6 @@ class Pseudolattice(_Frozen):
     """
 
     _fields = ("omega1", "omega2")
-    # _scaled is (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
-    _derived = ("_perron", "_scaled", "omega1_float", "omega2_float")
 
     def __init__(self, omega1: QuadReal, omega2: QuadReal) -> None:
         d = omega1.d
@@ -122,9 +121,10 @@ class Pseudolattice(_Frozen):
         # q != 0 as omega1 != 0 and sqrt(d) is irrational.  Dividing by +-gcd leaves
         # q > 0 and a, b, q in lowest terms: theta over its least denominator.
         g = math.gcd(a, b, q) if q > 0 else -math.gcd(a, b, q)
+        # _scaled is (a1, b1, a2, b2, den) with omega_i = (a_i + b_i*sqrt(d))/den.
         self._store(
-            omega1, omega2, perron_form(a // g, b // g, d, q // g), (a1, b1, a2, b2, den),
-            quad_float(a1, b1, d, den), quad_float(a2, b2, d, den),
+            omega1=omega1, omega2=omega2, _perron=perron_form(a // g, b // g, d, q // g), _scaled=(a1, b1, a2, b2, den),
+            omega1_float=quad_float(a1, b1, d, den), omega2_float=quad_float(a2, b2, d, den),
         )
 
     @property

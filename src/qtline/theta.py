@@ -51,14 +51,14 @@ class ThetaCandidate(_Frozen):
     """theta(v) = amplitude * e^{2*pi*i*unit_exponent(v)} * e^{2*pi*i*alpha*v}."""
 
     _fields = ("amplitude", "alpha", "unit_exponent")
-    _derived = ("_log_amplitude",)  # log(amplitude)/(2*pi*i) on the principal branch
 
     def __init__(self, amplitude: complex, alpha: complex, unit_exponent: ExponentPoly) -> None:
         alpha = require_number(alpha, "alpha")
         if not cmath.isfinite(alpha):
             raise DomainError("alpha must be finite")
         amplitude = require_unit(amplitude, "amplitude")
-        self._store(amplitude, alpha, unit_exponent, cmath.log(amplitude) / _TWO_PI_I)
+        log_amplitude = cmath.log(amplitude) / _TWO_PI_I  # on the principal branch
+        self._store(amplitude=amplitude, alpha=alpha, unit_exponent=unit_exponent, _log_amplitude=log_amplitude)
 
     def log_value(self, v: complex) -> complex:
         """Exponent E(v) with theta(v) = e^{2*pi*i*E(v)}, amplitude folded in; v is read by require_number."""

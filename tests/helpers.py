@@ -279,7 +279,7 @@ class Character(_Frozen):
     def __init__(self, phi_omega1: complex, phi_omega2: complex, lattice: Pseudolattice) -> None:
         if phi_omega1 == 0 or phi_omega2 == 0:
             raise DomainError("character values must be nonzero")
-        self._store(phi_omega1, phi_omega2, lattice)
+        self._store(phi_omega1=phi_omega1, phi_omega2=phi_omega2, lattice=lattice)
 
     def __call__(self, l: LatticeVector) -> complex:
         return self.phi_omega1**l.a * self.phi_omega2**l.b

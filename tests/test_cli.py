@@ -636,6 +636,24 @@ def test_missing_file_is_exit_1(capsys):
     assert code == 1 and "error" in doc
 
 
+@pytest.mark.parametrize("flag", ["--cocycle", "--theta"])
+def test_document_longer_than_the_limit_is_exit_1(capsys, tmp_path, witness_file, flag):
+    # the whole file was read, so an endless one (/dev/zero) never answered
+    code, doc = run(capsys, "theta-solve", "--cocycle", witness_file)
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(doc["theta"]))
+    padded = tmp_path / "padded.json"
+    argv = ["theta-check", "--cocycle", witness_file, "--theta", str(theta), "--samples", "10"]
+    argv[argv.index(flag) + 1] = str(padded)
+    text = Path(witness_file if flag == "--cocycle" else theta).read_text()
+    padded.write_text(text.ljust(cli.MAX_DOCUMENT_CHARS))
+    code, doc = run(capsys, *argv)
+    assert code == 0 and doc["max_residual"] < 1e-9
+    padded.write_text(text.ljust(cli.MAX_DOCUMENT_CHARS + 1))
+    code, doc = run(capsys, *argv)
+    assert (code, doc) == (1, {"error": f"{padded} is longer than {cli.MAX_DOCUMENT_CHARS} characters"})
+
+
 def test_domain_error_is_exit_2(capsys, tmp_path):
     # degree-7 exponent polynomial violates the library's cap
     doc = cocycle_to_json(Cocycle(0, 1.0, ExponentPoly.zero(), L1))
@@ -881,7 +899,7 @@ def _flag(name, good, bad=()):
 
 _PAIRS = (["1,0", "0,1", "-3,7", "1,999", "1,150", "100000000,1", f"{BIG},0", f"0,-{BIG}", f"{LONG},1"],
           ["", "1", "1,2,3", "a,1", "1.5,2", ",", "nan,0", "inf,1"])
-_DOCUMENT = [*FUZZ_COCYCLES, *FUZZ_DOCUMENTS, "missing"]
+_DOCUMENT = [*FUZZ_COCYCLES, *FUZZ_DOCUMENTS, "missing", "/dev/zero"]
 # Count flags stay small, or far above their caps, which are refused before any work.
 _SAMPLES = (["1", "17", "300"], ["-1", "0", "100001", BIG, LONG, "1e3", "x"])
 _BOUND = (["0", "1", "100", "10000"], ["-1", "1000001", BIG, LONG, "x"])

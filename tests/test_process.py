@@ -7,6 +7,7 @@ import errno
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
 import tomllib
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from golden.make_corpus import CORPUS
-from qtline import cli
+from qtline import cli, lattice_sqrt2, trivial_cocycle
+from qtline.jsonio import cocycle_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CF = ["cf", "--D", "2", "--omega1", "1", "--omega2", "sqrtD", "--n", "2"]
@@ -93,6 +95,20 @@ def test_unwritable_stdout_is_one_line_on_stderr_and_exit_3(argv, stdout, unbuff
     # whose text is lost (argparse drops the failed write) does not exit 0
     proc, why = stdout(lambda **options: run_process(argv, unbuffered=unbuffered, **options))
     assert (proc.returncode, proc.stderr.decode()) == (3, f"qtline: cannot write the answer to stdout: {why}\n")
+
+
+@pytest.mark.parametrize("flag", ["--cocycle", "--theta"])
+def test_endless_document_is_exit_1_in_bounded_memory(tmp_path, flag):
+    # under this address-space cap the whole-file read of /dev/zero ended in a
+    # MemoryError traceback, exit 1 and an empty stdout
+    cocycle = tmp_path / "cocycle.json"
+    cocycle.write_text(json.dumps(cocycle_to_json(trivial_cocycle(lattice_sqrt2()))))
+    argv = ["theta-check", "--cocycle", str(cocycle), "--theta", str(cocycle)]
+    argv[argv.index(flag) + 1] = "/dev/zero"
+    cap = 400 * 2**20
+    proc = run_process(argv, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert json.loads(proc.stdout) == {"error": f"/dev/zero is longer than {cli.MAX_DOCUMENT_CHARS} characters"}
 
 
 def test_console_script_runs_the_process_entry():

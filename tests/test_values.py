@@ -8,7 +8,6 @@ of that.
 
 import ast
 import importlib
-import inspect
 import math
 import pickle
 import pkgutil
@@ -84,9 +83,11 @@ def test_every_value_class_has_a_factory():
         importlib.import_module(f"qtline.{info.name}")
     defined = {cls.__name__ for cls in _frozen_classes(_Frozen) if cls.__module__.startswith("qtline.")}
     assert not defined - set(FACTORIES), sorted(defined - set(FACTORIES))
-    # and each class that derives values gets a warm use before it is pickled
-    derives = {cls.__name__ for cls in _frozen_classes(_Frozen) if cls._derived}
-    assert derives & defined <= WARM.keys()
+    # and each class whose fresh value holds more than its fields, the values its
+    # constructor derives, gets a warm use before it is pickled
+    fresh = {name: make() for name, (make, _) in FACTORIES.items()}
+    derives = {name for name, x in fresh.items() if len(getattr(x, "__dict__", ())) > len(x._fields)}
+    assert derives <= WARM.keys(), sorted(derives - WARM.keys())
 
 
 # One builder per class that stores a value of C^x, from that value.
@@ -202,7 +203,6 @@ def test_pickle_carries_fields_and_no_cache(factory):
     copy, fresh = pickle.loads(pickle.dumps(x)), make()
     assert copy == fresh
     assert state(copy) == state(fresh)
-    assert all(name in vars(copy) for name in type(x)._derived)
 
 
 def test_no_value_class_writes_its_own_pickle_rule():
@@ -215,17 +215,17 @@ def test_no_value_class_writes_its_own_pickle_rule():
 
 
 SOURCE = Path(qtline.__file__).parent
-# The writes past _Frozen's raising __setattr__: the generator of every class's
-# store, with the one exec in the package, and the widening of a lattice's
-# fixed-point theta.
+# The writes past _Frozen's raising __setattr__: the one store of every class,
+# and the widening of a lattice's fixed-point theta.
 STORES = {
-    ("numeric", "_Frozen.__init_subclass__"),
+    ("numeric", "_Frozen._store"),
     ("pseudolattice", "Pseudolattice.frac_combination"),
 }
+GENERATORS = ("exec", "eval", "compile")
 
 
 def direct_stores(node: ast.AST, where: str) -> set[tuple[str, str]]:
-    """(where, what) for each object.__setattr__, __dict__, vars( or exec( under node."""
+    """(where, what) for each object.__setattr__, __dict__, vars( exec( eval( or compile( under node."""
     found = set()
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -235,60 +235,52 @@ def direct_stores(node: ast.AST, where: str) -> set[tuple[str, str]]:
             child.attr == "__dict__" or (child.attr == "__setattr__" and ast.unparse(child.value) == "object")
         ):
             found.add((where, child.attr))
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in ("vars", "exec"):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in ("vars", *GENERATORS):
             found.add((where, child.func.id))
         found |= direct_stores(child, where)
     return found
 
 
 def test_values_are_stored_in_the_named_places_only():
-    # every constructor stores through its class's generated _store alone
+    # every constructor stores through _Frozen._store alone, and the package
+    # generates no code at run time
     found = {
         (path.stem, where, what)
         for path in sorted(SOURCE.glob("*.py"))
         for where, what in direct_stores(ast.parse(path.read_text()), "<module>")
     }
     assert {(module, where) for module, where, _ in found} == STORES
-    execs = {(module, where) for module, where, what in found if what == "exec"}
-    assert execs == {("numeric", "_Frozen.__init_subclass__")}
+    assert not {entry for entry in found if entry[2] in GENERATORS}
 
 
-def _exported_value_classes():
-    for names in qtline._EXPORTS.values():
-        for name in names:
-            value = getattr(qtline, name)
-            if isinstance(value, type) and issubclass(value, _Frozen):
-                yield name
-
-
-@pytest.mark.parametrize("name", sorted(_exported_value_classes()))
-def test_each_store_takes_the_fields_then_the_derived_values(name):
-    cls, x = getattr(qtline, name), FACTORIES[name][0]()
-    if not hasattr(x, "__dict__"):  # a slotted tuple row: its __new__ holds the values
-        assert cls is Convergent and not hasattr(cls, "_store")
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_a_store_into_a_bare_instance_rebuilds_the_value(name):
+    fresh = FACTORIES[name][0]()
+    cls = type(fresh)
+    if not hasattr(fresh, "__dict__"):  # a slotted tuple row: its __new__ holds the values
+        assert cls is Convergent
         return
-    names = cls._fields + cls._derived
-    parameters = list(inspect.signature(cls._store).parameters.values())
-    assert tuple(p.name for p in parameters[1:]) == names
-    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_ONLY}
-    values = [getattr(x, n) for n in names]
-    for wrong in (values[:-1], [*values, None]):
-        with pytest.raises(TypeError):
-            x._store(*wrong)
+    assert tuple(vars(fresh)[field] for field in cls._fields) == fresh._values()
     built = cls.__new__(cls)
-    built._store(*values)
-    assert vars(built) == dict(zip(names, values)) and built == x
+    built._store(**vars(fresh))
+    assert built == fresh and vars(built) == vars(fresh)
 
 
 def test_a_store_fits_each_shape_of_class():
     class Shifted(LatticeVector):  # no fields of its own
         pass
 
-    class Clashing(_Frozen):  # no constructor, and fields named like the store's locals
+    class Clashing(_Frozen):  # no constructor, and fields named like the store's parameters
         _fields = ("self", "values", "values_")
 
-    assert Shifted._store is LatticeVector._store and vars(Shifted(1, 2)) == {"a": 1, "b": 2}
+    assert Shifted._store is LatticeVector._store is _Frozen._store
+    assert vars(Shifted(1, 2)) == {"a": 1, "b": 2}
     assert vars(Clashing(1, 2, 3)) == {"self": 1, "values": 2, "values_": 3}
+    built = Clashing.__new__(Clashing)
+    built._store(self=1, values=2, values_=3)
+    assert built == Clashing(1, 2, 3)
+    with pytest.raises(ValueError):  # zip(strict=True): one value per field
+        Clashing(1, 2)
 
 
 def test_objects_of_other_classes_are_unequal():
