@@ -172,7 +172,7 @@ def _is_square_free(n: int) -> bool:
 
 def _as_fraction(x: Fraction, what: str) -> Fraction:
     """x as a Fraction where it is a Fraction or an int other than a bool; else DomainError naming what."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction or isinstance(x, Fraction):  # the exact type skips isinstance's call
         return x
     if type(x) is int:
         return Fraction(x)

@@ -19,6 +19,9 @@ for each partial quotient a_k: convergents maps tuple.__new__ over it, cf_terms 
 a_k = (q_k - q_{k-2}) // q_{k-1} back (a_0 = p_0), and small_vectors and
 approximate_real read it too.  approximate_real keeps its gap to the target on
 integers and stops reading once that gap is within eps, tested only after it moves.
+Each count trunc(gap/vector) and each such test reads sqrt(D) in fixed point, floor(sqrt(D)*2^64),
+which puts the value between two integer ends: where both give one floor, or sit on one side of
+-eps and of eps, that answer is exact; else surd_floor or squares decide, as for the fixed-point theta.
 A Pseudolattice is built on integers: it keeps omega1, omega2 over one integer
 denominator and theta as its Perron triple (P, N, Q), formed once from those
 integers with no field division.  The walk starts from that triple and the
@@ -110,9 +113,9 @@ class Pseudolattice(_Frozen):
         d = omega1.d
         if d != omega2.d:
             raise DomainError("omega1 and omega2 must live in the same quadratic field")
-        if not omega1:
-            raise DomainError("omega1 must be nonzero")
         (a1, b1, a2, b2), den = over_common_denominator(omega1.a, omega1.b, omega2.a, omega2.b)
+        if not (a1 or b1):
+            raise DomainError("omega1 must be nonzero")
         # theta = (a2 + b2*sqrt(d))(a1 - b1*sqrt(d)) / (a1^2 - d*b1^2) = (a + b*sqrt(d))/q.
         b = a1 * b2 - a2 * b1
         if not b:
@@ -140,6 +143,8 @@ class Pseudolattice(_Frozen):
     def rounded_combination(self, a: int, b: int, den: int = 1) -> float:
         """(a*omega1 + b*omega2)/den rounded once to the nearest double, on integers,
         so it keeps full precision where a*omega1 and b*omega2 nearly cancel."""
+        if not den:
+            raise PreconditionError("need den != 0")
         a1, b1, a2, b2, scale = self._scaled
         return quad_float(a * a1 + b * a2, a * b1 + b * b2, self.d, scale * den)
 
@@ -235,30 +240,45 @@ class Pseudolattice(_Frozen):
         s = max(t_den, e_den)
         g, y, bound = t * (s // t_den) * den, 0, e * (s // e_den) * den
         acc_a = acc_b = 0
+        root = math.isqrt(d << 128)  # floor(sqrt(d)*2^64), for each count and each _within
         # The gap is tested at the start and after each step that moves it: a zero
         # count leaves it as it was last tested.
         count = 1
         for p, q, _ in self._expansion(max_terms, "max_terms"):
-            if count and _within(g, y, d, bound):
+            if count and _within(g, y, d, bound, root):
                 return LatticeVector(acc_a, acc_b)
             # The vector times den is x + z*sqrt(d), and gap/vector =
             # (g + y*sqrt(d))(x - z*sqrt(d))/((x^2 - d*z^2)*s) = (u + w*sqrt(d))/c.
             x, z = p * a1 - q * a2, p * b1 - q * b2
             u, w, c = g * x - d * y * z, y * x - g * z, (x * x - d * z * z) * s
-            count = surd_floor(u, w, d, c)
+            u, w, c = (-u, -w, -c) if c < 0 else (u, w, c)
+            # (u + w*sqrt(d))*2^64 lies between low and low + w: where both ends have
+            # one floor over c*2^64 > 0, so has the quotient; else surd_floor decides.
+            low = (u << 64) + w * root
+            count = (low >> 64) // c
+            if count != ((low + w) >> 64) // c:
+                count = surd_floor(u, w, d, c)
             # trunc = floor + 1 below 0, unless the quotient is an integer (w = 0, u/c whole)
             count += count < 0 and (w != 0 or u % c != 0)
             if count:
                 acc_a, acc_b = acc_a + count * p, acc_b - count * q
                 g, y = g - count * x * s, y - count * z * s
-        if count and _within(g, y, d, bound):
+        if count and _within(g, y, d, bound, root):
             return LatticeVector(acc_a, acc_b)
         raise PreconditionError(f"could not reach {target} within {eps} using {max_terms} convergents")
 
 
-def _within(g: int, y: int, d: int, bound: int) -> bool:
-    """|g + y*sqrt(d)| <= bound, decided on squares: -bound - g <= y*sqrt(d) <= bound - g."""
+def _within(g: int, y: int, d: int, bound: int, root: int) -> bool:
+    """|g + y*sqrt(d)| <= bound.  With y >= 0 (g, y flipped), (g + y*sqrt(d))*2^64 lies
+    between low = g*2^64 + y*root and low + y, root = isqrt(d*2^128): where both ends sit on
+    one side of -bound*2^64 and one side of bound*2^64, so does the gap; where they straddle
+    either, it is decided on squares: -bound - g <= y*sqrt(d) <= bound - g."""
     g, y = (-g, -y) if y < 0 else (g, y)
+    low, edge = (g << 64) + y * root, bound << 64
+    if low > edge or low + y < -edge:
+        return False
+    if low >= -edge and low + y <= edge:
+        return True
     hi, lo, n = bound - g, -bound - g, d * y * y
     return hi >= 0 and n <= hi * hi and (lo <= 0 or n >= lo * lo)
 

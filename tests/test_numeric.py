@@ -80,6 +80,16 @@ class TestArithmetic:
     def test_float_coefficients_rejected(self):
         with pytest.raises(DomainError, match="^QuadReal coefficient a must be an int or a Fraction, got float$"):
             QuadReal(0.5, 0, 2)
+        with pytest.raises(DomainError, match="^QuadReal coefficient b must be an int or a Fraction, got bool$"):
+            QuadReal(1, True, 2)
+
+        class Half(Fraction):
+            pass
+
+        # a Fraction subclass passes the gate and is stored as given
+        half = Half(1, 2)
+        x = QuadReal(half, half, 2)
+        assert x.a is half and x.b is half
 
     def test_non_square_free_radicand_rejected(self):
         for bad in (0, 1, 4, 8, 9, 12, -2):

@@ -217,6 +217,9 @@ class TestDensity:
     @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, -0.0, 1e-3, 60)
     # the rational first vector -1 leaves a gap of exactly eps from 3.125: (-3, 3)
     @example(Fraction(0), Fraction(1), Fraction(1), Fraction(1), 2, 3.125, 0.125, 60)
+    # the first vector 1 - sqrt(2) has norm -1, so c < 0 at s = 1: the count's fixed-point
+    # floor is taken after flipping u, w, c (unflipped it answered (121, -121))
+    @example(Fraction(1), Fraction(0), Fraction(0), Fraction(1), 2, -50.0, 1.0, 60)
     def test_approximate_real_matches_exact_values(self, a1, b1, a2, b2, d, target, eps, max_terms):
         omega1, omega2 = ExactReal(a1, b1, d), ExactReal(a2, b2, d)
         assume((omega2 / omega1).b != 0)
@@ -317,6 +320,75 @@ class TestDensity:
         )
         assert len(tested) == 1 + sum(c != 0 for c in counts) == len(set(tested))
         assert [within(*gap) for gap in tested] == [False] * (len(tested) - reached) + [True] * reached
+
+
+def within_on_squares(g, y, d, bound):
+    """|g + y*sqrt(d)| <= bound on squares alone, the stop test before it read sqrt(d) in
+    fixed point.  Test oracle only."""
+    g, y = (-g, -y) if y < 0 else (g, y)
+    hi, lo, n = bound - g, -bound - g, d * y * y
+    return hi >= 0 and n <= hi * hi and (lo <= 0 or n >= lo * lo)
+
+
+class Radicand(int):
+    """An int that counts its products: _within reads d only where its squares decide."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Radicand.products += 1
+        return int(self) * other
+
+
+@pytest.mark.parametrize("bound", [1, 1000, 2**60 + 1, 3**100])
+@pytest.mark.parametrize("d", [2, 3, 999983, 999999937])
+def test_within_agrees_with_squares_within_one_unit_of_the_bound(d, bound):
+    # gaps g + y*sqrt(d) within one unit of +-bound, where the fixed-point enclosure
+    # of width y/2^64 straddles the bound for the larger y and squares decide
+    root = math.isqrt(d << 128)
+    ys = [0, *(sign * y for y in (1, 2**31, 2**64, 2**200) for sign in (1, -1))]
+    gaps = [(side * bound - surd_floor(0, y, d, 1) + delta, y) for y in ys for side in (1, -1) for delta in (-1, 0, 1)]
+    gaps += [(bound, 0), (-bound, 0)]
+    Radicand.products = 0
+    for g, y in gaps:
+        assert pseudolattice._within(g, y, Radicand(d), bound, root) == within_on_squares(g, y, d, bound), (g, y)
+    assert 0 < Radicand.products < len(gaps)
+
+
+def count_surd_floor_calls(monkeypatch):
+    """A list that gets one entry per surd_floor call from the pseudolattice module."""
+    calls = []
+    monkeypatch.setattr(pseudolattice, "surd_floor", lambda *args: calls.append(args) or surd_floor(*args))
+    return calls
+
+
+@pytest.mark.parametrize("fix", ["l1", "l2"])
+@pytest.mark.parametrize("target", [1e20, 1e300, -1e300])
+def test_large_targets_fall_back_on_the_exact_floor(fix, target, request, monkeypatch):
+    # the count's enclosure is |w|/(c*2^64) wide and grows with the gap
+    lat = request.getfixturevalue(fix)
+    calls = count_surd_floor_calls(monkeypatch)
+    got = lat.approximate_real(target, 1e-3)
+    assert calls
+    assert got == exact_greedy_descent(lat, lat.small_vectors(60), target, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        *(pytest.param(lat, id=f"certify-{i}") for i, lat in enumerate(CERTIFY_LATTICES)),
+        pytest.param(
+            Pseudolattice(QuadReal.rational(1, 999983), QuadReal(Fraction(2, 3), Fraction(-5, 7), 999983)),
+            id="D999983",
+        ),
+    ],
+)
+def test_small_targets_read_every_count_in_fixed_point(lat, monkeypatch):
+    rng = random.Random(5)
+    calls = count_surd_floor_calls(monkeypatch)
+    for _ in range(200):
+        lat.approximate_real(rng.uniform(-5.0, 5.0), 1e-3)
+    assert calls == []
 
 
 def outcome(call):
@@ -534,7 +606,7 @@ def test_construction_and_walk_use_no_quadreal_arithmetic(monkeypatch):
         raise AssertionError("QuadReal arithmetic on the Pseudolattice hot path")
 
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "reciprocal",
-                 "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__float__", "__floor__"):
+                 "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__float__", "__floor__", "__bool__"):
         monkeypatch.setattr(QuadReal, name, refuse, raising=False)
     fresh = (lattice_sqrt2(), lattice_golden())
     assert [(lat.convergents(100), lat.approximate_real(2.345, 1e-9), lat.theta) for lat in fresh] == want
@@ -603,6 +675,16 @@ def test_frac_combination_matches_mpmath(lat, a, b, den):
 def test_frac_combination_needs_positive_den(den):
     with pytest.raises(PreconditionError):
         lattice_sqrt2().frac_combination(1, 1, den)
+
+
+@pytest.mark.parametrize("b", [0, 1, -(10**30)])
+def test_rounded_combination_needs_nonzero_den(b):
+    # a zero den raised a bare ZeroDivisionError; a negative one still rounds
+    lat = lattice_sqrt2()
+    with pytest.raises(PreconditionError, match="need den != 0"):
+        lat.rounded_combination(3, b, 0)
+    want = float(real_value(lat, LatticeVector(3, b)) / 7)
+    assert lat.rounded_combination(3, b, 7) == want and lat.rounded_combination(3, b, -7) == -want
 
 
 def test_frac_combination_uses_no_quadreal_arithmetic(monkeypatch):
